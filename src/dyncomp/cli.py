@@ -11,7 +11,7 @@ from pathlib import Path
 
 from . import __version__
 from . import harness
-from .config import RunConfig, apply_overrides, parse_config
+from .config import RunConfig, apply_overrides, parse_config, set_key
 from .errors import ConfigError, SimulationError
 
 
@@ -60,14 +60,13 @@ def load_runconfig(args: argparse.Namespace) -> RunConfig:
     else:
         cfg = RunConfig()
     apply_overrides(cfg, args.overrides)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.trials is not None:
-        cfg.trials = args.trials
-    if args.no_shutdown:
-        cfg.shutdown = False
-    if args.calibrate:
-        cfg.calibrate = True
+    # The shorthand flags are --set keys with the same checks; they win over --set.
+    shorthands = {"seed": args.seed, "trials": args.trials,
+                  "shutdown": "false" if args.no_shutdown else None,
+                  "calibrate": "true" if args.calibrate else None}
+    for key, value in shorthands.items():
+        if value is not None:
+            set_key(cfg, key, str(value))
     return cfg
 
 

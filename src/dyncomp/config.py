@@ -3,43 +3,46 @@
 The config namespace is flat with dotted keys (section headers in files are
 organizational only). ``auto`` resolves context-dependent defaults: the
 common-mode voltage tracks vdd/2 and the calibration period tracks the clock.
+Each key is declared once, in ``_KEYS`` or ``_PREFIXED``: parsing, range
+checks and the emitted metadata all follow from those two tables.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import devices as dev
 from .calibration import CalibrationConfig
-from .devices import CORNERS, DeviceParams, default_geometry
-from .engine import ComparatorConfig, OperatingPoint
+from .devices import CORNERS, DEFAULT_NMOS, DEFAULT_PMOS, DeviceParams, default_geometry
+from .engine import EXTRA_NODES, ComparatorConfig, OperatingPoint
 from .errors import ConfigError
 
 SWEEP_VARIABLES = ("vid", "vcm", "vdd", "temp", "corner",
                    "width_preamp", "width_inv_n", "width_inv_both")
 
-_GEOM_NAMES = frozenset(default_geometry())
 
-# Keep the cal_* defaults in sync with CalibrationConfig (asserted in tests).
 @dataclass
 class RunConfig:
-    vdd: float = 1.8
+    """Flat run settings; model defaults are taken from the model classes."""
+
+    vdd: float = ComparatorConfig.vdd
     vcm: float | None = None            # auto -> vdd/2
-    vid: float = 50e-3
-    freq: float = 333e6
-    corner: str = "TT"
+    vid: float = OperatingPoint.vid
+    freq: float = ComparatorConfig.freq
+    corner: str = OperatingPoint.corner.name
     temp_c: float = 27.0
-    alpha: float = 1.5
-    shutdown: bool = True
-    tie_break: int = 1
-    tail_derating: float = 0.02
-    gamma: float = 0.4
-    phi2f: float = 0.7
-    cox_area: float = 8.5e-3
-    nmos_mu_cox: float = 300e-6
-    nmos_vth0: float = 0.45
-    pmos_mu_cox: float = 150e-6
-    pmos_vth0: float = 0.45
+    alpha: float = ComparatorConfig.alpha
+    shutdown: bool = ComparatorConfig.early_shutdown_enabled
+    tie_break: int = ComparatorConfig.tie_break
+    tail_derating: float = ComparatorConfig.tail_derating
+    gamma: float = DeviceParams.gamma
+    phi2f: float = DeviceParams.phi2f
+    cox_area: float = DeviceParams.cox_area
+    nmos_mu_cox: float = DEFAULT_NMOS.mu_cox
+    nmos_vth0: float = DEFAULT_NMOS.vth0
+    pmos_mu_cox: float = DEFAULT_PMOS.mu_cox
+    pmos_vth0: float = DEFAULT_PMOS.vth0
     avt: float = dev.AVT_DEFAULT
     abeta: float = dev.ABETA_DEFAULT
     extra: dict[str, float] = field(default_factory=dict)
@@ -53,25 +56,31 @@ class RunConfig:
     seed: int = 1
     trials: int = 500
     calibrate: bool = False
-    cal_cycles: int = 6
-    cal_phases: int = 1
-    cal_cb: float = 1e-12
-    cal_c0: float = 100e-15
-    cal_caps: tuple[float, ...] = (25e-15, 25e-15, 50e-15, 100e-15, 200e-15, 400e-15)
-    cal_cp_beta: float = 17e-6
-    cal_cp_vthn: float = -0.45
+    cal_cycles: int = CalibrationConfig.n_cycles
+    cal_phases: int = CalibrationConfig.n_phases
+    cal_cb: float = CalibrationConfig.cb
+    cal_c0: float = CalibrationConfig.c0
+    cal_caps: tuple[float, ...] = CalibrationConfig.dac_caps
+    cal_cp_beta: float = CalibrationConfig.cp_beta
+    cal_cp_vthn: float = CalibrationConfig.cp_vthn
     cal_period: float | None = None     # auto -> 1/freq
     cal_vref: float | None = None       # auto -> vdd/2
-    cal_tol: float = 10e-6
-    cal_span: float = 100e-3
+    cal_tol: float = CalibrationConfig.tol_os
+    cal_span: float = CalibrationConfig.span
     warnings: list[str] = field(default_factory=list)
+
+
+# -- parsers: (key, text) -> value, raising ConfigError that names the key -----
 
 
 def _parse_float(key: str, value: str) -> float:
     try:
-        return float(value)
+        x = float(value)
     except ValueError:
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+    if not math.isfinite(x):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
+    return x
 
 
 def _parse_int(key: str, value: str) -> int:
@@ -82,7 +91,7 @@ def _parse_int(key: str, value: str) -> int:
 
 
 def _parse_bool(key: str, value: str) -> bool:
-    v = value.strip().lower()
+    v = value.lower()
     if v in ("1", "true", "yes", "on"):
         return True
     if v in ("0", "false", "no", "off"):
@@ -90,165 +99,119 @@ def _parse_bool(key: str, value: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {value!r}")
 
 
-def _positive(key: str, x: float) -> float:
-    if x <= 0:
-        raise ConfigError(f"{key}: must be > 0, got {x}")
-    return x
+def _parse_caps(key: str, value: str) -> tuple[float, ...]:
+    parts = [p for p in value.split(",") if p.strip()]
+    if not parts:
+        raise ConfigError(f"{key}: expected a comma-separated list of capacitances")
+    return tuple(_parse_float(key, p) for p in parts)
 
 
-def _nonnegative(key: str, x: float) -> float:
-    if x < 0:
-        raise ConfigError(f"{key}: must be >= 0, got {x}")
-    return x
+def _choice(*options: str, upper: bool = False) -> Callable[[str, str], str]:
+    """Parser for one of ``options``, upper-casing the text first if asked."""
+    def parse(key: str, value: str) -> str:
+        name = value.upper() if upper else value
+        if name not in options:
+            raise ConfigError(f"{key}: unknown {value!r}; expected one of {options}")
+        return name
+    return parse
 
 
-def _optional_float(key: str, value: str) -> float | None:
-    if value.strip().lower() in ("auto", "none"):
-        return None
-    return _parse_float(key, value)
+@dataclass(frozen=True)
+class _Unset:
+    """Parser for a key that may be left unset (None); ``words[0]`` is emitted for None."""
+
+    parse: Callable[[str, str], object]
+    words: tuple[str, ...] = ("auto", "none")
+
+    def __call__(self, key: str, value: str):
+        return None if value.lower() in self.words else self.parse(key, value)
+
+
+# -- range checks: (predicate, rule quoted in the error) --------------------------
+
+_POSITIVE = (lambda x: x > 0, "must be > 0")
+_NONNEGATIVE = (lambda x: x >= 0, "must be >= 0")
+_AT_LEAST_1 = (lambda x: x >= 1, "must be >= 1")
+
+# Every scalar key, in the order resolved_metadata emits it: key -> (parser,
+# range check or None).
+_KEYS = {
+    "vdd": (_parse_float, _POSITIVE),
+    "vcm": (_Unset(_parse_float), _NONNEGATIVE),
+    "vid": (_parse_float, None),
+    "freq": (_parse_float, _POSITIVE),
+    "corner": (_choice(*CORNERS, upper=True), None),
+    "temp_c": (_parse_float, (lambda x: x > -273.15, "must be above absolute zero")),
+    "alpha": (_parse_float, _AT_LEAST_1),
+    "shutdown": (_parse_bool, None),
+    "tie_break": (_parse_int, (lambda x: x in (1, -1), "must be +1 or -1")),
+    "tail_derating": (_parse_float, (lambda x: 0.0 <= x < 1.0, "must be in [0, 1)")),
+    "gamma": (_parse_float, _NONNEGATIVE),
+    "phi2f": (_parse_float, _POSITIVE),
+    "cox_area": (_parse_float, _POSITIVE),
+    "nmos.mu_cox": (_parse_float, _POSITIVE),
+    "nmos.vth0": (_parse_float, _POSITIVE),
+    "pmos.mu_cox": (_parse_float, _POSITIVE),
+    "pmos.vth0": (_parse_float, _POSITIVE),
+    "avt": (_parse_float, _NONNEGATIVE),
+    "abeta": (_parse_float, _NONNEGATIVE),
+    "sweep.variable": (_Unset(_choice(*SWEEP_VARIABLES), ("none", "")), None),
+    "sweep.start": (_Unset(_parse_float), None),
+    "sweep.stop": (_Unset(_parse_float), None),
+    "sweep.points": (_Unset(_parse_int), (lambda x: x >= 2, "must be >= 2")),
+    "sweep.scale": (_choice("linear", "log"), None),
+    "seed": (_parse_int, _NONNEGATIVE),
+    "trials": (_parse_int, _AT_LEAST_1),
+    "calibrate": (_parse_bool, None),
+    "cal.cycles": (_parse_int, _AT_LEAST_1),
+    "cal.phases": (_parse_int, _AT_LEAST_1),
+    "cal.cb": (_parse_float, _POSITIVE),
+    "cal.c0": (_parse_float, _POSITIVE),
+    "cal.caps": (_parse_caps, _POSITIVE),
+    "cal.cp_beta": (_parse_float, _POSITIVE),
+    "cal.cp_vthn": (_parse_float, None),
+    "cal.period": (_Unset(_parse_float), _POSITIVE),
+    "cal.vref": (_Unset(_parse_float), None),
+    "cal.tol": (_parse_float, _POSITIVE),
+    "cal.span": (_parse_float, _POSITIVE),
+}
+# A key's RunConfig field is the key with its dots replaced by underscores.
+_FIELDS = {key: key.replace(".", "_") for key in _KEYS}
+
+# Keys "<prefix>.<name>" that set one entry of a RunConfig dict:
+# prefix -> (RunConfig field, allowed names, range check).
+_PREFIXED = {
+    "w": ("widths", frozenset(default_geometry()), _POSITIVE),
+    "l": ("lengths", frozenset(default_geometry()), _POSITIVE),
+    "extra": ("extra", EXTRA_NODES, _NONNEGATIVE),
+}
+
+
+def _checked(key: str, value, check):
+    """Apply a range check to a parsed value (to each item of a tuple)."""
+    if check is not None and value is not None:
+        ok, rule = check
+        for x in value if isinstance(value, tuple) else (value,):
+            if not ok(x):
+                raise ConfigError(f"{key}: {rule}, got {x}")
+    return value
 
 
 def set_key(cfg: RunConfig, key: str, value: str) -> None:
     """Apply one key=value pair, validating range invariants by name."""
     k = key.strip()
     v = value.strip()
-    if k.startswith("w.") or k.startswith("l."):
-        name = k[2:]
-        if name not in _GEOM_NAMES:
-            raise ConfigError(f"{k}: unknown transistor name {name!r}")
-        target = cfg.widths if k.startswith("w.") else cfg.lengths
-        target[name] = _positive(k, _parse_float(k, v))
+    if k in _KEYS:
+        parse, check = _KEYS[k]
+        setattr(cfg, _FIELDS[k], _checked(k, parse(k, v), check))
         return
-    if k.startswith("extra."):
-        node = k[len("extra."):]
-        if node not in ("out", "pi", "p3", "latch"):
-            raise ConfigError(f"{k}: unknown load node {node!r}")
-        cfg.extra[node] = _nonnegative(k, _parse_float(k, v))
-        return
-
-    match k:
-        case "vdd":
-            cfg.vdd = _positive(k, _parse_float(k, v))
-        case "vcm":
-            cfg.vcm = _optional_float(k, v)
-            if cfg.vcm is not None:
-                _nonnegative(k, cfg.vcm)
-        case "vid":
-            cfg.vid = _parse_float(k, v)
-        case "freq":
-            cfg.freq = _positive(k, _parse_float(k, v))
-        case "corner":
-            name = v.upper()
-            if name not in CORNERS:
-                raise ConfigError(f"corner: unknown name {v!r}; expected one of {tuple(CORNERS)}")
-            cfg.corner = name
-        case "temp_c":
-            x = _parse_float(k, v)
-            if x <= -273.15:
-                raise ConfigError(f"temp_c: must be above absolute zero, got {x}")
-            cfg.temp_c = x
-        case "alpha":
-            x = _parse_float(k, v)
-            if x < 1.0:
-                raise ConfigError(f"alpha: must be >= 1, got {x}")
-            cfg.alpha = x
-        case "shutdown":
-            cfg.shutdown = _parse_bool(k, v)
-        case "tie_break":
-            x = _parse_int(k, v)
-            if x not in (1, -1):
-                raise ConfigError(f"tie_break: must be +1 or -1, got {x}")
-            cfg.tie_break = x
-        case "tail_derating":
-            x = _parse_float(k, v)
-            if not 0.0 <= x < 1.0:
-                raise ConfigError(f"tail_derating: must be in [0, 1), got {x}")
-            cfg.tail_derating = x
-        case "gamma":
-            cfg.gamma = _nonnegative(k, _parse_float(k, v))
-        case "phi2f":
-            cfg.phi2f = _positive(k, _parse_float(k, v))
-        case "cox_area":
-            cfg.cox_area = _positive(k, _parse_float(k, v))
-        case "nmos.mu_cox":
-            cfg.nmos_mu_cox = _positive(k, _parse_float(k, v))
-        case "nmos.vth0":
-            cfg.nmos_vth0 = _positive(k, _parse_float(k, v))
-        case "pmos.mu_cox":
-            cfg.pmos_mu_cox = _positive(k, _parse_float(k, v))
-        case "pmos.vth0":
-            cfg.pmos_vth0 = _positive(k, _parse_float(k, v))
-        case "avt":
-            cfg.avt = _nonnegative(k, _parse_float(k, v))
-        case "abeta":
-            cfg.abeta = _nonnegative(k, _parse_float(k, v))
-        case "sweep.variable":
-            if v.lower() in ("none", ""):
-                cfg.sweep_variable = None
-            elif v in SWEEP_VARIABLES:
-                cfg.sweep_variable = v
-            else:
-                raise ConfigError(f"sweep.variable: unknown {v!r}; expected one of {SWEEP_VARIABLES}")
-        case "sweep.start":
-            cfg.sweep_start = _optional_float(k, v)
-        case "sweep.stop":
-            cfg.sweep_stop = _optional_float(k, v)
-        case "sweep.points":
-            if v.strip().lower() in ("auto", "none"):
-                cfg.sweep_points = None
-            else:
-                x = _parse_int(k, v)
-                if x < 2:
-                    raise ConfigError(f"sweep.points: must be >= 2, got {x}")
-                cfg.sweep_points = x
-        case "sweep.scale":
-            if v not in ("linear", "log"):
-                raise ConfigError(f"sweep.scale: expected linear|log, got {v!r}")
-            cfg.sweep_scale = v
-        case "seed":
-            cfg.seed = _parse_int(k, v)
-        case "trials":
-            x = _parse_int(k, v)
-            if x < 1:
-                raise ConfigError(f"trials: must be >= 1, got {x}")
-            cfg.trials = x
-        case "calibrate":
-            cfg.calibrate = _parse_bool(k, v)
-        case "cal.cycles":
-            x = _parse_int(k, v)
-            if x < 1:
-                raise ConfigError(f"cal.cycles: must be >= 1, got {x}")
-            cfg.cal_cycles = x
-        case "cal.phases":
-            x = _parse_int(k, v)
-            if x < 1:
-                raise ConfigError(f"cal.phases: must be >= 1, got {x}")
-            cfg.cal_phases = x
-        case "cal.cb":
-            cfg.cal_cb = _positive(k, _parse_float(k, v))
-        case "cal.c0":
-            cfg.cal_c0 = _positive(k, _parse_float(k, v))
-        case "cal.caps":
-            parts = [p for p in v.split(",") if p.strip()]
-            if not parts:
-                raise ConfigError("cal.caps: expected a comma-separated list of capacitances")
-            cfg.cal_caps = tuple(_positive(k, _parse_float(k, p)) for p in parts)
-        case "cal.cp_beta":
-            cfg.cal_cp_beta = _positive(k, _parse_float(k, v))
-        case "cal.cp_vthn":
-            cfg.cal_cp_vthn = _parse_float(k, v)
-        case "cal.period":
-            cfg.cal_period = _optional_float(k, v)
-            if cfg.cal_period is not None:
-                _positive(k, cfg.cal_period)
-        case "cal.vref":
-            cfg.cal_vref = _optional_float(k, v)
-        case "cal.tol":
-            cfg.cal_tol = _positive(k, _parse_float(k, v))
-        case "cal.span":
-            cfg.cal_span = _positive(k, _parse_float(k, v))
-        case _:
-            raise ConfigError(f"unknown config key {key!r}")
+    prefix, _, name = k.partition(".")
+    if prefix not in _PREFIXED:
+        raise ConfigError(f"unknown config key {key!r}")
+    field_name, names, check = _PREFIXED[prefix]
+    if name not in names:
+        raise ConfigError(f"{k}: unknown name {name!r}")
+    getattr(cfg, field_name)[name] = _checked(k, _parse_float(k, v), check)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -339,8 +302,6 @@ def build_calibration_config(cfg: RunConfig) -> CalibrationConfig:
 
 
 def _fmt(value) -> str:
-    if value is None:
-        return "auto"
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
@@ -358,38 +319,13 @@ def resolved_metadata(cfg: RunConfig) -> dict[str, str]:
     by the tool version).
     """
     meta: dict[str, str] = {}
-    scalar_keys = (
-        ("vdd", cfg.vdd), ("vcm", cfg.vcm), ("vid", cfg.vid), ("freq", cfg.freq),
-        ("corner", cfg.corner), ("temp_c", cfg.temp_c), ("alpha", cfg.alpha),
-        ("shutdown", cfg.shutdown), ("tie_break", cfg.tie_break),
-        ("tail_derating", cfg.tail_derating), ("gamma", cfg.gamma),
-        ("phi2f", cfg.phi2f), ("cox_area", cfg.cox_area),
-        ("nmos.mu_cox", cfg.nmos_mu_cox), ("nmos.vth0", cfg.nmos_vth0),
-        ("pmos.mu_cox", cfg.pmos_mu_cox), ("pmos.vth0", cfg.pmos_vth0),
-        ("avt", cfg.avt), ("abeta", cfg.abeta),
-        ("sweep.variable", cfg.sweep_variable), ("sweep.start", cfg.sweep_start),
-        ("sweep.stop", cfg.sweep_stop), ("sweep.points", cfg.sweep_points),
-        ("sweep.scale", cfg.sweep_scale),
-        ("seed", cfg.seed), ("trials", cfg.trials), ("calibrate", cfg.calibrate),
-        ("cal.cycles", cfg.cal_cycles), ("cal.phases", cfg.cal_phases),
-        ("cal.cb", cfg.cal_cb), ("cal.c0", cfg.cal_c0), ("cal.caps", cfg.cal_caps),
-        ("cal.cp_beta", cfg.cal_cp_beta), ("cal.cp_vthn", cfg.cal_cp_vthn),
-        ("cal.period", cfg.cal_period), ("cal.vref", cfg.cal_vref),
-        ("cal.tol", cfg.cal_tol), ("cal.span", cfg.cal_span),
-    )
-    for key, value in scalar_keys:
-        if key == "sweep.variable" and value is None:
-            meta[key] = "none"
-        elif key in ("sweep.points",) and value is None:
-            meta[key] = "auto"
-        else:
-            meta[key] = _fmt(value)
-    for name in sorted(cfg.widths):
-        meta[f"w.{name}"] = _fmt(cfg.widths[name])
-    for name in sorted(cfg.lengths):
-        meta[f"l.{name}"] = _fmt(cfg.lengths[name])
-    for node in sorted(cfg.extra):
-        meta[f"extra.{node}"] = _fmt(cfg.extra[node])
+    for key, (parse, _) in _KEYS.items():
+        value = getattr(cfg, _FIELDS[key])
+        meta[key] = parse.words[0] if value is None else _fmt(value)
+    for prefix, (field_name, _, _) in _PREFIXED.items():
+        entries = getattr(cfg, field_name)
+        for name in sorted(entries):
+            meta[f"{prefix}.{name}"] = _fmt(entries[name])
     for i, warning in enumerate(cfg.warnings):
         meta[f"warning.{i}"] = warning
     return meta

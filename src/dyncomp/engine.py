@@ -31,7 +31,7 @@ _SYMMETRIC_PAIRS = (
     ("Mp7", "Mp8"), ("Mpi1", "Mpi4"), ("Mpi2", "Mpi3"),
 )
 
-_EXTRA_NODES = ("out", "pi", "p3", "latch")
+EXTRA_NODES = ("out", "pi", "p3", "latch")
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,8 @@ class ComparatorConfig:
         if self.tie_break not in (+1, -1):
             raise ConfigError("tie_break must be +1 or -1")
         for node in self.extra_load:
-            if node not in _EXTRA_NODES:
-                raise ConfigError(f"unknown extra_load node {node!r}; expected one of {_EXTRA_NODES}")
+            if node not in EXTRA_NODES:
+                raise ConfigError(f"unknown extra_load node {node!r}; expected one of {EXTRA_NODES}")
 
     @property
     def window(self) -> float:

@@ -26,15 +26,15 @@ from .errors import ConfigError, SimulationError
 
 TOOL_NAME = "dyncomp-sim"
 
-# Default sweep grids: (start, stop, points, scale).
+# Default sweep grids: (start, stop, points); the scale is sweep.scale.
 DEFAULT_GRIDS = {
-    "vid": (1e-3, 50e-3, 20, "log"),
-    "vcm": (0.1, 1.1, 21, "linear"),
-    "vdd": (1.4, 2.0, 13, "linear"),
-    "temp": (-20.0, 100.0, 13, "linear"),
-    "width_preamp": (0.6e-6, 3.6e-6, 16, "linear"),
-    "width_inv_n": (0.22e-6, 0.88e-6, 12, "linear"),
-    "width_inv_both": (0.22e-6, 0.88e-6, 12, "linear"),
+    "vid": (1e-3, 50e-3, 20),
+    "vcm": (0.1, 1.1, 21),
+    "vdd": (1.4, 2.0, 13),
+    "temp": (-20.0, 100.0, 13),
+    "width_preamp": (0.6e-6, 3.6e-6, 16),
+    "width_inv_n": (0.22e-6, 0.88e-6, 12),
+    "width_inv_both": (0.22e-6, 0.88e-6, 12),
 }
 
 CORNER_ORDER = ("TT", "FF", "SS", "FS", "SF")
@@ -81,14 +81,13 @@ def _grid_values(cfg: RunConfig) -> list:
         raise ConfigError("sweep.variable is not set")
     if variable == "corner":
         return list(CORNER_ORDER)
-    start, stop, points, scale = DEFAULT_GRIDS[variable]
+    start, stop, points = DEFAULT_GRIDS[variable]
     start = cfg.sweep_start if cfg.sweep_start is not None else start
     stop = cfg.sweep_stop if cfg.sweep_stop is not None else stop
     points = cfg.sweep_points if cfg.sweep_points is not None else points
-    scale = cfg.sweep_scale if cfg.sweep_scale else scale
     if points < 2:
         raise ConfigError("sweep.points: must be >= 2")
-    if scale == "log":
+    if cfg.sweep_scale == "log":
         if start <= 0 or stop <= 0:
             raise ConfigError("sweep bounds must be > 0 on a log scale")
         values = np.geomspace(start, stop, points)

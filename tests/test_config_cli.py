@@ -1,19 +1,82 @@
 """Config parsing, table emission, and the command-line front end."""
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from dyncomp.calibration import CalibrationConfig
 from dyncomp.cli import main
-from dyncomp.config import (RunConfig, apply_overrides, build_calibration_config,
-                            build_comparator_config, build_operating_point,
-                            config_from_metadata, parse_config, resolved_metadata)
+from dyncomp.config import (SWEEP_VARIABLES, RunConfig, apply_overrides,
+                            build_calibration_config, build_comparator_config,
+                            build_operating_point, config_from_metadata,
+                            parse_config, resolved_metadata, set_key)
+from dyncomp.devices import CORNERS, default_geometry
+from dyncomp.engine import EXTRA_NODES
 from dyncomp.errors import ConfigError
 from dyncomp.harness import (Table, load_csv, render_csv, render_json,
                              replace_runconfig, run_montecarlo, run_single,
                              run_sweep)
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# Keys that take a number: numeric or auto by default, plus the capacitor
+# list and one key of each prefixed family.
+NUMERIC_KEYS = [k for k, v in resolved_metadata(RunConfig()).items()
+                if _is_number(v) or v == "auto"] + ["cal.caps", "w.Mp1", "l.Mp1", "extra.out"]
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+NONNEGATIVE = st.floats(min_value=0.0, allow_infinity=False)
+AT_LEAST_1 = st.integers(min_value=1, max_value=10**6)
+BOOL = st.sampled_from(["true", "false", "1", "0", "yes", "no", "on", "off"])
+
+
+def auto(strategy):
+    return st.one_of(st.sampled_from(["auto", "none"]), strategy)
+
+
+# A strategy of valid values for every scalar config key.
+VALID = {
+    "vdd": POSITIVE, "vcm": auto(NONNEGATIVE), "vid": FINITE, "freq": POSITIVE,
+    "corner": st.sampled_from([c for name in CORNERS for c in (name, name.lower())]),
+    "temp_c": st.floats(min_value=-273.15, exclude_min=True, allow_infinity=False),
+    "alpha": st.floats(min_value=1.0, allow_infinity=False), "shutdown": BOOL,
+    "tie_break": st.sampled_from([1, -1]),
+    "tail_derating": st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    "gamma": NONNEGATIVE, "phi2f": POSITIVE, "cox_area": POSITIVE,
+    "nmos.mu_cox": POSITIVE, "nmos.vth0": POSITIVE,
+    "pmos.mu_cox": POSITIVE, "pmos.vth0": POSITIVE,
+    "avt": NONNEGATIVE, "abeta": NONNEGATIVE,
+    "sweep.variable": st.sampled_from(SWEEP_VARIABLES + ("none",)),
+    "sweep.start": auto(FINITE), "sweep.stop": auto(FINITE),
+    "sweep.points": auto(st.integers(min_value=2, max_value=10**6)),
+    "sweep.scale": st.sampled_from(["linear", "log"]),
+    "seed": st.integers(0, 2**63), "trials": AT_LEAST_1, "calibrate": BOOL,
+    "cal.cycles": AT_LEAST_1, "cal.phases": AT_LEAST_1,
+    "cal.cb": POSITIVE, "cal.c0": POSITIVE,
+    "cal.caps": st.lists(POSITIVE, min_size=1, max_size=6).map(
+        lambda caps: ", ".join(map(str, caps))),
+    "cal.cp_beta": POSITIVE, "cal.cp_vthn": FINITE,
+    "cal.period": auto(POSITIVE), "cal.vref": auto(FINITE),
+    "cal.tol": POSITIVE, "cal.span": POSITIVE,
+}
+CONFIG_PAIRS = st.builds(
+    lambda *parts: {k: v for part in parts for k, v in part.items()},
+    st.fixed_dictionaries({k: s.map(str) for k, s in VALID.items()}),
+    st.dictionaries(st.sampled_from([f"{p}.{n}" for p in "wl" for n in default_geometry()]),
+                    POSITIVE.map(str)),
+    st.dictionaries(st.sampled_from([f"extra.{n}" for n in EXTRA_NODES]),
+                    NONNEGATIVE.map(str)))
 
 
 class TestParseConfig:
@@ -53,6 +116,8 @@ class TestParseConfig:
             parse_config("trials = 0")
         with pytest.raises(ConfigError, match="alpha"):
             parse_config("alpha = 0.5")
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config("seed = -1")
 
     def test_parse_error_carries_line_number(self):
         with pytest.raises(ConfigError, match="line 3"):
@@ -94,13 +159,21 @@ class TestParseConfig:
         built = build_calibration_config(RunConfig())
         assert built == CalibrationConfig()
 
-    def test_metadata_round_trip(self):
-        cfg = parse_config("vdd = 1.6\nw.Mp4 = 2.4e-6\nw.Mp5 = 2.4e-6\n"
-                           "sweep.variable = vcm\ncal.cp_vthn = -0.3\n")
-        meta = resolved_metadata(cfg)
-        rebuilt = config_from_metadata(meta)
-        cfg.warnings.clear()
-        assert rebuilt == cfg
+    @given(pairs=CONFIG_PAIRS)
+    @example(pairs={"vdd": "1.6", "w.Mp4": "2.4e-6", "w.Mp5": "2.4e-6",
+                    "sweep.variable": "vcm", "cal.cp_vthn": "-0.3"})
+    def test_metadata_round_trip(self, pairs):
+        assert set(VALID) == set(resolved_metadata(RunConfig()))
+        cfg = RunConfig()
+        for key, value in pairs.items():
+            set_key(cfg, key, value)
+        assert config_from_metadata(resolved_metadata(cfg)) == cfg
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", NUMERIC_KEYS)
+    def test_non_finite_rejected_by_key(self, key, bad):
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            set_key(RunConfig(), key, bad)
 
 
 class TestTables:
@@ -226,6 +299,13 @@ class TestCli:
         table = load_csv(out)
         assert len(table.rows) == 6
         assert "result.offset_after_V" in table.metadata
+
+    def test_shorthand_flags_checked_like_set(self, tmp_path, capsys):
+        assert main(["mc", "--trials", "0"]) == 2
+        assert "trials" in capsys.readouterr().err
+        out = tmp_path / "sim.csv"
+        assert main(["sim", "--set", "seed=3", "--seed", "4", "--out", str(out)]) == 0
+        assert load_csv(out).metadata["seed"] == "4"
 
     def test_mc_seed_changes_output(self, tmp_path):
         out1, out2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
