@@ -10,6 +10,7 @@ steps shrink toward the final value like a successive approximation.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -62,10 +63,6 @@ class CalibrationState:
 
     vb_plus: float
     vb_minus: float
-    cycle: int                  # global cycle count across phases
-    tn: int                     # counter code within the current phase
-    daco: float                 # last DAC output, V
-    s: int                      # last decision sign
     history: tuple[tuple[int, float, float, int], ...]  # (cycle, daco, step, s)
 
 
@@ -164,34 +161,33 @@ def residual_bound(cal: CalibrationConfig, config: ComparatorConfig) -> float:
 def run_calibration(config: ComparatorConfig, mismatch: MismatchSample,
                     cal: CalibrationConfig,
                     op: OperatingPoint | None = None) -> CalibrationResult:
-    """Run the cancellation phases and measure the offset before and after.
+    """Measure the offset, run the cancellation phases and measure it again."""
+    engine = ComparatorEngine(config)
+    op = op or typical_op(config, vid=0.0)
+    offset_before = measure_offset(engine, op, mismatch, tol=cal.tol_os, span=cal.span)
+    return _calibrate(engine, op, mismatch, cal, offset_before)
+
+
+def _calibrate(engine: ComparatorEngine, op: OperatingPoint, mismatch: MismatchSample,
+               cal: CalibrationConfig, offset_before: float) -> CalibrationResult:
+    """Run the cancellation phases from a measured offset and measure the residual.
 
     Decision +1 at zero input discharges ``vb_plus`` (speeding the lagging
     plus side), -1 discharges ``vb_minus``. Body voltages clamp at ground
     with a saturation flag.
     """
-    engine = ComparatorEngine(config)
+    config = engine.config
     vdd = config.vdd
-    op = op or typical_op(config, vid=0.0)
     vcm_cal = cal.v_ref_input if cal.v_ref_input is not None else vdd / 2.0
     op_cal = replace(op, vid=0.0, vcm=vcm_cal)
     t_period = _resolve_period(cal, config)
 
-    offset_before = measure_offset(engine, op, mismatch, tol=cal.tol_os, span=cal.span)
-
-    vb_plus = vdd
-    vb_minus = vdd
+    vb_plus = vb_minus = vdd
     saturated = False
     history = []
-    cycle_no = 0
-    tn = 0
-    daco = vdd
-    s = 0
     for _ in range(cal.n_phases):
         for tn in range(1, cal.n_cycles + 1):
-            cycle_no += 1
-            result = engine.simulate(op_cal, mismatch, BodyBias(vb_plus, vb_minus))
-            s = result.decision
+            s = engine.simulate(op_cal, mismatch, BodyBias(vb_plus, vb_minus)).decision
             daco = dac_output(tn, cal, vdd)
             step = cp_step(daco, cal, t_period)
             if s > 0:
@@ -204,12 +200,11 @@ def run_calibration(config: ComparatorConfig, mismatch: MismatchSample,
                 if vb_minus < 0.0:
                     vb_minus = 0.0
                     saturated = True
-            history.append((cycle_no, daco, step, s))
+            history.append((len(history) + 1, daco, step, s))
 
     body = BodyBias(vb_plus, vb_minus)
     offset_after = measure_offset(engine, op, mismatch, body, tol=cal.tol_os, span=cal.span)
-    state = CalibrationState(vb_plus=vb_plus, vb_minus=vb_minus, cycle=cycle_no,
-                             tn=tn, daco=daco, s=s, history=tuple(history))
+    state = CalibrationState(vb_plus=vb_plus, vb_minus=vb_minus, history=tuple(history))
     converged = abs(offset_after) <= residual_bound(cal, config)
     return CalibrationResult(state=state, offset_before=offset_before,
                              offset_after=offset_after, converged=converged,
@@ -218,29 +213,31 @@ def run_calibration(config: ComparatorConfig, mismatch: MismatchSample,
 
 def monte_carlo(n: int, seed: int, config: ComparatorConfig, cal: CalibrationConfig,
                 calibrate: bool, op: OperatingPoint | None = None,
-                avt: float = AVT_DEFAULT, abeta: float = ABETA_DEFAULT,
-                bins: int = 40) -> OffsetStats:
-    """Offset statistics over n mismatch trials, reproducible from the seed.
+                avt: float = AVT_DEFAULT, abeta: float = ABETA_DEFAULT
+                ) -> tuple[OffsetStats, OffsetStats | None]:
+    """Offset statistics (before, after) over n mismatch trials, reproducible from the seed.
 
-    Trials are independent (one RNG stream per trial index), so the result
-    does not depend on evaluation order. Span errors are counted, not fatal.
+    ``after`` holds the residuals of the cancellation loop run from each
+    trial's measured offset, or None without ``calibrate``. Trials are
+    independent (one RNG stream per trial index). Span errors are counted,
+    not fatal; a trial out of span before calibration counts in both phases.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
     engine = ComparatorEngine(config)
     op = op or typical_op(config, vid=0.0)
     geoms = list(config.geoms.values())
-    offsets = []
-    span_errors = 0
+    before, after = [], []
     for trial in range(n):
         mm = sample_mismatch(seed, trial, geoms, avt=avt, abeta=abeta)
-        try:
+        with suppress(OffsetSpanError):  # counted as n - len(offsets) per phase
+            before.append(measure_offset(engine, op, mm, tol=cal.tol_os, span=cal.span))
             if calibrate:
-                offsets.append(run_calibration(config, mm, cal, op).offset_after)
-            else:
-                offsets.append(measure_offset(engine, op, mm, tol=cal.tol_os, span=cal.span))
-        except OffsetSpanError:
-            span_errors += 1
+                after.append(_calibrate(engine, op, mm, cal, before[-1]).offset_after)
+    return _offset_stats(n, before), (_offset_stats(n, after) if calibrate else None)
+
+
+def _offset_stats(n: int, offsets: list[float]) -> OffsetStats:
     arr = np.asarray(offsets, dtype=float)
     if arr.size == 0:
         raise OffsetSpanError("every trial exceeded the offset search span")
@@ -249,8 +246,8 @@ def monte_carlo(n: int, seed: int, config: ComparatorConfig, cal: CalibrationCon
     lo, hi = float(arr.min()), float(arr.max())
     if lo == hi:
         lo, hi = lo - 1e-6, hi + 1e-6
-    counts, edges = np.histogram(arr, bins=bins, range=(lo, hi))
+    counts, edges = np.histogram(arr, bins=40, range=(lo, hi))
     return OffsetStats(n=n, mean=mean, sigma=sigma,
                        bin_edges=tuple(float(e) for e in edges),
                        counts=tuple(int(c) for c in counts),
-                       span_errors=span_errors)
+                       span_errors=n - arr.size)

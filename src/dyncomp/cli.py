@@ -40,7 +40,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = subs.add_parser("sim", help="one comparison at the configured point")
     sweep = subs.add_parser("sweep", help="parameter sweep (sweep.variable)")
     sweep.add_argument("--compare", action="store_true",
-                       help="run both shutdown modes and add a savings column")
+                       help="add the no-shutdown energy of each cycle and a savings column")
     mc = subs.add_parser("mc", help="Monte Carlo offset analysis")
     calibrate = subs.add_parser("calibrate", help="single offset-calibration run")
     calibrate.add_argument("--trial", type=int, default=0, help="mismatch trial index")
@@ -110,6 +110,8 @@ def cmd_mc(cfg: RunConfig, args) -> int:
 
 
 def cmd_calibrate(cfg: RunConfig, args) -> int:
+    if args.trial < 0:
+        raise ConfigError(f"trial: must be >= 0, got {args.trial}")
     result, table = harness.run_calibrate_once(cfg, trial=args.trial)
     _write_table(table, args)
     print(f"offset_before={result.offset_before:.4g}V "

@@ -263,7 +263,7 @@ def build_device_params(cfg: RunConfig) -> tuple[DeviceParams, DeviceParams]:
     return nmos, pmos
 
 
-def build_comparator_config(cfg: RunConfig, shutdown: bool | None = None) -> ComparatorConfig:
+def build_comparator_config(cfg: RunConfig) -> ComparatorConfig:
     geoms = default_geometry()
     for name, w in cfg.widths.items():
         geoms[name] = replace(geoms[name], w=w)
@@ -273,7 +273,7 @@ def build_comparator_config(cfg: RunConfig, shutdown: bool | None = None) -> Com
     return ComparatorConfig(
         geoms=geoms, nmos=nmos, pmos=pmos, vdd=cfg.vdd, freq=cfg.freq,
         alpha=cfg.alpha, extra_load=dict(cfg.extra),
-        early_shutdown_enabled=cfg.shutdown if shutdown is None else shutdown,
+        early_shutdown_enabled=cfg.shutdown,
         tail_derating=cfg.tail_derating, tie_break=cfg.tie_break)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -38,6 +39,9 @@ DEFAULT_GRIDS = {
 }
 
 CORNER_ORDER = ("TT", "FF", "SS", "FS", "SF")
+# The grid fields at their unset values; the corner sweep has no grid.
+_NO_GRID = {"sweep_start": None, "sweep_stop": None, "sweep_points": None,
+            "sweep_scale": "linear"}
 
 _VALUE_COLUMN = {
     "vid": "vid_V", "vcm": "vcm_V", "vdd": "vdd_V", "temp": "temp_C",
@@ -80,6 +84,9 @@ def _grid_values(cfg: RunConfig) -> list:
     if variable is None:
         raise ConfigError("sweep.variable is not set")
     if variable == "corner":
+        for name, unset in _NO_GRID.items():
+            if getattr(cfg, name) != unset:
+                raise ConfigError(f"{name.replace('_', '.', 1)}: not used by the corner sweep")
         return list(CORNER_ORDER)
     start, stop, points = DEFAULT_GRIDS[variable]
     start = cfg.sweep_start if cfg.sweep_start is not None else start
@@ -120,9 +127,10 @@ def _point_setup(cfg: RunConfig, variable: str, value):
 def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
     """Evaluate the engine over the sweep grid in deterministic row order.
 
-    With ``compare`` both shutdown modes run at every point and the table
-    gains no-shutdown energy and savings-percent columns. Per-point engine
-    errors become rows flagged late with NaN metrics.
+    With ``compare`` the shutdown design runs at every point and the table
+    gains no-shutdown energy and savings-percent columns; the no-shutdown
+    energy is the same cycle accounted with the tail on for the whole
+    window. Per-point engine errors become rows flagged late with NaN metrics.
     """
     variable = cfg.sweep_variable
     values = _grid_values(cfg)
@@ -131,24 +139,21 @@ def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
     if compare:
         columns += ["energy_noesd_J", "savings_pct"]
 
-    config_on = build_comparator_config(cfg, shutdown=True if compare else None)
-    config_off = build_comparator_config(cfg, shutdown=False)
-    engine_on = ComparatorEngine(config_on)
-    engine_off = ComparatorEngine(config_off) if compare else None
+    config = build_comparator_config(cfg)
+    if compare:  # the comparison is of the shutdown design, whatever shutdown= says
+        config = replace(config, early_shutdown_enabled=True)
+    engine = ComparatorEngine(config)
 
     rows = []
     for value in values:
         width_target, op = _point_setup(cfg, variable, value)
+        eng = engine
         if width_target is not None:
             try:
-                eng = ComparatorEngine(sizing_mod.scaled_config(config_on, width_target, value))
-                eng_off = (ComparatorEngine(sizing_mod.scaled_config(config_off, width_target, value))
-                           if compare else None)
+                eng = ComparatorEngine(sizing_mod.scaled_config(config, width_target, value))
             except ConfigError:
                 rows.append(_failed_row(value, compare))
                 continue
-        else:
-            eng, eng_off = engine_on, engine_off
         try:
             result = eng.simulate(op)
             row = [value if variable == "corner" else round9(value),
@@ -156,8 +161,8 @@ def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
                    round9(result.energy.total * cfg.freq), round9(result.energy.total),
                    int(result.late)]
             if compare:
-                result_off = eng_off.simulate(op)
-                e_on, e_off = result.energy.total, result_off.energy.total
+                e_on = result.energy.total
+                e_off = eng.energy_per_comparison(replace(result, shutdown_occurred=False), op).total
                 savings = 100.0 * (1.0 - e_on / e_off) if e_off > 0 else math.nan
                 row += [round9(e_off), round9(savings)]
             rows.append(tuple(row))
@@ -200,25 +205,18 @@ def run_montecarlo(cfg: RunConfig) -> tuple[OffsetStats, OffsetStats | None, Tab
     config = build_comparator_config(cfg)
     cal = build_calibration_config(cfg)
     op = build_operating_point(cfg, vid=0.0)
-    before = monte_carlo(cfg.trials, cfg.seed, config, cal, calibrate=False,
-                         op=op, avt=cfg.avt, abeta=cfg.abeta)
-    after = None
-    if cfg.calibrate:
-        after = monte_carlo(cfg.trials, cfg.seed, config, cal, calibrate=True,
-                            op=op, avt=cfg.avt, abeta=cfg.abeta)
+    before, after = monte_carlo(cfg.trials, cfg.seed, config, cal, calibrate=cfg.calibrate,
+                                op=op, avt=cfg.avt, abeta=cfg.abeta)
 
     columns = ("phase", "bin_lo_V", "bin_hi_V", "count")
     rows = []
-    for phase, stats in (("before", before), ("after", after)):
-        if stats is None:
-            continue
-        for i, count in enumerate(stats.counts):
-            rows.append((phase, round9(stats.bin_edges[i]), round9(stats.bin_edges[i + 1]),
-                         int(count)))
     meta = base_metadata(cfg, "mc")
     for phase, stats in (("before", before), ("after", after)):
         if stats is None:
             continue
+        edges = stats.bin_edges
+        rows += [(phase, round9(lo), round9(hi), int(count))
+                 for lo, hi, count in zip(edges, edges[1:], stats.counts)]
         meta[f"result.{phase}_n"] = str(stats.n)
         meta[f"result.{phase}_mean_V"] = fmt_cell(round9(stats.mean))
         meta[f"result.{phase}_sigma_V"] = fmt_cell(round9(stats.sigma))
@@ -288,6 +286,17 @@ def emit_json(table: Table, path) -> None:
         fh.write(render_json(table))
 
 
+def _parse_cell(text: str):
+    """A rendered cell's value: an int where the text is an int's str(), else a
+    float, else the text (a float rendered like an int, 2.0 as "2", loads as 2)."""
+    for parse in (int, float):
+        with suppress(ValueError):
+            value = parse(text)
+            if parse is float or str(value) == text:
+                return value
+    return text
+
+
 def load_csv(path) -> Table:
     """Parse a table emitted by emit_csv back into an equal Table."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -302,19 +311,8 @@ def load_csv(path) -> Table:
     if i >= len(lines):
         raise ConfigError(f"{path}: missing header row")
     columns = tuple(lines[i].split(","))
-    rows = []
-    for line in lines[i + 1:]:
-        if not line:
-            continue
-        cells = []
-        for col, cell in zip(columns, line.split(",")):
-            if col in ("corner", "phase"):
-                cells.append(cell)
-            elif col in ("decision", "late", "count", "cycle", "s", "shutdown"):
-                cells.append(int(cell))
-            else:
-                cells.append(float(cell))
-        rows.append(tuple(cells))
+    rows = [tuple(_parse_cell(cell) for cell in line.split(","))
+            for line in lines[i + 1:] if line]
     name = metadata.get("subcommand", "table")
     return Table(name=name, columns=columns, rows=rows, metadata=metadata)
 
@@ -341,7 +339,8 @@ def collect_report_inputs(cfg: RunConfig) -> ReportInputs:
     fast = run_single(fast_cfg, subcommand="report-fast")
     sweeps = {}
     for variable in REPORT_SWEEP_VARIABLES:
-        sweep_cfg = replace_runconfig(cfg, sweep_variable=variable)
+        grid = _NO_GRID if variable == "corner" else {}
+        sweep_cfg = replace_runconfig(cfg, sweep_variable=variable, **grid)
         sweeps[variable] = run_sweep(sweep_cfg, compare=cfg.shutdown)
     mc_cfg = replace_runconfig(cfg, calibrate=True)
     _, _, mc_table = run_montecarlo(mc_cfg)

@@ -8,6 +8,7 @@ condition reads x/2 + alpha*y/x = 2 with x, y >= 1.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, replace
 
@@ -86,17 +87,21 @@ def solve_sizing(alpha: float, x_max: float = 4.0, y_max: float = 4.0,
                  grid_step: float = 0.01) -> SizingVars:
     """Grid-search the (x, y) minimizing |normalized_balance_residual|.
 
-    Ties resolve to the smallest x, then the smallest y: smaller devices
-    cost less power for the same balance.
+    Ties go to the smallest x, then y (smaller devices cost less power). The
+    residual rises with y: only the two grid y around x*(2 - x/2)/alpha can win.
     """
     if x_max < 1.0 or y_max < 1.0:
         raise ConfigError("bounds must be >= 1")
     if grid_step <= 0.0:
         raise ConfigError("grid_step must be > 0")
+    if not alpha >= 1.0:
+        raise ConfigError("alpha must be >= 1")
+    ys = _grid(1.0, y_max, grid_step)
     best = None
     best_err = math.inf
     for x in _grid(1.0, x_max, grid_step):
-        for y in _grid(1.0, y_max, grid_step):
+        i = bisect.bisect_left(ys, x * (2.0 - x / 2.0) / alpha)
+        for y in ys[max(i - 1, 0):i + 1]:
             err = abs(x / 2.0 + alpha * y / x - 2.0)
             if err < best_err:
                 best_err = err

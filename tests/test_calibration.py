@@ -2,12 +2,13 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from dyncomp.calibration import (CalibrationConfig, cp_step, dac_output,
                                  measure_offset, monte_carlo, residual_bound,
                                  run_calibration)
-from dyncomp.devices import DeviceParams, MismatchSample, default_geometry
+from dyncomp.devices import DeviceParams, MismatchSample, default_geometry, sample_mismatch
 from dyncomp.engine import (BodyBias, ComparatorConfig, ComparatorEngine,
                             OperatingPoint, typical_op)
 from dyncomp.errors import ConfigError, OffsetSpanError
@@ -273,7 +274,7 @@ class TestRunCalibration:
         cfg = ComparatorConfig()
         cal = CalibrationConfig(n_phases=2)
         result = run_calibration(cfg, inject(0.010), cal, OP0)
-        assert result.state.cycle == 12
+        assert len(result.state.history) == 12
         dacos = [h[1] for h in result.state.history]
         assert dacos[6] == dacos[0]  # DAC re-precharged at the phase boundary
 
@@ -287,23 +288,34 @@ class TestMonteCarlo:
         assert a == b
 
     def test_single_trial_degenerate(self):
-        stats = monte_carlo(1, 3, ComparatorConfig(), CalibrationConfig(),
-                            calibrate=False)
+        stats, _ = monte_carlo(1, 3, ComparatorConfig(), CalibrationConfig(),
+                               calibrate=False)
         assert stats.n == 1 and stats.sigma == 0.0
 
     def test_zero_mismatch_model(self):
-        stats = monte_carlo(5, 3, ComparatorConfig(), CalibrationConfig(),
-                            calibrate=False, avt=0.0, abeta=0.0)
+        stats, _ = monte_carlo(5, 3, ComparatorConfig(), CalibrationConfig(),
+                               calibrate=False, avt=0.0, abeta=0.0)
         assert abs(stats.mean) <= 2 * 10e-6
         assert stats.sigma <= 2 * 10e-6
 
     def test_sigma_order_of_magnitude(self):
-        stats = monte_carlo(120, 2, ComparatorConfig(), CalibrationConfig(),
-                            calibrate=False)
+        stats, _ = monte_carlo(120, 2, ComparatorConfig(), CalibrationConfig(),
+                               calibrate=False)
         pelgrom_pair = math.sqrt(2) * 5e-9 / math.sqrt(1.2e-6 * 0.18e-6)
         assert pelgrom_pair / 2 <= stats.sigma <= 2 * pelgrom_pair
 
+    def test_one_pass_matches_run_calibration(self):
+        cfg, cal = ComparatorConfig(), CalibrationConfig()
+        before, after = monte_carlo(8, 4, cfg, cal, calibrate=True)
+        plain, none = monte_carlo(8, 4, cfg, cal, calibrate=False)
+        assert before == plain and none is None
+        geoms = list(cfg.geoms.values())
+        results = [run_calibration(cfg, sample_mismatch(4, t, geoms), cal) for t in range(8)]
+        offsets = np.asarray([r.offset_after for r in results])
+        assert (after.mean, after.sigma) == (float(offsets.mean()), float(offsets.std(ddof=1)))
+        assert before.mean == float(np.mean([r.offset_before for r in results]))
+
     def test_histogram_counts_match_trials(self):
-        stats = monte_carlo(60, 9, ComparatorConfig(), CalibrationConfig(),
-                            calibrate=False)
+        stats, _ = monte_carlo(60, 9, ComparatorConfig(), CalibrationConfig(),
+                               calibrate=False)
         assert sum(stats.counts) == 60 - stats.span_errors

@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dyncomp.calibration import CalibrationConfig
 from dyncomp.cli import main
@@ -14,11 +14,11 @@ from dyncomp.config import (SWEEP_VARIABLES, RunConfig, apply_overrides,
                             build_operating_point, config_from_metadata,
                             parse_config, resolved_metadata, set_key)
 from dyncomp.devices import CORNERS, default_geometry
-from dyncomp.engine import EXTRA_NODES
-from dyncomp.errors import ConfigError
-from dyncomp.harness import (Table, load_csv, render_csv, render_json,
-                             replace_runconfig, run_montecarlo, run_single,
-                             run_sweep)
+from dyncomp.engine import EXTRA_NODES, ComparatorConfig, ComparatorEngine, OperatingPoint
+from dyncomp.errors import ConfigError, SimulationError
+from dyncomp.harness import (Table, emit_csv, load_csv, render_csv, render_json,
+                             replace_runconfig, round9, run_calibrate_once,
+                             run_montecarlo, run_single, run_sizing, run_sweep)
 
 
 def _is_number(text: str) -> bool:
@@ -243,6 +243,90 @@ class TestTables:
         assert "result.after_sigma_V" in table.metadata
 
 
+    def test_load_csv_inverts_render_csv(self, tmp_path):
+        base = RunConfig()
+        tables = [
+            run_single(base),
+            run_sweep(replace_runconfig(base, sweep_variable="vid"), compare=True),
+            run_sweep(replace_runconfig(base, sweep_variable="corner"), compare=True),
+            run_sweep(replace_runconfig(base, sweep_variable="vcm", sweep_start=1.3,
+                                        sweep_stop=1.45, sweep_points=4)),
+            run_montecarlo(replace_runconfig(base, trials=20, calibrate=True))[2],
+            run_calibrate_once(base, trial=2)[1],
+            run_sizing(base),
+            run_sizing(replace_runconfig(base, alpha=2.0)),
+        ]
+
+        def cells(rows):
+            return [tuple("nan" if isinstance(x, float) and math.isnan(x) else x
+                          for x in row) for row in rows]
+
+        for k, table in enumerate(tables):
+            path = tmp_path / f"{k}.csv"
+            emit_csv(table, path)
+            loaded = load_csv(path)
+            # the table name is not stored in the file
+            assert (loaded.metadata, loaded.columns) == (table.metadata, table.columns)
+            assert cells(loaded.rows) == cells(table.rows)
+            assert render_csv(loaded) == render_csv(table)
+
+    def test_one_simulate_per_compare_point(self, monkeypatch):
+        calls = count_simulates(monkeypatch)
+        cfg = replace_runconfig(RunConfig(), sweep_variable="vid", sweep_points=4)
+        run_sweep(cfg, compare=True)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("calibrate, per_trial", [(False, 17), (True, 40)])
+    def test_simulates_per_mc_trial(self, monkeypatch, calibrate, per_trial):
+        # 17 = one bisection from +/-100 mV to 10 uV; 40 = before, 6 cycles, after
+        calls = count_simulates(monkeypatch)
+        before, _, _ = run_montecarlo(replace_runconfig(RunConfig(), trials=5,
+                                                        calibrate=calibrate))
+        assert before.span_errors == 0
+        assert len(calls) == 5 * per_trial
+
+    @pytest.mark.parametrize("key, value", [("sweep.start", "0.1"), ("sweep.stop", "1"),
+                                            ("sweep.points", "3"), ("sweep.scale", "log")])
+    def test_corner_sweep_rejects_grid_keys(self, key, value):
+        cfg = apply_overrides(RunConfig(), ["sweep.variable=corner", f"{key}={value}"])
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            run_sweep(cfg)
+
+
+def count_simulates(monkeypatch) -> list:
+    """Record every ComparatorEngine.simulate call in the returned list."""
+    calls = []
+    simulate = ComparatorEngine.simulate
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return simulate(self, *args, **kwargs)
+
+    monkeypatch.setattr(ComparatorEngine, "simulate", counting)
+    return calls
+
+
+@settings(deadline=None)
+@given(vid=st.floats(-0.1, 0.1), vcm_share=st.floats(0.0, 1.0), vdd=st.floats(1.3, 2.1),
+       temp_c=st.floats(-55.0, 150.0), corner=st.sampled_from(sorted(CORNERS)))
+def test_compare_energy_is_the_no_shutdown_engine(vid, vcm_share, vdd, temp_c, corner):
+    vcm = vcm_share * vdd
+    cfg = replace_runconfig(RunConfig(), vdd=vdd, vcm=vcm, temp_c=temp_c, corner=corner,
+                            sweep_variable="vid", sweep_start=vid, sweep_stop=vid,
+                            sweep_points=2)
+    table = run_sweep(cfg, compare=True)
+    row = dict(zip(table.columns, table.rows[0]))
+    engine_off = ComparatorEngine(ComparatorConfig(vdd=vdd, early_shutdown_enabled=False))
+    op = OperatingPoint(vid=vid, vcm=vcm, corner=CORNERS[corner], t_kelvin=temp_c + 273.15)
+    try:
+        expected = engine_off.simulate(op).energy.total
+    except SimulationError:
+        assert math.isnan(row["energy_noesd_J"])
+        return
+    assert row["energy_noesd_J"] == round9(expected)
+    assert row["energy_J"] <= row["energy_noesd_J"]
+
+
 class TestCli:
     def test_sim_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
@@ -307,6 +391,29 @@ class TestCli:
         assert main(["sim", "--set", "seed=3", "--seed", "4", "--out", str(out)]) == 0
         assert load_csv(out).metadata["seed"] == "4"
 
+    @pytest.mark.parametrize("argv, key", [
+        (["calibrate", "--trial", "-1"], "trial"),
+        (["sweep", "--set", "sweep.variable=corner", "--set", "sweep.points=3"], "sweep.points"),
+    ])
+    def test_bad_input_exits_2_naming_key(self, argv, key, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: ConfigError: {key}:")
+
+    @pytest.mark.parametrize("args", [["--trials", "40"],
+                                      ["--trials", "300", "--seed", "3", "--set", "cal.span=0.03"]])
+    def test_mc_calibrate_keeps_plain_before(self, tmp_path, args):
+        plain, calibrated = tmp_path / "plain.csv", tmp_path / "cal.csv"
+        assert main(["mc", *args, "--out", str(plain)]) == 0
+        assert main(["mc", "--calibrate", *args, "--out", str(calibrated)]) == 0
+
+        def before(path):
+            return [line for line in path.read_text(encoding="utf-8").splitlines()
+                    if line.startswith(("# result.before_", "before,"))]
+
+        assert before(calibrated) == before(plain)
+        if "cal.span=0.03" in args:
+            assert "# result.before_span_errors=36" in before(plain)
+
     def test_mc_seed_changes_output(self, tmp_path):
         out1, out2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
         main(["mc", "--trials", "10", "--seed", "1", "--out", str(out1)])
@@ -343,6 +450,16 @@ class TestReport:
         assert rc == 0
         regenerated = capsys.readouterr().out
         assert regenerated == (bundle / "report.txt").read_text()
+
+    def test_corner_sweep_runs_without_grid_keys(self, tmp_path):
+        assert main(["report", "--trials", "2", "--set", "sweep.points=3",
+                     "--set", "sweep.scale=log", "--set", "sweep.start=0.5",
+                     "--set", "sweep.stop=1.0", "--out-dir", str(tmp_path)]) == 0
+        grid = ("sweep.start", "sweep.stop", "sweep.points", "sweep.scale")
+        corner = load_csv(tmp_path / "sweep_corner.csv").metadata
+        assert [corner[k] for k in grid] == ["auto", "auto", "auto", "linear"]
+        vcm = load_csv(tmp_path / "sweep_vcm.csv").metadata
+        assert [vcm[k] for k in grid] == ["0.5", "1.0", "3", "log"]
 
     def test_savings_zero_when_shutdown_disabled(self, capsys):
         rc = main(["report", "--trials", "2", "--no-shutdown"])

@@ -6,7 +6,7 @@ import pytest
 
 from dyncomp.engine import ComparatorConfig, ComparatorEngine, OperatingPoint
 from dyncomp.errors import ConfigError
-from dyncomp.sizing import (SizingVars, WidthSweepPoint, balance_residual_for,
+from dyncomp.sizing import (SizingVars, WidthSweepPoint, _grid, balance_residual_for,
                             general_balance_residual, latch_width_convention_ok,
                             normalized_balance_residual, scaled_config,
                             solve_sizing, width_sweep)
@@ -70,6 +70,18 @@ def brute_force_solve(alpha, x_max, y_max, step):
     return best, best_err
 
 
+def full_scan_solve(alpha, x_max, y_max, grid_step):
+    """Every (x, y) of the solver's grid with its strict-< tie-break: the exact oracle."""
+    best, best_err = None, math.inf
+    ys = _grid(1.0, y_max, grid_step)
+    for x in _grid(1.0, x_max, grid_step):
+        for y in ys:
+            err = abs(x / 2.0 + alpha * y / x - 2.0)
+            if err < best_err:
+                best, best_err = (x, y), err
+    return best
+
+
 class TestSolver:
     def test_alpha_three_halves(self):
         v = solve_sizing(1.5)
@@ -108,6 +120,13 @@ class TestSolver:
         assert abs(v.x - fx) <= 0.01 + 1e-12
         assert abs(v.y - fy) <= 0.01 + 1e-12
 
+    @pytest.mark.parametrize("grid_step", [0.03, 0.007])
+    @pytest.mark.parametrize("y_max", [1.0, 4.0])
+    @pytest.mark.parametrize("alpha", [round(1.0 + 0.1 * k, 1) for k in range(11)] + [3.0, 8.0])
+    def test_equals_full_scan(self, alpha, y_max, grid_step):
+        v = solve_sizing(alpha, y_max=y_max, grid_step=grid_step)
+        assert (v.x, v.y) == full_scan_solve(alpha, 4.0, y_max, grid_step)
+
     def test_bounds_respected(self):
         for alpha in (1.0, 1.7, 2.9):
             v = solve_sizing(alpha, x_max=3.0, y_max=2.0)
@@ -118,6 +137,8 @@ class TestSolver:
             solve_sizing(1.5, x_max=0.5)
         with pytest.raises(ConfigError):
             solve_sizing(1.5, grid_step=0.0)
+        with pytest.raises(ConfigError, match="alpha"):
+            solve_sizing(0.0)
 
 
 class TestWidthSweep:
