@@ -18,9 +18,6 @@ from .devices import CORNERS, DEFAULT_NMOS, DEFAULT_PMOS, DeviceParams, default_
 from .engine import EXTRA_NODES, ComparatorConfig, OperatingPoint
 from .errors import ConfigError
 
-SWEEP_VARIABLES = ("vid", "vcm", "vdd", "temp", "corner",
-                   "width_preamp", "width_inv_n", "width_inv_both")
-
 
 @dataclass
 class RunConfig:
@@ -68,6 +65,34 @@ class RunConfig:
     cal_tol: float = CalibrationConfig.tol_os
     cal_span: float = CalibrationConfig.span
     warnings: list[str] = field(default_factory=list)
+
+
+@dataclass(frozen=True)
+class Sweep:
+    """One sweep.variable: its CSV value column, its default (start, stop,
+    points) grid (None: the corner names in CORNERS order), and what one value
+    sets, either OperatingPoint fields or the width of a sizing.scaled_config
+    target."""
+
+    column: str
+    grid: tuple[float, float, int] | None
+    fields: Callable[[RunConfig, object], dict] = lambda cfg, value: {}
+    width_target: str | None = None
+    plot_scale: str | None = None       # emitted as metadata for plotting
+
+
+# Every sweep.variable, in the order the parser lists them.
+SWEEPS = {
+    "vid": Sweep("vid_V", (1e-3, 50e-3, 20), lambda cfg, v: {"vid": v}),
+    "vcm": Sweep("vcm_V", (0.1, 1.1, 21), lambda cfg, v: {"vcm": v}, plot_scale="log"),
+    "vdd": Sweep("vdd_V", (1.4, 2.0, 13),
+                 lambda cfg, v: {"vdd_override": v, "vcm": resolve_vcm(cfg, v)}),
+    "temp": Sweep("temp_C", (-20.0, 100.0, 13), lambda cfg, v: {"t_kelvin": v + 273.15}),
+    "corner": Sweep("corner", None, lambda cfg, v: {"corner": CORNERS[v]}),
+    "width_preamp": Sweep("w_m", (0.6e-6, 3.6e-6, 16), width_target="preamp"),
+    "width_inv_n": Sweep("w_m", (0.22e-6, 0.88e-6, 12), width_target="inv_n"),
+    "width_inv_both": Sweep("w_m", (0.22e-6, 0.88e-6, 12), width_target="inv_both"),
+}
 
 
 # -- parsers: (key, text) -> value, raising ConfigError that names the key -----
@@ -155,7 +180,7 @@ _KEYS = {
     "pmos.vth0": (_parse_float, _POSITIVE),
     "avt": (_parse_float, _NONNEGATIVE),
     "abeta": (_parse_float, _NONNEGATIVE),
-    "sweep.variable": (_Unset(_choice(*SWEEP_VARIABLES), ("none", "")), None),
+    "sweep.variable": (_Unset(_choice(*SWEEPS), ("none", "")), None),
     "sweep.start": (_Unset(_parse_float), None),
     "sweep.stop": (_Unset(_parse_float), None),
     "sweep.points": (_Unset(_parse_int), (lambda x: x >= 2, "must be >= 2")),

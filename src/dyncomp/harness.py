@@ -19,35 +19,17 @@ from . import __version__
 from . import sizing as sizing_mod
 from .calibration import (OffsetStats, monte_carlo, residual_bound,
                           run_calibration)
-from .config import (RunConfig, build_calibration_config, build_comparator_config,
-                     build_operating_point, resolve_vcm, resolved_metadata)
+from .config import (SWEEPS, RunConfig, build_calibration_config, build_comparator_config,
+                     build_operating_point, resolved_metadata)
 from .devices import CORNERS, sample_mismatch
 from .engine import ComparatorEngine
 from .errors import ConfigError, SimulationError
 
 TOOL_NAME = "dyncomp-sim"
 
-# Default sweep grids: (start, stop, points); the scale is sweep.scale.
-DEFAULT_GRIDS = {
-    "vid": (1e-3, 50e-3, 20),
-    "vcm": (0.1, 1.1, 21),
-    "vdd": (1.4, 2.0, 13),
-    "temp": (-20.0, 100.0, 13),
-    "width_preamp": (0.6e-6, 3.6e-6, 16),
-    "width_inv_n": (0.22e-6, 0.88e-6, 12),
-    "width_inv_both": (0.22e-6, 0.88e-6, 12),
-}
-
-CORNER_ORDER = ("TT", "FF", "SS", "FS", "SF")
-# The grid fields at their unset values; the corner sweep has no grid.
+# The grid fields at their unset values, for runs that take no grid.
 _NO_GRID = {"sweep_start": None, "sweep_stop": None, "sweep_points": None,
             "sweep_scale": "linear"}
-
-_VALUE_COLUMN = {
-    "vid": "vid_V", "vcm": "vcm_V", "vdd": "vdd_V", "temp": "temp_C",
-    "corner": "corner", "width_preamp": "w_m", "width_inv_n": "w_m",
-    "width_inv_both": "w_m",
-}
 
 
 def round9(x: float) -> float:
@@ -79,16 +61,22 @@ def base_metadata(cfg: RunConfig, subcommand: str) -> dict[str, str]:
     return meta
 
 
+def _reject_grid(cfg: RunConfig, user: str) -> None:
+    """Name the first grid key set in ``cfg``; ``user`` takes none of them."""
+    for name, unset in _NO_GRID.items():
+        if getattr(cfg, name) != unset:
+            raise ConfigError(f"{name.replace('_', '.', 1)}: not used by {user}")
+
+
 def _grid_values(cfg: RunConfig) -> list:
     variable = cfg.sweep_variable
     if variable is None:
         raise ConfigError("sweep.variable is not set")
-    if variable == "corner":
-        for name, unset in _NO_GRID.items():
-            if getattr(cfg, name) != unset:
-                raise ConfigError(f"{name.replace('_', '.', 1)}: not used by the corner sweep")
-        return list(CORNER_ORDER)
-    start, stop, points = DEFAULT_GRIDS[variable]
+    grid = SWEEPS[variable].grid
+    if grid is None:
+        _reject_grid(cfg, f"the {variable} sweep")
+        return list(CORNERS)
+    start, stop, points = grid
     start = cfg.sweep_start if cfg.sweep_start is not None else start
     stop = cfg.sweep_stop if cfg.sweep_stop is not None else stop
     points = cfg.sweep_points if cfg.sweep_points is not None else points
@@ -103,61 +91,40 @@ def _grid_values(cfg: RunConfig) -> list:
     return [float(v) for v in values]
 
 
-def _point_setup(cfg: RunConfig, variable: str, value):
-    """(config_kwargs, op) for one grid point; non-swept values at defaults."""
-    op = build_operating_point(cfg)
-    width_target = None
-    if variable == "vid":
-        op = replace(op, vid=value)
-    elif variable == "vcm":
-        op = replace(op, vcm=value)
-    elif variable == "vdd":
-        op = replace(op, vdd_override=value, vcm=resolve_vcm(cfg, value))
-    elif variable == "temp":
-        op = replace(op, t_kelvin=value + 273.15)
-    elif variable == "corner":
-        op = replace(op, corner=CORNERS[value])
-    elif variable.startswith("width_"):
-        width_target = variable[len("width_"):]
-    else:
-        raise ConfigError(f"unknown sweep variable {variable!r}")
-    return width_target, op
-
-
 def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
     """Evaluate the engine over the sweep grid in deterministic row order.
 
     With ``compare`` the shutdown design runs at every point and the table
     gains no-shutdown energy and savings-percent columns; the no-shutdown
     energy is the same cycle accounted with the tail on for the whole
-    window. Per-point engine errors become rows flagged late with NaN metrics.
+    window, so a compare sweep needs shutdown=true. Per-point engine errors
+    become rows flagged late with NaN metrics.
     """
-    variable = cfg.sweep_variable
     values = _grid_values(cfg)
-    vcol = _VALUE_COLUMN[variable]
-    columns = [vcol, "decision", "t_dm_s", "t_esd_s", "power_W", "energy_J", "late"]
+    if compare and not cfg.shutdown:
+        raise ConfigError("shutdown: a compare sweep compares the shutdown design, "
+                          "so it needs shutdown=true")
+    sweep = SWEEPS[cfg.sweep_variable]
+    columns = [sweep.column, "decision", "t_dm_s", "t_esd_s", "power_W", "energy_J", "late"]
     if compare:
         columns += ["energy_noesd_J", "savings_pct"]
 
     config = build_comparator_config(cfg)
-    if compare:  # the comparison is of the shutdown design, whatever shutdown= says
-        config = replace(config, early_shutdown_enabled=True)
     engine = ComparatorEngine(config)
 
     rows = []
     for value in values:
-        width_target, op = _point_setup(cfg, variable, value)
+        op = build_operating_point(cfg, **sweep.fields(cfg, value))
         eng = engine
-        if width_target is not None:
+        if sweep.width_target is not None:
             try:
-                eng = ComparatorEngine(sizing_mod.scaled_config(config, width_target, value))
+                eng = ComparatorEngine(sizing_mod.scaled_config(config, sweep.width_target, value))
             except ConfigError:
                 rows.append(_failed_row(value, compare))
                 continue
         try:
             result = eng.simulate(op)
-            row = [value if variable == "corner" else round9(value),
-                   result.decision, round9(result.t_dm), round9(result.t_esd),
+            row = [round9(value), result.decision, round9(result.t_dm), round9(result.t_esd),
                    round9(result.energy.total * cfg.freq), round9(result.energy.total),
                    int(result.late)]
             if compare:
@@ -172,14 +139,14 @@ def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
     meta = base_metadata(cfg, "sweep")
     if compare:
         meta["compare"] = "true"
-    if variable == "vcm":
-        meta["plot_scale"] = "log"  # delay axis is conventionally log vs vcm
-    return Table(name=f"sweep_{variable}", columns=tuple(columns), rows=rows, metadata=meta)
+    if sweep.plot_scale is not None:
+        meta["plot_scale"] = sweep.plot_scale
+    return Table(name=f"sweep_{cfg.sweep_variable}", columns=tuple(columns), rows=rows,
+                 metadata=meta)
 
 
 def _failed_row(value, compare: bool) -> tuple:
-    row = [value if isinstance(value, str) else round9(value),
-           0, math.nan, math.nan, math.nan, math.nan, 1]
+    row = [round9(value), 0, math.nan, math.nan, math.nan, math.nan, 1]
     if compare:
         row += [math.nan, math.nan]
     return tuple(row)
@@ -319,7 +286,8 @@ def load_csv(path) -> Table:
 
 # -- report -----------------------------------------------------------------------
 
-REPORT_SWEEP_VARIABLES = ("vid", "vcm", "vdd", "temp", "corner")
+# The report runs every sweep of the operating point, none of the widths.
+REPORT_SWEEP_VARIABLES = tuple(v for v, sweep in SWEEPS.items() if sweep.width_target is None)
 
 
 @dataclass
@@ -334,13 +302,13 @@ class ReportInputs:
 
 
 def collect_report_inputs(cfg: RunConfig) -> ReportInputs:
+    _reject_grid(cfg, "report, whose sweeps run on their default grids")
     typical = run_single(cfg, subcommand="report-typical")
     fast_cfg = replace_runconfig(cfg, vid=1e-3, freq=500e6)
     fast = run_single(fast_cfg, subcommand="report-fast")
     sweeps = {}
     for variable in REPORT_SWEEP_VARIABLES:
-        grid = _NO_GRID if variable == "corner" else {}
-        sweep_cfg = replace_runconfig(cfg, sweep_variable=variable, **grid)
+        sweep_cfg = replace_runconfig(cfg, sweep_variable=variable)
         sweeps[variable] = run_sweep(sweep_cfg, compare=cfg.shutdown)
     mc_cfg = replace_runconfig(cfg, calibrate=True)
     _, _, mc_table = run_montecarlo(mc_cfg)

@@ -20,6 +20,7 @@ from dyncomp.harness import (_column, load_csv, replace_runconfig, run_montecarl
 from dyncomp.sizing import normalized_balance_residual, solve_sizing
 
 from test_calibration import inject, straight_line_loop
+from test_sizing import brute_force_solve
 
 TOL = 1e-12
 
@@ -109,16 +110,8 @@ def test_criterion_1_formula_fidelity():
 # -- criterion 2: sizing solver ---------------------------------------------------
 
 def exhaustive_fine_oracle(alpha, step):
-    best, best_err = None, math.inf
-    n = round(3.0 / step)
-    for i in range(n + 1):
-        x = 1.0 + i * step
-        for j in range(n + 1):
-            y = 1.0 + j * step
-            err = abs(x / 2.0 + alpha * y / x - 2.0)
-            if err < best_err:
-                best, best_err = (x, y), err
-    return best, best_err
+    """Every (x, y) of the step grid over [1, 4]^2; the first minimum wins."""
+    return brute_force_solve(alpha, 4.0, 4.0, step)
 
 
 def test_criterion_2_sizing_solver():

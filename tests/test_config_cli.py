@@ -9,15 +9,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from dyncomp.calibration import CalibrationConfig
 from dyncomp.cli import main
-from dyncomp.config import (SWEEP_VARIABLES, RunConfig, apply_overrides,
+from dyncomp.config import (SWEEPS, RunConfig, apply_overrides,
                             build_calibration_config, build_comparator_config,
                             build_operating_point, config_from_metadata,
                             parse_config, resolved_metadata, set_key)
 from dyncomp.devices import CORNERS, default_geometry
 from dyncomp.engine import EXTRA_NODES, ComparatorConfig, ComparatorEngine, OperatingPoint
 from dyncomp.errors import ConfigError, SimulationError
-from dyncomp.harness import (Table, emit_csv, load_csv, render_csv, render_json,
-                             replace_runconfig, round9, run_calibrate_once,
+from dyncomp.harness import (REPORT_SWEEP_VARIABLES, Table, emit_csv, load_csv, render_csv,
+                             render_json, replace_runconfig, round9, run_calibrate_once,
                              run_montecarlo, run_single, run_sizing, run_sweep)
 
 
@@ -57,7 +57,7 @@ VALID = {
     "nmos.mu_cox": POSITIVE, "nmos.vth0": POSITIVE,
     "pmos.mu_cox": POSITIVE, "pmos.vth0": POSITIVE,
     "avt": NONNEGATIVE, "abeta": NONNEGATIVE,
-    "sweep.variable": st.sampled_from(SWEEP_VARIABLES + ("none",)),
+    "sweep.variable": st.sampled_from(tuple(SWEEPS) + ("none",)),
     "sweep.start": auto(FINITE), "sweep.stop": auto(FINITE),
     "sweep.points": auto(st.integers(min_value=2, max_value=10**6)),
     "sweep.scale": st.sampled_from(["linear", "log"]),
@@ -293,6 +293,29 @@ class TestTables:
             run_sweep(cfg)
 
 
+class TestSweepTable:
+    def test_parser_accepts_exactly_the_table(self):
+        for name in SWEEPS:
+            assert apply_overrides(RunConfig(), [f"sweep.variable={name}"]).sweep_variable == name
+        assert apply_overrides(RunConfig(), ["sweep.variable=none"]).sweep_variable is None
+        for name in ("width", "width_", "width_inv_p", "VID", "temp_C", "w_m", "corners"):
+            with pytest.raises(ConfigError, match="sweep.variable"):
+                apply_overrides(RunConfig(), [f"sweep.variable={name}"])
+
+    @pytest.mark.parametrize("variable", SWEEPS)
+    def test_default_sweep_follows_the_table(self, variable, tmp_path):
+        sweep = SWEEPS[variable]
+        points = len(CORNERS) if sweep.grid is None else sweep.grid[2]
+        for flags in ([], ["--compare"]):
+            out = tmp_path / "sweep.csv"
+            assert main(["sweep", "--set", f"sweep.variable={variable}", *flags,
+                         "--out", str(out)]) == 0
+            table = load_csv(out)
+            assert table.columns[0] == sweep.column
+            assert len(table.rows) == points
+            assert ("savings_pct" in table.columns) == bool(flags)
+
+
 def count_simulates(monkeypatch) -> list:
     """Record every ComparatorEngine.simulate call in the returned list."""
     calls = []
@@ -394,6 +417,7 @@ class TestCli:
     @pytest.mark.parametrize("argv, key", [
         (["calibrate", "--trial", "-1"], "trial"),
         (["sweep", "--set", "sweep.variable=corner", "--set", "sweep.points=3"], "sweep.points"),
+        (["sweep", "--set", "sweep.variable=vid", "--compare", "--no-shutdown"], "shutdown"),
     ])
     def test_bad_input_exits_2_naming_key(self, argv, key, capsys):
         assert main(argv) == 2
@@ -451,15 +475,17 @@ class TestReport:
         regenerated = capsys.readouterr().out
         assert regenerated == (bundle / "report.txt").read_text()
 
-    def test_corner_sweep_runs_without_grid_keys(self, tmp_path):
-        assert main(["report", "--trials", "2", "--set", "sweep.points=3",
-                     "--set", "sweep.scale=log", "--set", "sweep.start=0.5",
-                     "--set", "sweep.stop=1.0", "--out-dir", str(tmp_path)]) == 0
-        grid = ("sweep.start", "sweep.stop", "sweep.points", "sweep.scale")
-        corner = load_csv(tmp_path / "sweep_corner.csv").metadata
-        assert [corner[k] for k in grid] == ["auto", "auto", "auto", "linear"]
-        vcm = load_csv(tmp_path / "sweep_vcm.csv").metadata
-        assert [vcm[k] for k in grid] == ["0.5", "1.0", "3", "log"]
+    def test_report_sweeps_take_no_grid_keys(self, bundle, tmp_path, capsys):
+        grid = {"sweep.start": "0.5", "sweep.stop": "1.0", "sweep.points": "3",
+                "sweep.scale": "log"}
+        for key, value in grid.items():
+            assert main(["report", "--trials", "2", "--set", f"{key}={value}",
+                         "--out-dir", str(tmp_path)]) == 2
+            assert capsys.readouterr().err.startswith(f"error: ConfigError: {key}:")
+        assert not any(tmp_path.iterdir())
+        for variable in REPORT_SWEEP_VARIABLES:
+            meta = load_csv(bundle / f"sweep_{variable}.csv").metadata
+            assert [meta[k] for k in grid] == ["auto", "auto", "auto", "linear"]
 
     def test_savings_zero_when_shutdown_disabled(self, capsys):
         rc = main(["report", "--trials", "2", "--no-shutdown"])

@@ -2,6 +2,7 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from dyncomp.engine import ComparatorConfig, ComparatorEngine, OperatingPoint
@@ -57,6 +58,21 @@ class TestGeneralResidual:
 
 
 def brute_force_solve(alpha, x_max, y_max, step):
+    """Every grid point (1 + i*step, 1 + j*step); the first minimum of |residual|
+    wins. Row by row in numpy, with the floats and tie-break of the loop below."""
+    best, best_err = None, math.inf
+    ys = 1.0 + np.arange(round((y_max - 1.0) / step) + 1) * step
+    for i in range(round((x_max - 1.0) / step) + 1):
+        x = 1.0 + i * step
+        errs = np.abs(x / 2.0 + alpha * ys / x - 2.0)
+        j = int(np.argmin(errs))
+        if errs[j] < best_err:
+            best, best_err = (x, float(ys[j])), float(errs[j])
+    return best, best_err
+
+
+def brute_force_solve_loop(alpha, x_max, y_max, step):
+    """The reference brute_force_solve must equal, one point at a time."""
     best, best_err = None, math.inf
     nx = round((x_max - 1.0) / step)
     ny = round((y_max - 1.0) / step)
@@ -119,6 +135,11 @@ class TestSolver:
         (fx, fy), _ = brute_force_solve(alpha, 4.0, 4.0, 0.001)
         assert abs(v.x - fx) <= 0.01 + 1e-12
         assert abs(v.y - fy) <= 0.01 + 1e-12
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.25, 1.5, 2.0, 3.0])
+    def test_numpy_oracle_equals_loop(self, alpha):
+        assert (brute_force_solve(alpha, 4.0, 4.0, 0.01)
+                == brute_force_solve_loop(alpha, 4.0, 4.0, 0.01))
 
     @pytest.mark.parametrize("grid_step", [0.03, 0.007])
     @pytest.mark.parametrize("y_max", [1.0, 4.0])
