@@ -15,9 +15,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .devices import MismatchSample, ZERO_MISMATCH, sample_mismatch
-from .devices import AVT_DEFAULT, ABETA_DEFAULT
-from .engine import (BodyBias, ComparatorConfig, ComparatorEngine,
+from .devices import (ABETA_DEFAULT, AVT_DEFAULT, MismatchSample, ZERO_MISMATCH,
+                      draw_mismatch, mismatch_scales, sample_mismatch)
+from .engine import (BodyBias, ComparatorConfig, ComparatorEngine, DecisionKernel,
                      OperatingPoint, typical_op)
 from .errors import ConfigError, OffsetSpanError
 
@@ -221,12 +221,32 @@ def monte_carlo(n: int, seed: int, config: ComparatorConfig, cal: CalibrationCon
     trial's measured offset, or None without ``calibrate``. Trials are
     independent (one RNG stream per trial index). Span errors are counted,
     not fatal; a trial out of span before calibration counts in both phases.
+
+    The trials run as one batch through ``DecisionKernel``, which gives the
+    offsets of ``measure_offset`` and ``_calibrate`` bit for bit. If any
+    trial would raise, the scalar loop runs instead and raises that error.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
     engine = ComparatorEngine(config)
     op = op or typical_op(config, vid=0.0)
-    geoms = list(config.geoms.values())
+    args = (n, seed, engine, op, cal, calibrate, avt, abeta)
+    try:
+        before, after = _batched_offsets(*args)
+    except _ScalarOnly:
+        before, after = _scalar_offsets(*args)
+    return _offset_stats(n, before), (_offset_stats(n, after) if calibrate else None)
+
+
+class _ScalarOnly(Exception):
+    """Some trial raises in simulate; the scalar loop says which one and how."""
+
+
+def _scalar_offsets(n: int, seed: int, engine: ComparatorEngine, op: OperatingPoint,
+                    cal: CalibrationConfig, calibrate: bool, avt: float, abeta: float
+                    ) -> tuple[list[float], list[float]]:
+    """Measured offsets (before, after) of the trials, one simulate at a time."""
+    geoms = list(engine.config.geoms.values())
     before, after = [], []
     for trial in range(n):
         mm = sample_mismatch(seed, trial, geoms, avt=avt, abeta=abeta)
@@ -234,7 +254,71 @@ def monte_carlo(n: int, seed: int, config: ComparatorConfig, cal: CalibrationCon
             before.append(measure_offset(engine, op, mm, tol=cal.tol_os, span=cal.span))
             if calibrate:
                 after.append(_calibrate(engine, op, mm, cal, before[-1]).offset_after)
-    return _offset_stats(n, before), (_offset_stats(n, after) if calibrate else None)
+    return before, after
+
+
+def _batched_offsets(n: int, seed: int, engine: ComparatorEngine, op: OperatingPoint,
+                     cal: CalibrationConfig, calibrate: bool, avt: float, abeta: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """``_scalar_offsets`` with every trial in one array; raises _ScalarOnly
+    where a trial would raise."""
+    config = engine.config
+    names, scales = mismatch_scales(config.geoms.values(), avt, abeta)
+    if not set(DecisionKernel.DEVICES) <= set(names):
+        raise _ScalarOnly  # the tail device is missing
+    cols = [2 * names.index(name) + k for name in DecisionKernel.DEVICES for k in (0, 1)]
+    draws = draw_mismatch(seed, range(n), scales, cols)
+    mismatch = {name: (draws[:, 2 * i], draws[:, 2 * i + 1])
+                for i, name in enumerate(DecisionKernel.DEVICES)}
+    try:
+        kernel = DecisionKernel(engine, op, mismatch)
+    except ConfigError:
+        raise _ScalarOnly from None
+
+    def decide(rows, vid, vcm, vb_plus, vb_minus):
+        decision, raises = kernel.decide(rows, vid, vcm, vb_plus, vb_minus)
+        if raises.any():
+            raise _ScalarOnly
+        return decision
+
+    def offsets(rows, vb_plus, vb_minus):
+        """measure_offset of each trial; False in ``measured`` marks a span error."""
+        lo, hi = np.full(rows.size, -cal.span), np.full(rows.size, cal.span)
+        d_lo = decide(rows, lo, op.vcm, vb_plus, vb_minus)
+        d_hi = decide(rows, hi, op.vcm, vb_plus, vb_minus)
+        measured = (d_lo != d_hi) & (d_lo < 0)
+        active = measured & (hi - lo > cal.tol_os)
+        while active.any():
+            i = np.flatnonzero(active)
+            mid = 0.5 * (lo[i] + hi[i])
+            up = decide(rows[i], mid, op.vcm, vb_plus[i], vb_minus[i]) > 0
+            hi[i] = np.where(up, mid, hi[i])
+            lo[i] = np.where(up, lo[i], mid)
+            active[i] = hi[i] - lo[i] > cal.tol_os
+        return 0.5 * (lo + hi), measured
+
+    rows = np.arange(n)
+    supply = np.full(n, engine.supply(op))
+    before, measured = offsets(rows, supply, supply)
+    if not calibrate:
+        return before[measured], np.empty(0)
+
+    # _calibrate's cycles on the trials with a measured offset.
+    vdd = config.vdd
+    vcm_cal = cal.v_ref_input if cal.v_ref_input is not None else vdd / 2.0
+    t_period = _resolve_period(cal, config)
+    rows = rows[measured]
+    vb_plus, vb_minus = np.full(rows.size, vdd), np.full(rows.size, vdd)
+    for _ in range(cal.n_phases):
+        for tn in range(1, cal.n_cycles + 1):
+            plus = decide(rows, 0.0, vcm_cal, vb_plus, vb_minus) > 0
+            step = cp_step(dac_output(tn, cal, vdd), cal, t_period)
+            vb_plus = np.where(plus, vb_plus - step, vb_plus)
+            vb_minus = np.where(plus, vb_minus, vb_minus - step)
+            vb_plus = np.where(vb_plus < 0.0, 0.0, vb_plus)
+            vb_minus = np.where(vb_minus < 0.0, 0.0, vb_minus)
+    after, measured_after = offsets(rows, vb_plus, vb_minus)
+    return before[measured], after[measured_after]
 
 
 def _offset_stats(n: int, offsets: list[float]) -> OffsetStats:

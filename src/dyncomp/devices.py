@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -165,25 +165,55 @@ def apply_temperature(params: DeviceParams, t_kelvin: float) -> DeviceParams:
     return replace(params, mu_cox=params.mu_cox * factor, vth0=params.vth0 + shift)
 
 
+def mismatch_scales(geoms: Iterable[TransistorGeom], avt: float = AVT_DEFAULT,
+                    abeta: float = ABETA_DEFAULT) -> tuple[list[str], np.ndarray]:
+    """Device names in sorted order and the standard deviations of their draws.
+
+    Per transistor, delta_vth ~ N(0, avt/sqrt(W*L)) and the relative beta
+    deviation ~ N(0, abeta/sqrt(W*L)); the scales interleave the two,
+    ``[vth(names[0]), beta(names[0]), vth(names[1]), ...]``.
+    """
+    if avt < 0 or abeta < 0:
+        raise ConfigError("mismatch coefficients must be >= 0")
+    ordered = sorted(geoms, key=lambda g: g.name)
+    scales = []
+    for geom in ordered:
+        root_area = math.sqrt(geom.w * geom.l)
+        scales += [avt / root_area, abeta / root_area]
+    return [geom.name for geom in ordered], np.array(scales)
+
+
+def draw_mismatch(seed: int, trials: Sequence[int], scales: np.ndarray,
+                  columns: Sequence[int] | slice = slice(None)) -> np.ndarray:
+    """Deviations of each trial (seed, trial), one row per trial.
+
+    Each trial has its own standard-normal stream, drawn in the order of
+    ``scales``; ``columns`` picks the entries kept. ``0.0 + scale * z`` is
+    what ``Generator.normal(0.0, scale)`` computes, overflow to inf and the
+    sign of a zero included, so a row equals drawing each deviation on its
+    own.
+    """
+    kept = scales[columns]
+    z = np.empty((len(trials), kept.size))
+    for row, trial in enumerate(trials):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(trial)]))
+        z[row] = rng.standard_normal(scales.size)[columns]
+    with np.errstate(over="ignore"):
+        return 0.0 + z * kept
+
+
 def sample_mismatch(seed: int, trial: int, geoms: Iterable[TransistorGeom],
                     avt: float = AVT_DEFAULT, abeta: float = ABETA_DEFAULT) -> MismatchSample:
     """Draw one Pelgrom mismatch sample, reproducible from (seed, trial).
 
-    Per transistor, delta_vth ~ N(0, avt/sqrt(W*L)) and the relative beta
-    deviation ~ N(0, abeta/sqrt(W*L)), all independent. Transistors are
-    processed in sorted-name order so the draw is independent of the
-    iteration order of ``geoms``.
+    The deviations are independent with the scales of ``mismatch_scales``.
+    Transistors are processed in sorted-name order so the draw is
+    independent of the iteration order of ``geoms``.
     """
-    if avt < 0 or abeta < 0:
-        raise ConfigError("mismatch coefficients must be >= 0")
-    rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(trial)]))
-    deltas = {}
-    for geom in sorted(geoms, key=lambda g: g.name):
-        root_area = math.sqrt(geom.w * geom.l)
-        dvth = float(rng.normal(0.0, avt / root_area))
-        dbeta = float(rng.normal(0.0, abeta / root_area))
-        deltas[geom.name] = (dvth, dbeta)
-    return MismatchSample(deltas)
+    names, scales = mismatch_scales(geoms, avt, abeta)
+    draw = draw_mismatch(seed, [trial], scales)[0].tolist()
+    return MismatchSample({name: (draw[2 * i], draw[2 * i + 1])
+                           for i, name in enumerate(names)})
 
 
 # Final device dimensions of the modeled circuit (W/L in meters).

@@ -19,6 +19,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
+import numpy as np
+
 from . import devices as dev
 from .devices import (DeviceParams, MismatchSample, TransistorGeom, ZERO_MISMATCH,
                       CORNERS, CornerSpec, beta, gate_cap, threshold)
@@ -176,7 +178,8 @@ class ComparatorEngine:
         p = dev.apply_temperature(dev.apply_corner(self.config.pmos, op.corner), op.t_kelvin)
         return n, p
 
-    def _validate_op(self, op: OperatingPoint, vdd: float):
+    def validate_op(self, op: OperatingPoint, vdd: float):
+        """Raise ConfigError if vcm or vid is out of range at the supply vdd."""
         if not 0.0 <= op.vcm <= vdd:
             raise ConfigError(f"vcm={op.vcm} outside [0, vdd={vdd}]")
         if abs(op.vid) >= vdd:
@@ -269,7 +272,7 @@ class ComparatorEngine:
         """
         cfg = self.config
         vdd = self.supply(op)
-        self._validate_op(op, vdd)
+        self.validate_op(op, vdd)
         if body is None:
             body = BodyBias(vdd, vdd)
         if not (0.0 <= body.vb_plus <= vdd and 0.0 <= body.vb_minus <= vdd):
@@ -352,6 +355,96 @@ class ComparatorEngine:
         total = e_preamp + e_latch + e_ddvb + e_reset
         return EnergyBreakdown(e_preamp=e_preamp, e_latch=e_latch, e_ddvb=e_ddvb,
                                e_reset=e_reset, total=total)
+
+
+class DecisionKernel:
+    """``simulate(op, mismatch, body).decision`` over a batch of trials.
+
+    The engine and the operating point's corner, temperature and supply are
+    shared; each trial (row) has its own mismatch, given per device as a
+    (delta_vth, delta_beta) pair of arrays over the rows. The kernel repeats
+    simulate's float operations in the same order, so every decision equals
+    the scalar one bit for bit. Only the devices in ``DEVICES`` enter the
+    decision. Raises ConfigError, as every simulate would, when the corner
+    and temperature leave invalid device parameters or the tail device is
+    missing. Overflow to inf passes silently, as in Python floats.
+    """
+
+    DEVICES = ("Mp1", "Mp4", "Mp5", "Mn3", "Mn4")
+
+    def __init__(self, engine: ComparatorEngine, op: OperatingPoint,
+                 mismatch: Mapping[str, tuple[np.ndarray, np.ndarray]]):
+        cfg = engine.config
+        nparams, pparams = engine.params_at(op)
+        self.vdd = vdd = engine.supply(op)
+        self.pparams = pparams
+        self.window = cfg.window
+        self.tie_break = cfg.tie_break
+        self.c_out = engine.node_caps().c_out
+
+        def mismatched_beta(name: str) -> np.ndarray:
+            return beta(_require(cfg.geoms, name), pparams) * (1.0 + mismatch[name][1])
+
+        with np.errstate(all="ignore"):
+            b_tail = mismatched_beta("Mp1")
+            ov = vdd - (threshold(pparams) + mismatch["Mp1"][0])
+            i_tail = 0.5 * b_tail * ov * ov * (1.0 - cfg.tail_derating)
+            self.i_tail = np.where(ov > 0.0, i_tail, 0.0)
+            self.b_minus, self.b_plus = mismatched_beta("Mp4"), mismatched_beta("Mp5")
+            self.vth_sense_minus = threshold(nparams) + mismatch["Mn3"][0]
+            self.vth_sense_plus = threshold(nparams) + mismatch["Mn4"][0]
+        self.dvth_minus, self.dvth_plus = mismatch["Mp4"][0], mismatch["Mp5"][0]
+
+    def decide(self, rows: np.ndarray, vid, vcm: float, vb_plus: np.ndarray,
+               vb_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(decision, raises) of the trials ``rows`` at their vid and body voltages.
+
+        ``raises`` marks the points where simulate raises instead: vid or vcm
+        out of range, a body voltage outside [0, vdd] or beyond the threshold
+        model's validity, a negative tail current that clamps no current, or
+        no preamp crossing inside the window.
+        """
+        vdd = self.vdd
+        raises = (np.abs(vid) >= vdd) | (not 0.0 <= vcm <= vdd)
+        for vb in (vb_plus, vb_minus):
+            raises = raises | ~((0.0 <= vb) & (vb <= vdd))
+        with np.errstate(all="ignore"):
+            vth_minus, beyond_minus = self._body_threshold(vb_minus - vdd, self.dvth_minus[rows])
+            vth_plus, beyond_plus = self._body_threshold(vb_plus - vdd, self.dvth_plus[rows])
+            raises |= beyond_minus | beyond_plus
+
+            # branch_currents, the tail clamp included.
+            ov_minus = vdd - (vcm - vid / 2.0) - vth_minus
+            ov_plus = vdd - (vcm + vid / 2.0) - vth_plus
+            i_minus = np.where(ov_minus > 0.0, 0.5 * self.b_minus[rows] * ov_minus * ov_minus, 0.0)
+            i_plus = np.where(ov_plus > 0.0, 0.5 * self.b_plus[rows] * ov_plus * ov_plus, 0.0)
+            i_tail = self.i_tail[rows]
+            total = i_minus + i_plus
+            clamped = total > i_tail
+            raises |= clamped & (total == 0.0)  # ZeroDivisionError in simulate
+            scale = i_tail / np.where(clamped, total, 1.0)
+            i_minus = np.where(clamped, i_minus * scale, i_minus)
+            i_plus = np.where(clamped, i_plus * scale, i_plus)
+
+            t0_minus = self._crossing(i_minus, self.vth_sense_minus[rows])
+            t0_plus = self._crossing(i_plus, self.vth_sense_plus[rows])
+        decision = np.where(t0_minus < t0_plus, 1,
+                            np.where(t0_plus < t0_minus, -1, self.tie_break))
+        t0 = np.where(decision > 0, t0_minus, t0_plus)
+        raises |= ~np.isfinite(t0) | (t0 > self.window)
+        return decision, raises
+
+    def _body_threshold(self, vsb: np.ndarray, dvth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """threshold(pparams, vsb, dvth), and where it raises BodyBiasError."""
+        p = self.pparams
+        arg = p.phi2f + vsb
+        beyond = arg <= 0.0
+        root = np.sqrt(np.where(beyond, 1.0, arg))
+        return p.vth0 + p.gamma * (root - math.sqrt(p.phi2f)) + dvth, beyond
+
+    def _crossing(self, i_side: np.ndarray, vth_sense: np.ndarray) -> np.ndarray:
+        crosses = (i_side > 0.0) & (vth_sense > 0.0)
+        return np.where(crosses, vth_sense * self.c_out / np.where(crosses, i_side, 1.0), math.inf)
 
 
 def typical_op(config: ComparatorConfig, vid: float = 50e-3, **overrides) -> OperatingPoint:

@@ -83,12 +83,49 @@ def _grid_values(cfg: RunConfig) -> list:
     if points < 2:
         raise ConfigError("sweep.points: must be >= 2")
     if cfg.sweep_scale == "log":
-        if start <= 0 or stop <= 0:
-            raise ConfigError("sweep bounds must be > 0 on a log scale")
+        for key, value in (("sweep.start", start), ("sweep.stop", stop)):
+            if value <= 0:
+                raise ConfigError(f"{key}: {value:g}{_default_mark(cfg, key)} "
+                                  "must be > 0 on a log scale")
         values = np.geomspace(start, stop, points)
     else:
         values = np.linspace(start, stop, points)
     return [float(v) for v in values]
+
+
+def _default_mark(cfg: RunConfig, key: str) -> str:
+    """' (default)' where the grid bound ``key`` comes from the variable's default grid."""
+    return "" if getattr(cfg, key.replace(".", "_")) is not None else " (default)"
+
+
+def _op_error(engine: ComparatorEngine, op) -> str | None:
+    """The ConfigError simulate raises for ``op`` before any arithmetic, if any."""
+    try:
+        engine.validate_op(op, engine.supply(op))
+        engine.params_at(op)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+def _check_grid_ends(cfg: RunConfig, engine: ComparatorEngine, values: list) -> None:
+    """Name the grid bound whose point the engine rejects, before any point runs.
+
+    Only sweeps of operating-point fields qualify, and only when the
+    unswept operating point is valid, so that the sweep value is at fault.
+    Along each of them the valid points form an interval, so the two ends
+    of the grid decide for every point.
+    """
+    sweep = SWEEPS[cfg.sweep_variable]
+    if sweep.grid is None or sweep.width_target is not None:
+        return
+    if _op_error(engine, build_operating_point(cfg)) is not None:
+        return
+    for key, value in (("sweep.start", values[0]), ("sweep.stop", values[-1])):
+        error = _op_error(engine, build_operating_point(cfg, **sweep.fields(cfg, value)))
+        if error is not None:
+            raise ConfigError(f"{key}: {cfg.sweep_variable} point {value:g}"
+                              f"{_default_mark(cfg, key)} is out of range: {error}")
 
 
 def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
@@ -111,6 +148,7 @@ def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
 
     config = build_comparator_config(cfg)
     engine = ComparatorEngine(config)
+    _check_grid_ends(cfg, engine, values)
 
     rows = []
     for value in values:

@@ -4,14 +4,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from dyncomp import calibration
 from dyncomp.calibration import (CalibrationConfig, cp_step, dac_output,
                                  measure_offset, monte_carlo, residual_bound,
                                  run_calibration)
-from dyncomp.devices import DeviceParams, MismatchSample, default_geometry, sample_mismatch
+from dyncomp.devices import (ABETA_DEFAULT, AVT_DEFAULT, DEFAULT_PMOS, DeviceParams,
+                             MismatchSample, beta, default_geometry, sample_mismatch, threshold)
 from dyncomp.engine import (BodyBias, ComparatorConfig, ComparatorEngine,
                             OperatingPoint, typical_op)
-from dyncomp.errors import ConfigError, OffsetSpanError
+from dyncomp.errors import BodyBiasError, ConfigError, NoDecisionError, OffsetSpanError
 
 OP0 = OperatingPoint(vid=0.0, vcm=0.9, t_kelvin=300.0)
 
@@ -319,3 +322,112 @@ class TestMonteCarlo:
         stats, _ = monte_carlo(60, 9, ComparatorConfig(), CalibrationConfig(),
                                calibrate=False)
         assert sum(stats.counts) == 60 - stats.span_errors
+
+
+def scalar_monte_carlo(n, seed, config, cal, calibrate, avt=AVT_DEFAULT, abeta=ABETA_DEFAULT):
+    """Oracle: monte_carlo on the per-trial loop of measure_offset and _calibrate."""
+    args = (n, seed, ComparatorEngine(config), typical_op(config, vid=0.0), cal, calibrate,
+            avt, abeta)
+    before, after = calibration._scalar_offsets(*args)
+    return (calibration._offset_stats(n, before),
+            calibration._offset_stats(n, after) if calibrate else None)
+
+
+def batched_offsets(n, seed, config, cal, calibrate):
+    """The kernel path alone, without the scalar fallback."""
+    return calibration._batched_offsets(n, seed, ComparatorEngine(config),
+                                        typical_op(config, vid=0.0), cal, calibrate,
+                                        AVT_DEFAULT, ABETA_DEFAULT)
+
+
+class TestBatchedMonteCarlo:
+    @pytest.mark.parametrize("n, seed, cal", [
+        (500, 1, CalibrationConfig()), (500, 7, CalibrationConfig()),
+        (500, 9001, CalibrationConfig()), (500, 1001, CalibrationConfig()),
+        (500, 1, CalibrationConfig(n_phases=2, cb=2e-12)),
+        (300, 3, CalibrationConfig(span=0.03)),
+    ])
+    def test_equals_scalar_loop(self, n, seed, cal):
+        cfg = ComparatorConfig()
+        before, after = scalar_monte_carlo(n, seed, cfg, cal, calibrate=True)
+        assert monte_carlo(n, seed, cfg, cal, calibrate=True) == (before, after)
+        assert monte_carlo(n, seed, cfg, cal, calibrate=False) == (before, None)
+        kernel_before, kernel_after = batched_offsets(n, seed, cfg, cal, calibrate=True)
+        assert calibration._offset_stats(n, kernel_before) == before
+        assert calibration._offset_stats(n, kernel_after) == after
+        if cal.span == 0.03:
+            assert before.span_errors == after.span_errors == 36
+
+    def test_saturated_bodies_equal_scalar_loop(self):
+        # phi2f = 2 V keeps the threshold model valid down to vb = 0, so with
+        # steps of about 2 V every trial clamps a body at ground, no error.
+        cfg = ComparatorConfig(pmos=replace(DEFAULT_PMOS, phi2f=2.0))
+        cal = CalibrationConfig(cb=5e-14)
+        assert run_calibration(cfg, sample_mismatch(5, 0, cfg.geoms.values()), cal).saturated
+        before, after = scalar_monte_carlo(40, 5, cfg, cal, calibrate=True)
+        kernel_before, kernel_after = batched_offsets(40, 5, cfg, cal, calibrate=True)
+        assert calibration._offset_stats(40, kernel_before) == before
+        assert calibration._offset_stats(40, kernel_after) == after
+
+    @pytest.mark.parametrize("config, cal, calibrate, seed, error", [
+        # t0 > window at 100 GHz: no decision in the first trial's first point
+        (ComparatorConfig(freq=1e11), CalibrationConfig(), False, 2, NoDecisionError),
+        # near 56 GHz t0 and the window cross per trial: the offset
+        # measurement raises in trials 2, 13, 18 and 21 of seed 5, and only
+        # in trial 27 of seed 4
+        (ComparatorConfig(freq=5.62e10), CalibrationConfig(), False, 5, NoDecisionError),
+        (ComparatorConfig(freq=5.62e10), CalibrationConfig(), True, 4, NoDecisionError),
+        # steps of about 0.9 V push a body voltage past phi2f
+        (ComparatorConfig(), CalibrationConfig(cb=1e-13), True, 2, BodyBiasError),
+    ])
+    def test_errors_match_scalar_loop(self, config, cal, calibrate, seed, error):
+        with pytest.raises(error) as scalar:
+            scalar_monte_carlo(30, seed, config, cal, calibrate)
+        with pytest.raises(error) as batched:
+            monte_carlo(30, seed, config, cal, calibrate)
+        assert type(batched.value) is type(scalar.value)
+        assert str(batched.value) == str(scalar.value)
+        with pytest.raises(calibration._ScalarOnly):
+            batched_offsets(30, seed, config, cal, calibrate)
+
+    def test_every_trial_out_of_span(self):
+        cal = CalibrationConfig(span=1e-4)
+        with pytest.raises(OffsetSpanError, match="every trial"):
+            scalar_monte_carlo(20, 2, ComparatorConfig(), cal, calibrate=False)
+        with pytest.raises(OffsetSpanError, match="every trial"):
+            monte_carlo(20, 2, ComparatorConfig(), cal, calibrate=False)
+
+
+def flip_point(engine, op, mismatch, body):
+    """Closed-form offset: the vid where both preamp ramps reach their latch
+    thresholds together. With A = vdd - vcm, input thresholds vth-/vth+ and
+    k = sqrt(beta / vth_sense) per side, the ramps tie where
+    k-(A + vid/2 - vth-) = k+(A - vid/2 - vth+), so
+    vid* = 2 (k+ (A - vth+) - k- (A - vth-)) / (k- + k+). The tail clamp
+    scales both currents alike and leaves the tie in place."""
+    vdd = engine.supply(op)
+    nparams, pparams = engine.params_at(op)
+    geoms = engine.config.geoms
+
+    def side(mp, mn, vb):
+        vth = threshold(pparams, vb - vdd, mismatch.delta_vth(mp))
+        b = beta(geoms[mp], pparams) * (1.0 + mismatch.delta_beta(mp))
+        return vth, math.sqrt(b / threshold(nparams, 0.0, mismatch.delta_vth(mn)))
+
+    vth_minus, k_minus = side("Mp4", "Mn3", body.vb_minus)
+    vth_plus, k_plus = side("Mp5", "Mn4", body.vb_plus)
+    a = vdd - op.vcm
+    return 2.0 * (k_plus * (a - vth_plus) - k_minus * (a - vth_minus)) / (k_minus + k_plus)
+
+
+@settings(deadline=None, max_examples=150)
+@given(seed=st.integers(0, 2**32), trial=st.integers(0, 10**6),
+       vb_plus=st.floats(1.6, 1.8), vb_minus=st.floats(1.6, 1.8))
+def test_bisection_finds_closed_form_flip_point(seed, trial, vb_plus, vb_minus):
+    engine = ComparatorEngine(ComparatorConfig())
+    mismatch = sample_mismatch(seed, trial, engine.config.geoms.values())
+    body = BodyBias(vb_plus, vb_minus)
+    expected = flip_point(engine, OP0, mismatch, body)
+    assume(abs(expected) < 0.09)
+    tol = CalibrationConfig().tol_os
+    assert abs(measure_offset(engine, OP0, mismatch, body, tol=tol) - expected) <= tol

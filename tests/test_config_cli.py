@@ -7,14 +7,15 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dyncomp.calibration import CalibrationConfig
+from dyncomp.calibration import CalibrationConfig, _scalar_offsets
 from dyncomp.cli import main
 from dyncomp.config import (SWEEPS, RunConfig, apply_overrides,
                             build_calibration_config, build_comparator_config,
                             build_operating_point, config_from_metadata,
                             parse_config, resolved_metadata, set_key)
 from dyncomp.devices import CORNERS, default_geometry
-from dyncomp.engine import EXTRA_NODES, ComparatorConfig, ComparatorEngine, OperatingPoint
+from dyncomp.engine import (EXTRA_NODES, ComparatorConfig, ComparatorEngine, DecisionKernel,
+                            OperatingPoint)
 from dyncomp.errors import ConfigError, SimulationError
 from dyncomp.harness import (REPORT_SWEEP_VARIABLES, Table, emit_csv, load_csv, render_csv,
                              render_json, replace_runconfig, round9, run_calibrate_once,
@@ -278,12 +279,23 @@ class TestTables:
 
     @pytest.mark.parametrize("calibrate, per_trial", [(False, 17), (True, 40)])
     def test_simulates_per_mc_trial(self, monkeypatch, calibrate, per_trial):
-        # 17 = one bisection from +/-100 mV to 10 uV; 40 = before, 6 cycles, after
+        # Monte Carlo calls no simulate: its decisions come from the kernel, at
+        # 17 per trial for one bisection from +/-100 mV to 10 uV, and 40 for
+        # before, 6 cycles and after.
         calls = count_simulates(monkeypatch)
+        evaluations = []
+        decide = DecisionKernel.decide
+
+        def counting(self, rows, *args):
+            evaluations.append(len(rows))
+            return decide(self, rows, *args)
+
+        monkeypatch.setattr(DecisionKernel, "decide", counting)
         before, _, _ = run_montecarlo(replace_runconfig(RunConfig(), trials=5,
                                                         calibrate=calibrate))
         assert before.span_errors == 0
-        assert len(calls) == 5 * per_trial
+        assert calls == []
+        assert sum(evaluations) == 5 * per_trial
 
     @pytest.mark.parametrize("key, value", [("sweep.start", "0.1"), ("sweep.stop", "1"),
                                             ("sweep.points", "3"), ("sweep.scale", "log")])
@@ -418,10 +430,57 @@ class TestCli:
         (["calibrate", "--trial", "-1"], "trial"),
         (["sweep", "--set", "sweep.variable=corner", "--set", "sweep.points=3"], "sweep.points"),
         (["sweep", "--set", "sweep.variable=vid", "--compare", "--no-shutdown"], "shutdown"),
+        (["sweep", "--set", "sweep.variable=temp", "--set", "sweep.scale=log"], "sweep.start"),
+        (["sweep", "--set", "sweep.variable=vid", "--set", "sweep.scale=log",
+          "--set", "sweep.stop=-0.01"], "sweep.stop"),
+        (["sweep", "--set", "sweep.variable=vdd", "--set", "sweep.start=-1"], "sweep.start"),
+        (["sweep", "--set", "sweep.variable=vcm", "--set", "sweep.start=-1"], "sweep.start"),
+        (["sweep", "--set", "sweep.variable=vcm", "--set", "sweep.stop=2.5"], "sweep.stop"),
     ])
     def test_bad_input_exits_2_naming_key(self, argv, key, capsys):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: ConfigError: {key}:")
+
+    @pytest.mark.parametrize("sets, message", [
+        (["sweep.variable=temp", "sweep.scale=log"], "sweep.start: -20 (default) must be > 0"),
+        (["sweep.variable=vdd", "sweep.start=-1", "sweep.points=4"],
+         "sweep.start: vdd point -1 is out of range: vcm=-0.5 outside [0, vdd=-1.0]"),
+        (["sweep.variable=vcm", "sweep.start=-1"],
+         "sweep.start: vcm point -1 is out of range: vcm=-1.0 outside [0, vdd=1.8]"),
+        (["sweep.variable=vcm", "sweep.stop=2.5"],
+         "sweep.stop: vcm point 2.5 is out of range: vcm=2.5 outside [0, vdd=1.8]"),
+        (["sweep.variable=vcm", "vdd=1.0"], "sweep.stop: vcm point 1.1 (default) is out of range"),
+        (["sweep.variable=vid", "sweep.stop=2"], "sweep.stop: vid point 2 is out of range: |vid|"),
+        (["sweep.variable=temp", "sweep.stop=400"], "sweep.stop: temp point 400 is out of range"),
+    ])
+    def test_sweep_names_offending_bound(self, sets, message, tmp_path, capsys):
+        # Rejected before any point runs, so nothing is written.
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--out", str(out)] + [arg for s in sets for arg in ("--set", s)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: ConfigError: {message}")
+        assert not out.exists()
+
+    def test_sweep_bound_check_spares_an_invalid_unswept_point(self, capsys):
+        # vcm=5 is out of range, but the vcm sweep replaces it at every point.
+        assert main(["sweep", "--set", "sweep.variable=vcm", "--set", "vcm=5"]) == 0
+        # An unswept vid out of range is the vid key's fault, not the grid's.
+        assert main(["sweep", "--set", "sweep.variable=temp", "--set", "vid=2"]) == 2
+        assert capsys.readouterr().err.startswith("error: ConfigError: |vid|=2.0")
+
+    @pytest.mark.parametrize("sets", [["freq=1e11"], ["freq=5.62e10", "seed=4"],
+                                      ["calibrate=true", "cal.cb=1e-13"]])
+    def test_mc_error_is_the_scalar_loops(self, sets, capsys):
+        cfg = apply_overrides(RunConfig(), ["trials=30", *sets])
+        config = build_comparator_config(cfg)
+        with pytest.raises(SimulationError) as scalar:
+            _scalar_offsets(cfg.trials, cfg.seed, ComparatorEngine(config),
+                            build_operating_point(cfg, vid=0.0), build_calibration_config(cfg),
+                            cfg.calibrate, cfg.avt, cfg.abeta)
+        assert main(["mc", *(arg for s in sets for arg in ("--set", s)), "--trials", "30"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {type(scalar.value).__name__}: {scalar.value}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("args", [["--trials", "40"],
                                       ["--trials", "300", "--seed", "3", "--set", "cal.span=0.03"]])

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from dyncomp.devices import (ABETA_DEFAULT, AVT_DEFAULT, CORNERS, DEFAULT_NMOS,
                              DEFAULT_PMOS, DeviceParams, MismatchSample,
                              TransistorGeom, ZERO_MISMATCH, apply_corner,
-                             apply_temperature, beta, default_geometry,
-                             gate_cap, sample_mismatch, threshold)
+                             apply_temperature, beta, default_geometry, draw_mismatch,
+                             gate_cap, mismatch_scales, sample_mismatch, threshold)
 from dyncomp.errors import BodyBiasError, ConfigError
 
 MIN_GEOM = TransistorGeom("dut", 0.22e-6, 0.18e-6, "nmos")
@@ -162,6 +162,47 @@ class TestMismatch:
     def test_negative_coefficients_rejected(self):
         with pytest.raises(ConfigError):
             sample_mismatch(1, 0, [MIN_GEOM], avt=-1e-9)
+
+
+def per_device_draw(seed, trial, geoms, avt=AVT_DEFAULT, abeta=ABETA_DEFAULT):
+    """Oracle: one rng.normal(0, s) per deviation, device by device in name order."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+    deltas = {}
+    for geom in sorted(geoms, key=lambda g: g.name):
+        root_area = math.sqrt(geom.w * geom.l)
+        deltas[geom.name] = (float(rng.normal(0.0, avt / root_area)),
+                             float(rng.normal(0.0, abeta / root_area)))
+    return deltas
+
+
+def bits(deltas):
+    """The deviations as bytes, so that -0.0 and 0.0 differ."""
+    return [(name, np.float64(v).tobytes(), np.float64(b).tobytes())
+            for name, (v, b) in deltas.items()]
+
+
+class TestMismatchDraw:
+    GEOMS = list(default_geometry().values())
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 9001])
+    def test_bitwise_equal_to_per_device_draws(self, seed):
+        for trial in range(80):
+            assert bits(sample_mismatch(seed, trial, self.GEOMS).deltas) \
+                == bits(per_device_draw(seed, trial, self.GEOMS))
+
+    @pytest.mark.parametrize("avt, abeta", [(0.0, ABETA_DEFAULT), (AVT_DEFAULT, 0.0), (0.0, 0.0)])
+    def test_zero_coefficient_keeps_positive_zeros(self, avt, abeta):
+        for trial in range(20):
+            sample = sample_mismatch(3, trial, self.GEOMS, avt=avt, abeta=abeta)
+            assert bits(sample.deltas) == bits(per_device_draw(3, trial, self.GEOMS, avt, abeta))
+
+    def test_batch_rows_equal_single_draws(self):
+        names, scales = mismatch_scales(self.GEOMS)
+        cols = [0, 7, 30, 31]
+        batch = draw_mismatch(5, range(3, 40), scales, cols)
+        for row, trial in enumerate(range(3, 40)):
+            assert batch[row].tobytes() == draw_mismatch(5, [trial], scales)[0, cols].tobytes()
+        assert names == sorted(g.name for g in self.GEOMS)
 
 
 class TestGeometry:

@@ -4,12 +4,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from dyncomp.devices import (CORNERS, DeviceParams, MismatchSample,
+from dyncomp.devices import (CORNERS, MIN_LENGTH, DeviceParams, MismatchSample,
                              TransistorGeom, default_geometry, sample_mismatch)
-from dyncomp.engine import (BodyBias, ComparatorConfig, ComparatorEngine,
+from dyncomp.engine import (BodyBias, ComparatorConfig, ComparatorEngine, DecisionKernel,
                             OperatingPoint, typical_op)
-from dyncomp.errors import ConfigError, NoDecisionError, OverdriveError
+from dyncomp.errors import ConfigError, NoDecisionError, OverdriveError, SimulationError
 
 # Reference temperature keeps the worked numbers free of temperature factors.
 OP0 = OperatingPoint(vid=50e-3, vcm=0.9, t_kelvin=300.0)
@@ -278,6 +279,95 @@ class TestSimulate:
                   for name in ("TT", "FF", "SS", "FS")}
         assert delays["FF"] < delays["TT"] < delays["SS"]
         assert delays["FS"] > delays["TT"]  # slow PMOS inputs dominate
+
+
+def kernel_decision(engine, op, mismatch, body):
+    """DecisionKernel on a batch of one trial: (decision, raises)."""
+    columns = {name: (np.array([mismatch.delta_vth(name)]), np.array([mismatch.delta_beta(name)]))
+               for name in DecisionKernel.DEVICES}
+    decision, raises = DecisionKernel(engine, op, columns).decide(
+        np.array([0]), np.array([op.vid]), op.vcm,
+        np.array([body.vb_plus]), np.array([body.vb_minus]))
+    return int(decision[0]), bool(raises[0])
+
+
+def tail_engine(vdd, tail_w, tie_break=+1):
+    geoms = dict(default_geometry(), Mp1=TransistorGeom("Mp1", tail_w, MIN_LENGTH, "pmos"))
+    return ComparatorEngine(ComparatorConfig(geoms=geoms, vdd=vdd, tie_break=tie_break))
+
+
+DEVIATION = st.tuples(st.floats(-0.05, 0.05), st.floats(-0.3, 0.3))
+
+
+class TestDecisionKernel:
+    @settings(deadline=None, max_examples=300)
+    @given(deviations=st.fixed_dictionaries({name: DEVIATION for name in DecisionKernel.DEVICES}),
+           vdd=st.floats(0.9, 2.2), vb_plus=st.floats(0.0, 1.0), vb_minus=st.floats(0.0, 1.0),
+           vid=st.one_of(st.floats(-0.2, 0.2), st.floats(-2.5, 2.5)), vcm=st.floats(0.0, 1.0),
+           corner=st.sampled_from(sorted(CORNERS)), temp_c=st.floats(-55.0, 150.0),
+           tail_w=st.floats(0.22e-6, 4e-6), tie_break=st.sampled_from([1, -1]))
+    @example(deviations={name: (0.0, 0.0) for name in DecisionKernel.DEVICES}, vdd=1.8,
+             vb_plus=1.0, vb_minus=1.0, vid=0.0, vcm=0.5, corner="TT", temp_c=27.0,
+             tail_w=2e-6, tie_break=-1)
+    @example(deviations={name: (0.0, 0.0) for name in DecisionKernel.DEVICES}, vdd=1.8,
+             vb_plus=0.8, vb_minus=0.9, vid=0.01, vcm=0.0, corner="FF", temp_c=27.0,
+             tail_w=0.22e-6, tie_break=1)
+    def test_equals_simulate(self, deviations, vdd, vb_plus, vb_minus, vid, vcm, corner,
+                             temp_c, tail_w, tie_break):
+        # Mismatch, body voltages in [0, vdd], input, corner, temperature and
+        # supply; points where simulate raises must be flagged instead.
+        engine = tail_engine(vdd, tail_w, tie_break)
+        op = OperatingPoint(vid=vid, vcm=vcm * vdd, corner=CORNERS[corner],
+                            t_kelvin=temp_c + 273.15)
+        mismatch = MismatchSample(deviations)
+        body = BodyBias(vb_plus * vdd, vb_minus * vdd)
+        decision, raises = kernel_decision(engine, op, mismatch, body)
+        try:
+            expected = engine.simulate(op, mismatch, body).decision
+        except (SimulationError, ConfigError):
+            assert raises
+        else:
+            assert not raises and decision == expected
+
+    def test_tail_clamp_engages(self):
+        # A minimum-width tail at vcm = 0: the input pair would draw more
+        # than the tail, so the clamp scales both branch currents.
+        engine = tail_engine(1.8, 0.22e-6)
+        mismatch = sample_mismatch(4, 0, default_geometry().values())
+        body = BodyBias(1.5, 1.6)
+        for vid in np.linspace(-0.05, 0.05, 21):
+            op = OperatingPoint(vid=float(vid), vcm=0.0)
+            vth_minus = engine.params_at(op)[1].vth0  # any threshold below the gate overdrive
+            i_minus, i_plus = engine.branch_currents(op, vth_minus, vth_minus, mismatch)
+            assert i_minus + i_plus == pytest.approx(engine.tail_current(op, mismatch), rel=1e-12)
+            assert kernel_decision(engine, op, mismatch, body) \
+                == (engine.simulate(op, mismatch, body).decision, False)
+
+    def test_rows_select_trials(self):
+        engine = ComparatorEngine(ComparatorConfig())
+        geoms = list(engine.config.geoms.values())
+        samples = [sample_mismatch(8, trial, geoms) for trial in range(6)]
+        columns = {name: (np.array([s.delta_vth(name) for s in samples]),
+                          np.array([s.delta_beta(name) for s in samples]))
+                   for name in DecisionKernel.DEVICES}
+        kernel = DecisionKernel(engine, OP0, columns)
+        rows = np.array([5, 1, 3])
+        vid = np.array([2e-3, -1e-3, 0.0])
+        vdd = np.full(3, 1.8)
+        decision, raises = kernel.decide(rows, vid, OP0.vcm, vdd, vdd)
+        assert not raises.any()
+        expected = [engine.simulate(replace(OP0, vid=float(v)), samples[r]).decision
+                    for r, v in zip(rows, vid)]
+        assert decision.tolist() == expected
+
+    def test_invalid_corner_parameters_raise_like_simulate(self):
+        engine = ComparatorEngine(ComparatorConfig())
+        op = replace(OP0, t_kelvin=600.0)
+        with pytest.raises(ConfigError, match="vth0"):
+            engine.simulate(op)
+        with pytest.raises(ConfigError, match="vth0"):
+            DecisionKernel(engine, op, {name: (np.zeros(1), np.zeros(1))
+                                        for name in DecisionKernel.DEVICES})
 
 
 class TestEnergy:
