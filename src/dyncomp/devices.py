@@ -161,8 +161,11 @@ def apply_temperature(params: DeviceParams, t_kelvin: float) -> DeviceParams:
     if t_kelvin <= 0:
         raise ConfigError("t_kelvin must be > 0")
     factor = (t_kelvin / T_REF) ** MU_TEMP_EXPONENT
-    shift = -VTH_TEMP_COEFF * (t_kelvin - T_REF)
-    return replace(params, mu_cox=params.mu_cox * factor, vth0=params.vth0 + shift)
+    vth0 = params.vth0 - VTH_TEMP_COEFF * (t_kelvin - T_REF)
+    if vth0 <= 0:
+        raise ConfigError(f"the {params.polarity} threshold, {params.vth0:g} V at {T_REF:g} K, "
+                          f"falls to {vth0:.3g} V at {t_kelvin:g} K; it must stay > 0")
+    return replace(params, mu_cox=params.mu_cox * factor, vth0=vth0)
 
 
 def mismatch_scales(geoms: Iterable[TransistorGeom], avt: float = AVT_DEFAULT,

@@ -119,6 +119,7 @@ class ComparisonResult:
     t_dm: float                 # overall decision delay t0 + latch regeneration, s
     shutdown_occurred: bool
     late: bool                  # decision completes after the comparison window
+    i_tail: float               # tail current before shutdown, A
     energy: EnergyBreakdown | None = None
 
 
@@ -174,9 +175,13 @@ class ComparatorEngine:
 
     def params_at(self, op: OperatingPoint) -> tuple[DeviceParams, DeviceParams]:
         """(nmos, pmos) parameters after corner and temperature adjustment."""
-        n = dev.apply_temperature(dev.apply_corner(self.config.nmos, op.corner), op.t_kelvin)
-        p = dev.apply_temperature(dev.apply_corner(self.config.pmos, op.corner), op.t_kelvin)
-        return n, p
+        n = dev.apply_corner(self.config.nmos, op.corner)
+        p = dev.apply_corner(self.config.pmos, op.corner)
+        try:
+            return dev.apply_temperature(n, op.t_kelvin), dev.apply_temperature(p, op.t_kelvin)
+        except ConfigError as exc:
+            raise ConfigError(f"temp_c={op.t_kelvin - 273.15:g} at corner {op.corner.name}: "
+                              f"{exc}") from None
 
     def validate_op(self, op: OperatingPoint, vdd: float):
         """Raise ConfigError if vcm or vid is out of range at the supply vdd."""
@@ -187,34 +192,32 @@ class ComparatorEngine:
 
     # -- currents -------------------------------------------------------------
 
-    def tail_current(self, op: OperatingPoint, mismatch: MismatchSample = ZERO_MISMATCH) -> float:
-        """Tail current before shutdown, including the on-switch derating."""
+    def tail_current(self, op: OperatingPoint, pparams: DeviceParams,
+                     mismatch: MismatchSample = ZERO_MISMATCH) -> float:
+        """Tail current before shutdown at the PMOS parameters ``pparams``, derating included."""
         vdd = self.supply(op)
-        _, pparams = self.params_at(op)
-        g = _require(self.config.geoms, "Mp1")
-        b = beta(g, pparams) * (1.0 + mismatch.delta_beta("Mp1"))
+        b = beta(_require(self.config.geoms, "Mp1"), pparams) * (1.0 + mismatch.delta_beta("Mp1"))
         vth = threshold(pparams, 0.0, mismatch.delta_vth("Mp1"))
         ov = vdd - vth
         if ov <= 0.0:
             return 0.0
         return 0.5 * b * ov * ov * (1.0 - self.config.tail_derating)
 
-    def branch_currents(self, op: OperatingPoint, vth_minus: float, vth_plus: float,
+    def branch_currents(self, op: OperatingPoint, pparams: DeviceParams, i_tail: float,
+                        vth_minus: float, vth_plus: float,
                         mismatch: MismatchSample = ZERO_MISMATCH) -> tuple[float, float]:
-        """(I_minus, I_plus) of the input pair, clamped by the tail current.
+        """(I_minus, I_plus) of the input pair, clamped by the tail current ``i_tail``.
 
         ``vth_minus``/``vth_plus`` are the per-side input-device thresholds
         already including mismatch and body shift.
         """
         vdd = self.supply(op)
-        _, pparams = self.params_at(op)
         b4 = beta(_require(self.config.geoms, "Mp4"), pparams) * (1.0 + mismatch.delta_beta("Mp4"))
         b5 = beta(_require(self.config.geoms, "Mp5"), pparams) * (1.0 + mismatch.delta_beta("Mp5"))
         ov_minus = vdd - (op.vcm - op.vid / 2.0) - vth_minus
         ov_plus = vdd - (op.vcm + op.vid / 2.0) - vth_plus
         i_minus = 0.5 * b4 * ov_minus * ov_minus if ov_minus > 0.0 else 0.0
         i_plus = 0.5 * b5 * ov_plus * ov_plus if ov_plus > 0.0 else 0.0
-        i_tail = self.tail_current(op, mismatch)
         total = i_minus + i_plus
         if total > i_tail:
             scale = i_tail / total
@@ -284,7 +287,8 @@ class ComparatorEngine:
 
         vth_minus = threshold(pparams, body.vb_minus - vdd, mismatch.delta_vth("Mp4"))
         vth_plus = threshold(pparams, body.vb_plus - vdd, mismatch.delta_vth("Mp5"))
-        i_minus, i_plus = self.branch_currents(op, vth_minus, vth_plus, mismatch)
+        i_tail = self.tail_current(op, pparams, mismatch)
+        i_minus, i_plus = self.branch_currents(op, pparams, i_tail, vth_minus, vth_plus, mismatch)
 
         def crossing(i_side: float, vth_sense: float) -> float:
             if i_side <= 0.0 or vth_sense <= 0.0:
@@ -330,25 +334,21 @@ class ComparatorEngine:
 
         result = ComparisonResult(decision=decision, t0=t0, t1=t1, t_esd=t_esd,
                                   t_dm=t_dm, shutdown_occurred=shutdown_occurred,
-                                  late=late)
-        return replace(result, energy=self.energy_per_comparison(result, op, mismatch))
+                                  late=late, i_tail=i_tail)
+        return replace(result, energy=self.energy_per_comparison(result, op))
 
-    def energy_per_comparison(self, result: ComparisonResult, op: OperatingPoint,
-                              mismatch: MismatchSample = ZERO_MISMATCH) -> EnergyBreakdown:
+    def energy_per_comparison(self, result: ComparisonResult, op: OperatingPoint) -> EnergyBreakdown:
         """Supply energy of one full cycle, split by subcircuit.
 
         Without shutdown the preamp tail conducts for the whole comparison
         window; with shutdown it stops at t_esd. The buffer-chain overhead is
         only spent when the chain actually fires.
         """
-        cfg = self.config
         vdd = self.supply(op)
         caps = self._caps
-        window = cfg.window
-        i_tail = self.tail_current(op, mismatch)
-
+        window = self.config.window
         t_eff = result.t_esd if result.shutdown_occurred else window
-        e_preamp = vdd * i_tail * min(t_eff, window)
+        e_preamp = vdd * result.i_tail * min(t_eff, window)
         e_latch = caps.c_latch * vdd * vdd
         e_ddvb = 2.0 * (caps.c_pi + caps.c_p3) * vdd * vdd if result.shutdown_occurred else 0.0
         e_reset = 2.0 * caps.c_out * vdd * vdd

@@ -80,8 +80,6 @@ def _grid_values(cfg: RunConfig) -> list:
     start = cfg.sweep_start if cfg.sweep_start is not None else start
     stop = cfg.sweep_stop if cfg.sweep_stop is not None else stop
     points = cfg.sweep_points if cfg.sweep_points is not None else points
-    if points < 2:
-        raise ConfigError("sweep.points: must be >= 2")
     if cfg.sweep_scale == "log":
         for key, value in (("sweep.start", start), ("sweep.stop", stop)):
             if value <= 0:
@@ -98,11 +96,12 @@ def _default_mark(cfg: RunConfig, key: str) -> str:
     return "" if getattr(cfg, key.replace(".", "_")) is not None else " (default)"
 
 
-def _op_error(engine: ComparatorEngine, op) -> str | None:
+def _op_error(engine: ComparatorEngine, op, resolve: bool) -> str | None:
     """The ConfigError simulate raises for ``op`` before any arithmetic, if any."""
     try:
         engine.validate_op(op, engine.supply(op))
-        engine.params_at(op)
+        if resolve:
+            engine.params_at(op)
     except ConfigError as exc:
         return str(exc)
     return None
@@ -114,15 +113,17 @@ def _check_grid_ends(cfg: RunConfig, engine: ComparatorEngine, values: list) -> 
     Only sweeps of operating-point fields qualify, and only when the
     unswept operating point is valid, so that the sweep value is at fault.
     Along each of them the valid points form an interval, so the two ends
-    of the grid decide for every point.
+    of the grid decide for every point. Only a temperature sweep moves the
+    device parameters off the unswept point's, so only its ends resolve them.
     """
     sweep = SWEEPS[cfg.sweep_variable]
     if sweep.grid is None or sweep.width_target is not None:
         return
-    if _op_error(engine, build_operating_point(cfg)) is not None:
+    if _op_error(engine, build_operating_point(cfg), resolve=False) is not None:
         return
     for key, value in (("sweep.start", values[0]), ("sweep.stop", values[-1])):
-        error = _op_error(engine, build_operating_point(cfg, **sweep.fields(cfg, value)))
+        fields = sweep.fields(cfg, value)
+        error = _op_error(engine, build_operating_point(cfg, **fields), "t_kelvin" in fields)
         if error is not None:
             raise ConfigError(f"{key}: {cfg.sweep_variable} point {value:g}"
                               f"{_default_mark(cfg, key)} is out of range: {error}")

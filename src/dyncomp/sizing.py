@@ -109,15 +109,6 @@ def solve_sizing(alpha: float, x_max: float = 4.0, y_max: float = 4.0,
     return SizingVars(x=best[0], y=best[1], alpha=alpha)
 
 
-def latch_width_convention_ok(config: ComparatorConfig, rel_tol: float = 1e-9) -> bool:
-    """Check the W_n6 = W_p8 = 2*W_n3 assumption behind the normalization."""
-    w_n6 = config.geoms["Mn6"].w
-    w_p8 = config.geoms["Mp8"].w
-    w_n3 = config.geoms["Mn3"].w
-    return (math.isclose(w_n6, w_p8, rel_tol=rel_tol)
-            and math.isclose(w_n6, 2.0 * w_n3, rel_tol=rel_tol))
-
-
 _SWEEP_TARGETS = ("preamp", "inv_n", "inv_both")
 
 

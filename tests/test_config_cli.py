@@ -272,7 +272,15 @@ class TestTables:
             assert render_csv(loaded) == render_csv(table)
 
     def test_one_simulate_per_compare_point(self, monkeypatch):
-        calls = count_simulates(monkeypatch)
+        calls = count_calls(monkeypatch, "simulate")
+        cfg = replace_runconfig(RunConfig(), sweep_variable="vid", sweep_points=4)
+        run_sweep(cfg, compare=True)
+        assert len(calls) == 4
+
+    def test_one_params_at_per_compare_point(self, monkeypatch):
+        # The no-shutdown energy reads the tail current simulate recorded, and
+        # the grid-end check of a vid sweep resolves no device parameters.
+        calls = count_calls(monkeypatch, "params_at")
         cfg = replace_runconfig(RunConfig(), sweep_variable="vid", sweep_points=4)
         run_sweep(cfg, compare=True)
         assert len(calls) == 4
@@ -282,7 +290,7 @@ class TestTables:
         # Monte Carlo calls no simulate: its decisions come from the kernel, at
         # 17 per trial for one bisection from +/-100 mV to 10 uV, and 40 for
         # before, 6 cycles and after.
-        calls = count_simulates(monkeypatch)
+        calls = count_calls(monkeypatch, "simulate")
         evaluations = []
         decide = DecisionKernel.decide
 
@@ -328,16 +336,16 @@ class TestSweepTable:
             assert ("savings_pct" in table.columns) == bool(flags)
 
 
-def count_simulates(monkeypatch) -> list:
-    """Record every ComparatorEngine.simulate call in the returned list."""
+def count_calls(monkeypatch, method: str) -> list:
+    """Record every call of the ComparatorEngine ``method`` in the returned list."""
     calls = []
-    simulate = ComparatorEngine.simulate
+    original = getattr(ComparatorEngine, method)
 
     def counting(self, *args, **kwargs):
         calls.append(args)
-        return simulate(self, *args, **kwargs)
+        return original(self, *args, **kwargs)
 
-    monkeypatch.setattr(ComparatorEngine, "simulate", counting)
+    monkeypatch.setattr(ComparatorEngine, method, counting)
     return calls
 
 
@@ -452,6 +460,8 @@ class TestCli:
         (["sweep.variable=vcm", "vdd=1.0"], "sweep.stop: vcm point 1.1 (default) is out of range"),
         (["sweep.variable=vid", "sweep.stop=2"], "sweep.stop: vid point 2 is out of range: |vid|"),
         (["sweep.variable=temp", "sweep.stop=400"], "sweep.stop: temp point 400 is out of range"),
+        (["sweep.variable=temp", "temp_c=400", "sweep.stop=400"],
+         "sweep.stop: temp point 400 is out of range: temp_c=400 at corner TT: the nmos threshold"),
     ])
     def test_sweep_names_offending_bound(self, sets, message, tmp_path, capsys):
         # Rejected before any point runs, so nothing is written.
@@ -460,6 +470,18 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: ConfigError: {message}")
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["sim", "--set", "temp_c=400"], "temp_c=400 at corner TT: the nmos threshold, "
+                                         "0.45 V at 300 K, falls to -0.296 V at 673.15 K"),
+        (["mc", "--set", "temp_c=300"], "temp_c=300 at corner TT: the nmos threshold"),
+        (["mc", "--set", "temp_c=240", "--set", "corner=FF"],
+         "temp_c=240 at corner FF: the nmos threshold, 0.42 V at 300 K,"),
+    ])
+    def test_threshold_below_zero_names_temperature(self, argv, message, capsys):
+        # The threshold drops 2 mV/K, so a hot enough point has none left.
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error: ConfigError: {message}")
 
     def test_sweep_bound_check_spares_an_invalid_unswept_point(self, capsys):
         # vcm=5 is out of range, but the vcm sweep replaces it at every point.

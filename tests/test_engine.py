@@ -1,12 +1,14 @@
 """Comparator engine: node caps, currents, timing, full-cycle simulation."""
 import math
+from contextlib import suppress
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dyncomp.devices import (CORNERS, MIN_LENGTH, DeviceParams, MismatchSample,
+from dyncomp.devices import (CORNERS, MIN_LENGTH, ZERO_MISMATCH, DeviceParams, MismatchSample,
                              TransistorGeom, default_geometry, sample_mismatch)
 from dyncomp.engine import (BodyBias, ComparatorConfig, ComparatorEngine, DecisionKernel,
                             OperatingPoint, typical_op)
@@ -23,6 +25,24 @@ def engine():
 
 def rel_err(a, b):
     return abs(a - b) / abs(b)
+
+
+# A (delta_vth, delta_beta) mismatch deviation of one device.
+DEVIATION = st.tuples(st.floats(-0.05, 0.05), st.floats(-0.3, 0.3))
+# Device pairs that trade places when the circuit is mirrored.
+MIRROR = (("Mp4", "Mp5"), ("Mn3", "Mn4"), ("Mni2", "Mni3"), ("Mpi1", "Mpi4"))
+
+
+def tail_current(engine, op, mismatch=ZERO_MISMATCH):
+    """The tail current at op's corner and temperature."""
+    return engine.tail_current(op, engine.params_at(op)[1], mismatch)
+
+
+def branch_currents(engine, op, vth_minus, vth_plus, mismatch=ZERO_MISMATCH):
+    """The input-pair currents at op's corner and temperature, as simulate clamps them."""
+    pparams = engine.params_at(op)[1]
+    return engine.branch_currents(op, pparams, engine.tail_current(op, pparams, mismatch),
+                                  vth_minus, vth_plus, mismatch)
 
 
 class TestNodeCaps:
@@ -69,40 +89,40 @@ class TestCurrents:
     def test_tail_value_before_derating(self):
         eng = ComparatorEngine(ComparatorConfig(tail_derating=0.0))
         expected = 0.5 * (150e-6 * 2e-6 / 0.18e-6) * (1.8 - 0.45) ** 2
-        assert rel_err(eng.tail_current(OP0), expected) < 1e-12
+        assert rel_err(tail_current(eng, OP0), expected) < 1e-12
 
     def test_derating_scales_tail(self, engine):
-        base = ComparatorEngine(ComparatorConfig(tail_derating=0.0)).tail_current(OP0)
-        assert engine.tail_current(OP0) == base * 0.98
+        base = tail_current(ComparatorEngine(ComparatorConfig(tail_derating=0.0)), OP0)
+        assert tail_current(engine, OP0) == base * 0.98
 
     def test_cutoff_when_supply_below_threshold(self, engine):
         op = OperatingPoint(vid=0.0, vcm=0.2, t_kelvin=300.0, vdd_override=0.4)
-        assert engine.tail_current(op) == 0.0
+        assert tail_current(engine, op) == 0.0
 
     def test_shutdown_flag_does_not_change_tail(self, engine):
         other = ComparatorEngine(ComparatorConfig(early_shutdown_enabled=False))
-        assert engine.tail_current(OP0) == other.tail_current(OP0)
+        assert tail_current(engine, OP0) == tail_current(other, OP0)
 
     def test_symmetric_at_zero_input(self, engine):
         op = replace(OP0, vid=0.0)
-        i_minus, i_plus = engine.branch_currents(op, 0.45, 0.45)
+        i_minus, i_plus = branch_currents(engine, op, 0.45, 0.45)
         assert i_minus == i_plus
 
     def test_vi_minus_side_leads_for_positive_vid(self, engine):
-        i_minus, i_plus = engine.branch_currents(OP0, 0.45, 0.45)
+        i_minus, i_plus = branch_currents(engine, OP0, 0.45, 0.45)
         assert i_minus > i_plus
 
     def test_cutoff_clamp(self, engine):
         op = OperatingPoint(vid=0.2, vcm=1.3, t_kelvin=300.0)
-        i_minus, i_plus = engine.branch_currents(op, 0.45, 0.45)
+        i_minus, i_plus = branch_currents(engine, op, 0.45, 0.45)
         # lagging gate at 1.4 V leaves no overdrive
         assert i_plus == 0.0
         assert i_minus > 0.0
 
     def test_tail_limits_total(self, engine):
         op = OperatingPoint(vid=50e-3, vcm=0.05, t_kelvin=300.0)
-        i_minus, i_plus = engine.branch_currents(op, 0.45, 0.45)
-        assert i_minus + i_plus == pytest.approx(engine.tail_current(op), rel=1e-12)
+        i_minus, i_plus = branch_currents(engine, op, 0.45, 0.45)
+        assert i_minus + i_plus == pytest.approx(tail_current(engine, op), rel=1e-12)
 
 
 class TestTimingOps:
@@ -231,6 +251,48 @@ class TestSimulate:
             mirrored = replace(OP0, vid=-3e-3)
             assert engine.simulate(op, mm).decision == -engine.simulate(mirrored, mm2).decision
 
+    @settings(deadline=None, max_examples=200)
+    @given(deviations=st.fixed_dictionaries({name: DEVIATION
+                                             for name in ("Mp1",) + sum(MIRROR, ())}),
+           vid=st.floats(-0.2, 0.2))
+    def test_mirrored_mismatch_flips_decision(self, engine, deviations, vid):
+        # The mirrored circuit breaks a tie the other way, so ties flip too.
+        mirrored_engine = ComparatorEngine(replace(engine.config, tie_break=-1))
+        swapped = dict(deviations)
+        for a, b in MIRROR:
+            swapped[a], swapped[b] = deviations[b], deviations[a]
+
+        def outcome(eng, vid, deltas):
+            try:
+                return eng.simulate(replace(OP0, vid=vid), MismatchSample(deltas)).decision
+            except SimulationError as exc:
+                return type(exc)
+
+        decision = outcome(engine, vid, deviations)
+        mirrored = outcome(mirrored_engine, -vid, swapped)
+        assert decision == (-mirrored if isinstance(mirrored, int) else mirrored)
+
+    @settings(deadline=None, max_examples=200)
+    @given(deviations=st.fixed_dictionaries({name: DEVIATION for name in DecisionKernel.DEVICES}),
+           vids=st.lists(st.floats(-0.2, 0.2), min_size=2, max_size=6),
+           vcm=st.floats(0.0, 1.8), corner=st.sampled_from(sorted(CORNERS)),
+           temp_c=st.floats(-55.0, 150.0))
+    def test_decision_monotone_in_vid(self, engine, deviations, vids, vcm, corner, temp_c):
+        op = OperatingPoint(vcm=vcm, corner=CORNERS[corner], t_kelvin=temp_c + 273.15)
+        mismatch = MismatchSample(deviations)
+        decisions = []
+        for vid in sorted(vids):
+            with suppress(SimulationError):
+                decisions.append(engine.simulate(replace(op, vid=vid), mismatch).decision)
+        assert decisions == sorted(decisions)
+
+    def test_one_params_at_per_simulate(self, engine):
+        mismatch = sample_mismatch(7, 0, engine.config.geoms.values())
+        with mock.patch.object(ComparatorEngine, "params_at", autospec=True,
+                               side_effect=ComparatorEngine.params_at) as params_at:
+            engine.simulate(OP0, mismatch, BodyBias(1.7, 1.75))
+        params_at.assert_called_once_with(engine, OP0)
+
     def test_timing_identities(self, engine):
         r = engine.simulate(OP0)
         assert r.t0 == r.t1  # zero mismatch: latch and buffer thresholds match
@@ -296,9 +358,6 @@ def tail_engine(vdd, tail_w, tie_break=+1):
     return ComparatorEngine(ComparatorConfig(geoms=geoms, vdd=vdd, tie_break=tie_break))
 
 
-DEVIATION = st.tuples(st.floats(-0.05, 0.05), st.floats(-0.3, 0.3))
-
-
 class TestDecisionKernel:
     @settings(deadline=None, max_examples=300)
     @given(deviations=st.fixed_dictionaries({name: DEVIATION for name in DecisionKernel.DEVICES}),
@@ -338,8 +397,9 @@ class TestDecisionKernel:
         for vid in np.linspace(-0.05, 0.05, 21):
             op = OperatingPoint(vid=float(vid), vcm=0.0)
             vth_minus = engine.params_at(op)[1].vth0  # any threshold below the gate overdrive
-            i_minus, i_plus = engine.branch_currents(op, vth_minus, vth_minus, mismatch)
-            assert i_minus + i_plus == pytest.approx(engine.tail_current(op, mismatch), rel=1e-12)
+            i_minus, i_plus = branch_currents(engine, op, vth_minus, vth_minus, mismatch)
+            assert i_minus + i_plus == pytest.approx(tail_current(engine, op, mismatch),
+                                                     rel=1e-12)
             assert kernel_decision(engine, op, mismatch, body) \
                 == (engine.simulate(op, mismatch, body).decision, False)
 
@@ -363,9 +423,9 @@ class TestDecisionKernel:
     def test_invalid_corner_parameters_raise_like_simulate(self):
         engine = ComparatorEngine(ComparatorConfig())
         op = replace(OP0, t_kelvin=600.0)
-        with pytest.raises(ConfigError, match="vth0"):
+        with pytest.raises(ConfigError, match="temp_c=326.85 at corner TT"):
             engine.simulate(op)
-        with pytest.raises(ConfigError, match="vth0"):
+        with pytest.raises(ConfigError, match="temp_c=326.85 at corner TT"):
             DecisionKernel(engine, op, {name: (np.zeros(1), np.zeros(1))
                                         for name in DecisionKernel.DEVICES})
 
@@ -379,7 +439,8 @@ class TestEnergy:
         assert e.e_latch == caps.c_latch * vdd * vdd
         assert e.e_reset == 2 * caps.c_out * vdd * vdd
         assert e.e_ddvb == 2 * (caps.c_pi + caps.c_p3) * vdd * vdd
-        assert rel_err(e.e_preamp, vdd * engine.tail_current(OP0) * r.t_esd) < 1e-12
+        assert r.i_tail == tail_current(engine, OP0)
+        assert rel_err(e.e_preamp, vdd * r.i_tail * r.t_esd) < 1e-12
         assert e.total == e.e_preamp + e.e_latch + e.e_ddvb + e.e_reset
 
     def test_shutdown_saves_energy(self):

@@ -8,9 +8,8 @@ import pytest
 from dyncomp.engine import ComparatorConfig, ComparatorEngine, OperatingPoint
 from dyncomp.errors import ConfigError
 from dyncomp.sizing import (SizingVars, WidthSweepPoint, _grid, balance_residual_for,
-                            general_balance_residual, latch_width_convention_ok,
-                            normalized_balance_residual, scaled_config,
-                            solve_sizing, width_sweep)
+                            general_balance_residual, normalized_balance_residual,
+                            scaled_config, solve_sizing, width_sweep)
 
 OP0 = OperatingPoint(vid=50e-3, vcm=0.9, t_kelvin=300.0)
 
@@ -198,6 +197,13 @@ class TestWidthSweep:
     def test_unknown_target(self):
         with pytest.raises(ConfigError):
             scaled_config(ComparatorConfig(), "latch", 1e-6)
+
+
+def latch_width_convention_ok(config: ComparatorConfig, rel_tol: float = 1e-9) -> bool:
+    """The W_n6 = W_p8 = 2*W_n3 assumption behind the normalization."""
+    w_n6, w_p8, w_n3 = (config.geoms[name].w for name in ("Mn6", "Mp8", "Mn3"))
+    return (math.isclose(w_n6, w_p8, rel_tol=rel_tol)
+            and math.isclose(w_n6, 2.0 * w_n3, rel_tol=rel_tol))
 
 
 def test_latch_width_convention():
