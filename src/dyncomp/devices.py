@@ -186,21 +186,105 @@ def mismatch_scales(geoms: Iterable[TransistorGeom], avt: float = AVT_DEFAULT,
     return [geom.name for geom in ordered], np.array(scales)
 
 
-def draw_mismatch(seed: int, trials: Sequence[int], scales: np.ndarray,
-                  columns: Sequence[int] | slice = slice(None)) -> np.ndarray:
-    """Deviations of each trial (seed, trial), one row per trial.
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
+# multiplier, for seeding many trials' streams in one pass.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 
-    Each trial has its own standard-normal stream, drawn in the order of
-    ``scales``; ``columns`` picks the entries kept. ``0.0 + scale * z`` is
-    what ``Generator.normal(0.0, scale)`` computes, overflow to inf and the
-    sign of a zero included, so a row equals drawing each deviation on its
-    own.
+
+def _pcg64_seeds(seed: int, trials: Sequence[int]) -> np.ndarray:
+    """``SeedSequence([seed, trial]).generate_state(4, uint64)`` of each trial.
+
+    numpy's hash in uint32 arrays over the trial axis: the entropy words
+    (seed's 32-bit words, then the trial's single word) are mixed into a
+    4-word pool, which is hashed out into 8 words read as 4 little-endian
+    uint64. The hash constants do not depend on the data, so every trial
+    runs the same sequence of them.
     """
+    n = len(trials)
+    entropy = [np.full(n, seed >> shift & _MASK32, np.uint32)
+               for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy.append(np.fromiter(trials, np.uint32, n))
+    entropy += [np.zeros(n, np.uint32)] * (4 - len(entropy))
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    def mix(x, y):
+        value = x * _MIX_MULT_L - y * _MIX_MULT_R
+        return value ^ value >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for extra in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(extra))
+    const = _INIT_B
+    state = np.empty((n, 8), "<u4")
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        state[:, i] = value ^ value >> 16
+    return state.view("<u8")
+
+
+def _pcg64_state(seed_words: Sequence[int]) -> dict:
+    """PCG64's ``bit_generator.state`` from its 4 seed words: ``srandom``
+    with state ``words[0:2]`` and sequence ``words[2:4]``, high word first."""
+    s_hi, s_lo, i_hi, i_lo = seed_words
+    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+    state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def draw_mismatch(seed: int, trials: Sequence[int], scales: np.ndarray,
+                  columns: Sequence[int] | None = None) -> np.ndarray:
+    """Deviations of each trial (seed, trial), one row per trial (at least one).
+
+    Each trial has its own standard-normal stream, that of
+    ``default_rng(SeedSequence([seed, trial]))``, drawn in the order of
+    ``scales``; ``columns`` picks the entries kept (all by default), and a
+    trial draws only up to the last kept one. ``0.0 + scale * z`` is what
+    ``Generator.normal(0.0, scale)`` computes, overflow to inf and the sign
+    of a zero included, so a row equals drawing each deviation on its own.
+
+    numpy seeds the first trial's generator. The others get their PCG64
+    states from ``_pcg64_seeds`` in one pass; the first trial's state must
+    equal numpy's, else this numpy seeds differently and the call raises.
+    A batch of more than one trial takes trial indices up to 2**32 - 1.
+    """
+    if columns is None:
+        columns, width = slice(None), scales.size
+    else:
+        columns = np.arange(scales.size)[columns]
+        width = int(columns.max(initial=-1)) + 1
     kept = scales[columns]
     z = np.empty((len(trials), kept.size))
-    for row, trial in enumerate(trials):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(trial)]))
-        z[row] = rng.standard_normal(scales.size)[columns]
+    if len(trials) > 1 and not 0 <= min(trials) <= max(trials) <= _MASK32:
+        raise ConfigError("trials: a batch of trials takes indices 0 to 2**32 - 1")
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(trials[0])]))
+    if len(trials) > 1:
+        seeds = _pcg64_seeds(int(seed), trials)
+        if _pcg64_state(seeds[0].tolist()) != rng.bit_generator.state:
+            raise RuntimeError(f"numpy {np.__version__} seeds PCG64 unlike the "
+                               "SeedSequence replica in dyncomp.devices")
+    z[0] = rng.standard_normal(width)[columns]
+    for row in range(1, len(trials)):
+        rng.bit_generator.state = _pcg64_state(seeds[row].tolist())
+        z[row] = rng.standard_normal(width)[columns]
     with np.errstate(over="ignore"):
         return 0.0 + z * kept
 
@@ -214,9 +298,8 @@ def sample_mismatch(seed: int, trial: int, geoms: Iterable[TransistorGeom],
     independent of the iteration order of ``geoms``.
     """
     names, scales = mismatch_scales(geoms, avt, abeta)
-    draw = draw_mismatch(seed, [trial], scales)[0].tolist()
-    return MismatchSample({name: (draw[2 * i], draw[2 * i + 1])
-                           for i, name in enumerate(names)})
+    pairs = draw_mismatch(seed, [trial], scales).reshape(-1, 2).tolist()
+    return MismatchSample(dict(zip(names, map(tuple, pairs))))
 
 
 # Final device dimensions of the modeled circuit (W/L in meters).

@@ -14,7 +14,8 @@ from dyncomp.devices import (ABETA_DEFAULT, AVT_DEFAULT, DEFAULT_PMOS, DevicePar
                              MismatchSample, beta, default_geometry, sample_mismatch, threshold)
 from dyncomp.engine import (BodyBias, ComparatorConfig, ComparatorEngine,
                             OperatingPoint, typical_op)
-from dyncomp.errors import BodyBiasError, ConfigError, NoDecisionError, OffsetSpanError
+from dyncomp.errors import (BodyBiasError, ConfigError, NoDecisionError, OffsetSpanError,
+                            SimulationError)
 
 OP0 = OperatingPoint(vid=0.0, vcm=0.9, t_kelvin=300.0)
 
@@ -431,3 +432,32 @@ def test_bisection_finds_closed_form_flip_point(seed, trial, vb_plus, vb_minus):
     assume(abs(expected) < 0.09)
     tol = CalibrationConfig().tol_os
     assert abs(measure_offset(engine, OP0, mismatch, body, tol=tol) - expected) <= tol
+
+
+# Device pairs that trade places when the circuit is mirrored.
+MIRROR = (("Mp4", "Mp5"), ("Mn3", "Mn4"), ("Mni2", "Mni3"), ("Mpi1", "Mpi4"))
+
+
+@settings(deadline=None, max_examples=100)
+@given(deviations=st.fixed_dictionaries({name: st.tuples(st.floats(-0.05, 0.05), st.floats(-0.3, 0.3))
+                                         for name in ("Mp1",) + sum(MIRROR, ())}))
+def test_mirrored_mismatch_flips_offset(deviations):
+    engine = ComparatorEngine(ComparatorConfig())
+    swapped = dict(deviations)
+    for a, b in MIRROR:
+        swapped[a], swapped[b] = deviations[b], deviations[a]
+    tol = CalibrationConfig().tol_os
+
+    def offset(deltas):
+        try:
+            return measure_offset(engine, OP0, MismatchSample(deltas), tol=tol)
+        except SimulationError as exc:
+            return type(exc)
+
+    measured, mirrored = offset(deviations), offset(swapped)
+    if isinstance(measured, float) and isinstance(mirrored, float):
+        # Both bisections end within tol; a tie, which is broken the same way
+        # on both sides, can cost one more bisection step (at most tol).
+        assert abs(measured + mirrored) <= 2 * tol
+    else:
+        assert measured == mirrored

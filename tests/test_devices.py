@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from dyncomp import devices
 from dyncomp.devices import (ABETA_DEFAULT, AVT_DEFAULT, CORNERS, DEFAULT_NMOS,
                              DEFAULT_PMOS, DeviceParams, MismatchSample,
                              TransistorGeom, ZERO_MISMATCH, apply_corner,
@@ -198,11 +199,73 @@ class TestMismatchDraw:
 
     def test_batch_rows_equal_single_draws(self):
         names, scales = mismatch_scales(self.GEOMS)
-        cols = [0, 7, 30, 31]
-        batch = draw_mismatch(5, range(3, 40), scales, cols)
-        for row, trial in enumerate(range(3, 40)):
-            assert batch[row].tobytes() == draw_mismatch(5, [trial], scales)[0, cols].tobytes()
+        # The last set is the Monte Carlo kernel's (Mn3, Mn4, Mp1, Mp4, Mp5):
+        # it ends at column 29 of 46, so each trial draws 30 normals.
+        for cols in [0, 7, 30, 31], [45, 3], [], [20, 21, 26, 27, 28, 29, 4, 5, 6, 7]:
+            batch = draw_mismatch(5, range(3, 40), scales, cols)
+            for row, trial in enumerate(range(3, 40)):
+                assert batch[row].tobytes() == draw_mismatch(5, [trial], scales)[0, cols].tobytes()
         assert names == sorted(g.name for g in self.GEOMS)
+
+    def test_one_seed_sequence_per_call(self, monkeypatch):
+        # The first trial's stream is seeded by numpy, the others by the replica.
+        made = []
+        seed_sequence = np.random.SeedSequence
+
+        def counting(*args, **kwargs):
+            made.append(args)
+            return seed_sequence(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting)
+        draw_mismatch(1001, range(500), mismatch_scales(self.GEOMS)[1])
+        assert len(made) <= 1
+        made.clear()
+        sample_mismatch(1001, 7, self.GEOMS)
+        assert len(made) == 1
+
+
+class TestStreamSeeding:
+    """Trials after the first are seeded by a replica of numpy's SeedSequence
+    hash and PCG64 seeding; every stream must be numpy's own."""
+
+    # 2**100 + 9 gives 5 entropy words, more than the 4-word pool.
+    SEEDS = [0, 1, 1001, 9001, 2**32 - 1, 2**32, 2**70 + 3, 2**100 + 9]
+    # The first row is seeded by numpy; 499 recurs so the replica seeds it too.
+    TRIALS = [499, 0, 1, 499, 2**32 - 1]
+
+    @pytest.mark.parametrize("columns", [None, [29, 4, 5, 0]])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_rows_equal_numpy_streams(self, seed, columns):
+        # With unit scales a row is the standard normals themselves.
+        picked = slice(None) if columns is None else columns
+        rows = draw_mismatch(seed, self.TRIALS, np.ones(46), columns)
+        for row, trial in enumerate(self.TRIALS):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+            assert rows[row].tobytes() == rng.standard_normal(46)[picked].tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_states_equal_pcg64_seeding(self, seed):
+        words = devices._pcg64_seeds(seed, self.TRIALS)
+        for row, trial in enumerate(self.TRIALS):
+            sequence = np.random.SeedSequence([seed, trial])
+            assert words[row].tolist() == sequence.generate_state(4, np.uint64).tolist()
+            assert devices._pcg64_state(words[row].tolist()) == np.random.PCG64(sequence).state
+
+    @pytest.mark.parametrize("trials", [[0, 2**32], [2**70, 1], [-1, 0], [3, -2]])
+    def test_batch_rejects_trials_past_one_word(self, trials):
+        with pytest.raises(ConfigError, match="trials"):
+            draw_mismatch(1, trials, np.ones(4))
+
+    def test_single_trial_past_one_word(self):
+        geoms = TestMismatchDraw.GEOMS
+        assert bits(sample_mismatch(3, 2**32, geoms).deltas) \
+            == bits(per_device_draw(3, 2**32, geoms))
+
+    def test_raises_when_numpy_seeds_differently(self, monkeypatch):
+        replica = devices._pcg64_seeds
+        monkeypatch.setattr(devices, "_pcg64_seeds", lambda seed, trials: replica(seed + 1, trials))
+        with pytest.raises(RuntimeError, match="seeds PCG64"):
+            draw_mismatch(1, [0, 1], np.ones(4))
 
 
 class TestGeometry:
