@@ -24,7 +24,7 @@ import numpy as np
 from . import devices as dev
 from .devices import (DeviceParams, MismatchSample, TransistorGeom, ZERO_MISMATCH,
                       CORNERS, CornerSpec, beta, gate_cap, threshold)
-from .errors import ConfigError, NoDecisionError, OverdriveError
+from .errors import ConfigError, NoDecisionError
 
 # Geometry pairs that must stay symmetric for the two half-circuits.
 _SYMMETRIC_PAIRS = (
@@ -224,45 +224,6 @@ class ComparatorEngine:
             i_minus *= scale
             i_plus *= scale
         return i_minus, i_plus
-
-    # -- analytic timing (nominal devices, leading side) ----------------------
-
-    def preamp_rise_time(self, op: OperatingPoint) -> float:
-        """Leading preamp output ramp time up to the NMOS threshold."""
-        vdd = self.supply(op)
-        nparams, pparams = self.params_at(op)
-        v_gate = op.vcm - abs(op.vid) / 2.0
-        ov = vdd - v_gate - pparams.vth0
-        if ov <= 0.0:
-            raise OverdriveError(f"input overdrive {ov} <= 0 at vcm={op.vcm}, vid={op.vid}")
-        b = beta(_require(self.config.geoms, "Mp4"), pparams)
-        return 2.0 * nparams.vth0 * self._caps.c_out / (b * ov * ov)
-
-    def buffer_n_delay(self, op: OperatingPoint) -> float:
-        """First shutdown-buffer stage (NMOS pulldown) delay."""
-        nparams, _ = self.params_at(op)
-        b = beta(_require(self.config.geoms, "Mni2"), nparams)
-        return inverter_delay(self._caps.c_pi, b, self.supply(op))
-
-    def buffer_p_delay(self, op: OperatingPoint) -> float:
-        """Second shutdown-buffer stage delay times the switch turn-off margin."""
-        _, pparams = self.params_at(op)
-        b = beta(_require(self.config.geoms, "Mpi4"), pparams)
-        return self.config.alpha * inverter_delay(self._caps.c_p3, b, self.supply(op))
-
-    def shutdown_delay(self, op: OperatingPoint) -> float:
-        """Total delay from comparison start to tail cutoff."""
-        return self.preamp_rise_time(op) + self.buffer_n_delay(op) + self.buffer_p_delay(op)
-
-    def latch_delay(self, op: OperatingPoint) -> float:
-        """Latch regeneration delay; independent of the inputs."""
-        nparams, _ = self.params_at(op)
-        b = beta(_require(self.config.geoms, "Mn3"), nparams)
-        return inverter_delay(self._caps.c_latch, b, self.supply(op))
-
-    def decision_delay(self, op: OperatingPoint) -> float:
-        """Overall comparator delay: preamp ramp plus latch regeneration."""
-        return self.preamp_rise_time(op) + self.latch_delay(op)
 
     # -- full cycle -------------------------------------------------------------
 

@@ -5,10 +5,6 @@ class SimulationError(Exception):
     """Base class for runtime failures of the comparator model."""
 
 
-class OverdriveError(SimulationError):
-    """Input-device overdrive is zero or negative; the ramp never starts."""
-
-
 class NoDecisionError(SimulationError):
     """Neither preamp output crossed the latch threshold inside the window."""
 

@@ -12,7 +12,7 @@ from dyncomp.devices import (CORNERS, MIN_LENGTH, ZERO_MISMATCH, DeviceParams, M
                              TransistorGeom, default_geometry, sample_mismatch)
 from dyncomp.engine import (BodyBias, ComparatorConfig, ComparatorEngine, DecisionKernel,
                             OperatingPoint, typical_op)
-from dyncomp.errors import ConfigError, NoDecisionError, OverdriveError, SimulationError
+from dyncomp.errors import ConfigError, NoDecisionError, SimulationError
 
 # Reference temperature keeps the worked numbers free of temperature factors.
 OP0 = OperatingPoint(vid=50e-3, vcm=0.9, t_kelvin=300.0)
@@ -125,57 +125,68 @@ class TestCurrents:
         assert i_minus + i_plus == pytest.approx(tail_current(engine, op), rel=1e-12)
 
 
+# Worked stage delays at OP0 (default geometry, TT, 300 K) from literal arithmetic.
+T1_OP0 = 2 * 0.45 * (8.5e-3 * 1.22e-6 * 0.18e-6) / ((150e-6 * 1.2e-6 / 0.18e-6)
+                                                  * (1.8 - 0.875 - 0.45) ** 2)
+INVN_OP0 = 1.6 * (8.5e-3 * 0.22e-6 * 0.18e-6) / ((300e-6 * 0.22 / 0.18) * 1.8)
+INVP_PER_ALPHA = 1.6 * (8.5e-3 * 0.35e-6 * 0.18e-6) / ((150e-6 * 0.22 / 0.18) * 1.8)
+LATCH_OP0 = 1.6 * (8.5e-3 * 4e-6 * 0.18e-6) / ((300e-6 * 1 / 0.18) * 1.8)
+
+
 class TestTimingOps:
-    """Worked values computed by independent literal arithmetic."""
+    """simulate's timing fields against worked values from independent literal arithmetic."""
 
     def test_preamp_rise_time(self, engine):
-        beta_in = 150e-6 * 1.2e-6 / 0.18e-6
-        c_out = 8.5e-3 * 1.22e-6 * 0.18e-6
-        expected = 2 * 0.45 * c_out / (beta_in * (1.8 - 0.875 - 0.45) ** 2)
-        assert rel_err(engine.preamp_rise_time(OP0), expected) < 1e-12
+        r = engine.simulate(OP0)
+        assert rel_err(r.t0, T1_OP0) < 1e-12
+        assert r.t1 == r.t0  # zero mismatch: latch and buffer thresholds match
 
     def test_buffer_n_delay(self, engine):
-        expected = 1.6 * (8.5e-3 * 0.22e-6 * 0.18e-6) / ((300e-6 * 0.22 / 0.18) * 1.8)
-        assert rel_err(engine.buffer_n_delay(OP0), expected) < 1e-12
+        r = engine.simulate(OP0)
+        assert rel_err(r.t_esd - r.t1 - 1.5 * INVP_PER_ALPHA, INVN_OP0) < 1e-12
 
     def test_buffer_p_delay_and_alpha(self):
-        c_p3 = 8.5e-3 * 0.35e-6 * 0.18e-6
-        beta_pi = 150e-6 * 0.22 / 0.18
+        t_esd = {}
         for alpha in (1.0, 1.5, 2.5):
-            eng = ComparatorEngine(ComparatorConfig(alpha=alpha))
-            expected = alpha * 1.6 * c_p3 / (beta_pi * 1.8)
-            assert rel_err(eng.buffer_p_delay(OP0), expected) < 1e-12
+            r = ComparatorEngine(ComparatorConfig(alpha=alpha)).simulate(OP0)
+            t_esd[alpha] = r.t_esd
+            assert rel_err(r.t_esd, T1_OP0 + INVN_OP0 + alpha * INVP_PER_ALPHA) < 1e-12
+        assert rel_err(t_esd[2.5] - t_esd[1.0], 1.5 * INVP_PER_ALPHA) < 1e-12
 
     def test_latch_delay(self, engine):
-        expected = 1.6 * (8.5e-3 * 4e-6 * 0.18e-6) / ((300e-6 * 1 / 0.18) * 1.8)
-        assert rel_err(engine.latch_delay(OP0), expected) < 1e-12
+        r = engine.simulate(OP0)
+        assert rel_err(r.t_dm - r.t0, LATCH_OP0) < 1e-12
+        assert rel_err(r.t_dm, T1_OP0 + LATCH_OP0) < 1e-12
         # independent of the inputs
-        assert engine.latch_delay(replace(OP0, vid=1e-3, vcm=0.3)) == engine.latch_delay(OP0)
-
-    def test_shutdown_delay_is_sum(self, engine):
-        total = (engine.preamp_rise_time(OP0) + engine.buffer_n_delay(OP0)
-                 + engine.buffer_p_delay(OP0))
-        assert rel_err(engine.shutdown_delay(OP0), total) < 1e-12
-
-    def test_decision_delay_is_sum(self, engine):
-        total = engine.preamp_rise_time(OP0) + engine.latch_delay(OP0)
-        assert rel_err(engine.decision_delay(OP0), total) < 1e-12
+        other = engine.simulate(replace(OP0, vid=1e-3, vcm=0.3))
+        assert rel_err(other.t_dm - other.t0, LATCH_OP0) < 1e-12
 
     def test_rise_time_monotone_in_vid(self, engine):
-        times = [engine.preamp_rise_time(replace(OP0, vid=v))
-                 for v in (1e-3, 5e-3, 20e-3, 50e-3)]
+        times = [engine.simulate(replace(OP0, vid=v)).t0 for v in (1e-3, 5e-3, 20e-3, 50e-3)]
         assert all(a > b for a, b in zip(times, times[1:]))
 
     def test_rise_time_linear_in_load(self):
-        base = ComparatorEngine(ComparatorConfig()).preamp_rise_time(OP0)
+        base = ComparatorEngine(ComparatorConfig()).simulate(OP0)
         caps = ComparatorEngine(ComparatorConfig()).node_caps()
-        doubled = ComparatorEngine(
-            ComparatorConfig(extra_load={"out": caps.c_out})).preamp_rise_time(OP0)
-        assert rel_err(doubled, 2 * base) < 1e-12
+        doubled = ComparatorEngine(ComparatorConfig(extra_load={"out": caps.c_out})).simulate(OP0)
+        assert rel_err(doubled.t0, 2 * base.t0) < 1e-12
+        assert rel_err(doubled.t1, 2 * base.t1) < 1e-12
 
-    def test_degenerate_overdrive(self, engine):
-        with pytest.raises(OverdriveError):
-            engine.preamp_rise_time(replace(OP0, vcm=1.36, vid=0.0))
+    @pytest.mark.parametrize("vcm", [0.05, 0.1])
+    def test_timing_with_tail_clamp(self, engine, vcm):
+        op = replace(OP0, vcm=vcm)
+        i_tail = 0.5 * (150e-6 * 2e-6 / 0.18e-6) * (1.8 - 0.45) ** 2 * (1 - 0.02)
+        beta_in = 150e-6 * 1.2e-6 / 0.18e-6
+        i_minus = 0.5 * beta_in * (1.8 - (vcm - 0.025) - 0.45) ** 2
+        i_plus = 0.5 * beta_in * (1.8 - (vcm + 0.025) - 0.45) ** 2
+        assert i_minus + i_plus > i_tail  # the clamp is active
+        i_minus *= i_tail / (i_minus + i_plus)
+        t0 = 0.45 * (8.5e-3 * 1.22e-6 * 0.18e-6) / i_minus
+        r = engine.simulate(op)
+        assert rel_err(r.i_tail, i_tail) < 1e-12
+        assert rel_err(r.t0, t0) < 1e-12 and r.t1 == r.t0
+        assert rel_err(r.t_esd, t0 + INVN_OP0 + 1.5 * INVP_PER_ALPHA) < 1e-12
+        assert rel_err(r.t_dm, t0 + LATCH_OP0) < 1e-12
 
 
 def ramp_oracle(config, op, mismatch, body=None):
@@ -293,15 +304,6 @@ class TestSimulate:
             engine.simulate(OP0, mismatch, BodyBias(1.7, 1.75))
         params_at.assert_called_once_with(engine, OP0)
 
-    def test_timing_identities(self, engine):
-        r = engine.simulate(OP0)
-        assert r.t0 == r.t1  # zero mismatch: latch and buffer thresholds match
-        invn = engine.buffer_n_delay(OP0)
-        invp = engine.buffer_p_delay(OP0)
-        assert rel_err(r.t_esd, r.t1 + invn + invp) < 1e-12
-        assert rel_err(r.t_dm, r.t0 + engine.latch_delay(OP0)) < 1e-12
-        assert rel_err(r.t0, engine.preamp_rise_time(OP0)) < 1e-12
-
     def test_body_bias_speeds_a_side(self, engine):
         op = replace(OP0, vid=0.0)
         # discharging vb_plus forward-biases the plus side and flips the tie
@@ -318,8 +320,10 @@ class TestSimulate:
         assert r.late and r.t_dm > eng.config.window >= r.t0
 
     def test_no_decision_error(self, engine):
-        with pytest.raises(NoDecisionError):
-            engine.simulate(OperatingPoint(vid=10e-3, vcm=1.36, t_kelvin=300.0))
+        # vid=0 leaves neither input device any overdrive at vcm=1.36
+        for vid in (10e-3, 0.0):
+            with pytest.raises(NoDecisionError):
+                engine.simulate(OperatingPoint(vid=vid, vcm=1.36, t_kelvin=300.0))
 
     def test_shutdown_mode_does_not_change_decision_or_delay(self):
         on = ComparatorEngine(ComparatorConfig(early_shutdown_enabled=True))

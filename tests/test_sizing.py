@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from dyncomp.devices import CORNERS
 from dyncomp.engine import ComparatorConfig, ComparatorEngine, OperatingPoint
 from dyncomp.errors import ConfigError
 from dyncomp.sizing import (SizingVars, WidthSweepPoint, _grid, balance_residual_for,
@@ -54,6 +55,21 @@ class TestGeneralResidual:
         caps = ComparatorEngine(ComparatorConfig()).node_caps()
         with pytest.raises(ConfigError):
             general_balance_residual(caps, 0.0, 1e-3, 1e-3, 1.5)
+
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 3.0])
+    def test_matches_simulate_timing(self, alpha):
+        # The residual times 1.6/vdd is simulate's chain delay minus its latch
+        # delay at zero mismatch. It can be near zero by design, so it is
+        # compared on the scale of t_dm.
+        config = ComparatorConfig(alpha=alpha)
+        engine = ComparatorEngine(config)
+        for corner in ("TT", "SS", "FF"):
+            for vid in (50e-3, -50e-3):
+                op = OperatingPoint(vid=vid, vcm=0.9, corner=CORNERS[corner], t_kelvin=350.0)
+                r = engine.simulate(op)
+                race = (r.t_esd - r.t1) - (r.t_dm - r.t0)
+                residual = balance_residual_for(config, op) * 1.6 / config.vdd
+                assert abs(residual - race) <= 1e-12 * r.t_dm, (corner, vid)
 
 
 def brute_force_solve(alpha, x_max, y_max, step):
