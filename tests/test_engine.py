@@ -172,6 +172,11 @@ class TestTimingOps:
         assert rel_err(doubled.t0, 2 * base.t0) < 1e-12
         assert rel_err(doubled.t1, 2 * base.t1) < 1e-12
 
+    def test_degenerate_overdrive(self, engine):
+        # vid=0 leaves neither input device any overdrive at vcm=1.36: no ramp starts
+        with pytest.raises(NoDecisionError):
+            engine.simulate(replace(OP0, vcm=1.36, vid=0.0))
+
     @pytest.mark.parametrize("vcm", [0.05, 0.1])
     def test_timing_with_tail_clamp(self, engine, vcm):
         op = replace(OP0, vcm=vcm)
@@ -320,10 +325,8 @@ class TestSimulate:
         assert r.late and r.t_dm > eng.config.window >= r.t0
 
     def test_no_decision_error(self, engine):
-        # vid=0 leaves neither input device any overdrive at vcm=1.36
-        for vid in (10e-3, 0.0):
-            with pytest.raises(NoDecisionError):
-                engine.simulate(OperatingPoint(vid=vid, vcm=1.36, t_kelvin=300.0))
+        with pytest.raises(NoDecisionError):
+            engine.simulate(OperatingPoint(vid=10e-3, vcm=1.36, t_kelvin=300.0))
 
     def test_shutdown_mode_does_not_change_decision_or_delay(self):
         on = ComparatorEngine(ComparatorConfig(early_shutdown_enabled=True))
