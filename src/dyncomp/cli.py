@@ -6,6 +6,7 @@ deterministic for a fixed config and seed; no subcommand mutates its inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -30,7 +31,15 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="enable offset calibration (mc subcommand)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one argument parser, built on the first call.
+
+    Every call returns the same parser, so ``main`` can run many times in one
+    process without rebuilding it. ``parse_args`` leaves it unchanged. Callers
+    must not mutate the returned parser, nor ``args.overrides`` when no
+    ``--set`` is given: that list is the parser's own ``--set`` default.
+    """
     parser = argparse.ArgumentParser(
         prog="dyncomp-sim",
         description="Behavioral simulator for early-shutdown dynamic comparators")
@@ -56,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def load_runconfig(args: argparse.Namespace) -> RunConfig:
     if args.config is not None:
-        cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
+        cfg = parse_config(harness.read_text(args.config))
     else:
         cfg = RunConfig()
     apply_overrides(cfg, args.overrides)

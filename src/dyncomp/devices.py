@@ -7,7 +7,7 @@ magnitude convention: ``vth0 > 0`` for both polarities, and a positive
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -153,7 +153,8 @@ def apply_corner(params: DeviceParams, corner: CornerSpec) -> DeviceParams:
         factor, shift = corner.mu_factor_n, corner.vth_shift_n
     else:
         factor, shift = corner.mu_factor_p, corner.vth_shift_p
-    return replace(params, mu_cox=params.mu_cox * factor, vth0=params.vth0 + shift)
+    return DeviceParams(params.polarity, params.mu_cox * factor, params.vth0 + shift,
+                        params.gamma, params.phi2f, params.cox_area)
 
 
 def apply_temperature(params: DeviceParams, t_kelvin: float) -> DeviceParams:
@@ -165,7 +166,8 @@ def apply_temperature(params: DeviceParams, t_kelvin: float) -> DeviceParams:
     if vth0 <= 0:
         raise ConfigError(f"the {params.polarity} threshold, {params.vth0:g} V at {T_REF:g} K, "
                           f"falls to {vth0:.3g} V at {t_kelvin:g} K; it must stay > 0")
-    return replace(params, mu_cox=params.mu_cox * factor, vth0=vth0)
+    return DeviceParams(params.polarity, params.mu_cox * factor, vth0,
+                        params.gamma, params.phi2f, params.cox_area)
 
 
 def mismatch_scales(geoms: Iterable[TransistorGeom], avt: float = AVT_DEFAULT,

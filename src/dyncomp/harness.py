@@ -9,7 +9,6 @@ from __future__ import annotations
 import copy
 import json
 import math
-from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -295,18 +294,29 @@ def emit_json(table: Table, path) -> None:
 def _parse_cell(text: str):
     """A rendered cell's value: an int where the text is an int's str(), else a
     float, else the text (a float rendered like an int, 2.0 as "2", loads as 2)."""
-    for parse in (int, float):
-        with suppress(ValueError):
-            value = parse(text)
-            if parse is float or str(value) == text:
-                return value
-    return text
+    try:
+        value = int(text)
+        if str(value) == text:
+            return value
+    except ValueError:
+        pass
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
+def read_text(path) -> str:
+    """An input file's text; a file that is not UTF-8 is a ConfigError naming it."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def load_csv(path) -> Table:
     """Parse a table emitted by emit_csv back into an equal Table."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     metadata: dict[str, str] = {}
     i = 0
     while i < len(lines) and lines[i].startswith("#"):

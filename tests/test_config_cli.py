@@ -1,14 +1,16 @@
 """Config parsing, table emission, and the command-line front end."""
+import argparse
 import json
 import math
 import re
+import shutil
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from dyncomp.calibration import CalibrationConfig, _scalar_offsets
-from dyncomp.cli import main
+from dyncomp.cli import build_parser, main
 from dyncomp.config import (SWEEPS, RunConfig, apply_overrides,
                             build_calibration_config, build_comparator_config,
                             build_operating_point, config_from_metadata,
@@ -17,8 +19,8 @@ from dyncomp.devices import CORNERS, default_geometry
 from dyncomp.engine import (EXTRA_NODES, ComparatorConfig, ComparatorEngine, DecisionKernel,
                             OperatingPoint)
 from dyncomp.errors import ConfigError, SimulationError
-from dyncomp.harness import (REPORT_SWEEP_VARIABLES, Table, emit_csv, load_csv, render_csv,
-                             render_json, replace_runconfig, round9, run_calibrate_once,
+from dyncomp.harness import (REPORT_SWEEP_VARIABLES, Table, _parse_cell, emit_csv, load_csv,
+                             render_csv, render_json, replace_runconfig, round9, run_calibrate_once,
                              run_montecarlo, run_single, run_sizing, run_sweep)
 
 
@@ -271,6 +273,15 @@ class TestTables:
             assert cells(loaded.rows) == cells(table.rows)
             assert render_csv(loaded) == render_csv(table)
 
+    @pytest.mark.parametrize("text, value", [
+        ("5", 5), ("-0", -0.0), ("05", 5.0), ("+5", 5.0), ("1_000", 1000.0), ("2", 2),
+        ("1e-09", 1e-09), ("nan", math.nan), ("inf", math.inf), ("TT", "TT"), ("", ""),
+    ])
+    def test_parse_cell_rules(self, text, value):
+        # An int only where the text is the int's str(), else a float, else the text.
+        got = _parse_cell(text)
+        assert (type(got), repr(got)) == (type(value), repr(value))
+
     def test_one_simulate_per_compare_point(self, monkeypatch):
         calls = count_calls(monkeypatch, "simulate")
         cfg = replace_runconfig(RunConfig(), sweep_variable="vid", sweep_points=4)
@@ -399,6 +410,14 @@ class TestCli:
         assert main(["sim", "--config", "/nonexistent/x.cfg"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_config_file(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_bytes(b"vid = 1e-3\n\xff\n")
+        assert main(["sim", "--config", str(cfgfile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ConfigError: {cfgfile}: ")
+        assert "\n" not in err.strip()
+
     def test_config_file_not_mutated(self, tmp_path):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("vid = 1e-3\nseed = 4\n")
@@ -519,6 +538,37 @@ class TestCli:
         if "cal.span=0.03" in args:
             assert "# result.before_span_errors=36" in before(plain)
 
+    def test_parser_reused_safely(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        build_parser.cache_clear()
+        fresh = tmp_path / "fresh.csv"
+        assert main(["sim", "--out", str(fresh)]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["sim", "--no-such-flag"])
+        assert exc.value.code == 2
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["sim", "--set", "vid=0.02", "--no-shutdown", "--json",
+                     "--out", str(a)]) == 0
+        assert main(["sim", "--out", str(b)]) == 0
+        assert b.read_bytes() == fresh.read_bytes()
+        assert not b.with_suffix(".json").exists()
+        for command in ("sim", "sweep", "mc", "calibrate", "size", "report"):
+            assert build_parser().parse_args([command]).overrides == []
+
+    def test_second_main_builds_no_parser(self, tmp_path, monkeypatch):
+        built = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        assert main(["sim", "--out", str(tmp_path / "a.csv")]) == 0
+        first = len(built)
+        assert main(["sim", "--out", str(tmp_path / "b.csv")]) == 0
+        assert built[first:] == []
+
     def test_mc_seed_changes_output(self, tmp_path):
         out1, out2 = tmp_path / "m1.csv", tmp_path / "m2.csv"
         main(["mc", "--trials", "10", "--seed", "1", "--out", str(out1)])
@@ -555,6 +605,14 @@ class TestReport:
         assert rc == 0
         regenerated = capsys.readouterr().out
         assert regenerated == (bundle / "report.txt").read_text()
+
+    def test_non_utf8_bundle_csv(self, bundle, tmp_path, capsys):
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        (copy / "typical.csv").write_bytes(b"# tool=dyncomp-sim\n\xff\n")
+        assert main(["report", "--from-dir", str(copy)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ConfigError: {copy / 'typical.csv'}: ")
 
     def test_report_sweeps_take_no_grid_keys(self, bundle, tmp_path, capsys):
         grid = {"sweep.start": "0.5", "sweep.stop": "1.0", "sweep.points": "3",
