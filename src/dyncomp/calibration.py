@@ -10,7 +10,6 @@ steps shrink toward the final value like a successive approximation.
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -94,27 +93,13 @@ def measure_offset(engine: ComparatorEngine, op: OperatingPoint | None = None,
     """Input-referred offset: the vid where the decision flips, by bisection.
 
     The returned value is the differential input needed to balance the
-    comparator (decision +1 for vid above it, -1 below). Raises
-    OffsetSpanError when no flip exists inside +/- span.
+    comparator (decision +1 for vid above it, -1 below): the midpoint of the
+    bisection interval from +/- span once it is no wider than ``tol``. Raises
+    OffsetSpanError when no flip exists inside +/- span, and simulate's
+    error where a point of the bisection would raise.
     """
     op = op or typical_op(engine.config, vid=0.0)
-
-    def decide(vid: float) -> int:
-        return engine.simulate(replace(op, vid=vid), mismatch, body).decision
-
-    lo, hi = -span, span
-    d_lo, d_hi = decide(lo), decide(hi)
-    if d_lo == d_hi:
-        raise OffsetSpanError(f"decision does not flip within +/-{span} V (sign {d_lo})")
-    if d_lo > 0:  # decision is monotone nondecreasing in vid; this cannot happen
-        raise OffsetSpanError("inverted decision polarity over the search span")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if decide(mid) > 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    return _offset(_Batch.one(engine, op, mismatch, body, tol, span).run()[0], span)
 
 
 def dac_output(cycle: int, cal: CalibrationConfig, vdd: float) -> float:
@@ -164,51 +149,16 @@ def run_calibration(config: ComparatorConfig, mismatch: MismatchSample,
     """Measure the offset, run the cancellation phases and measure it again."""
     engine = ComparatorEngine(config)
     op = op or typical_op(config, vid=0.0)
-    offset_before = measure_offset(engine, op, mismatch, tol=cal.tol_os, span=cal.span)
-    return _calibrate(engine, op, mismatch, cal, offset_before)
-
-
-def _calibrate(engine: ComparatorEngine, op: OperatingPoint, mismatch: MismatchSample,
-               cal: CalibrationConfig, offset_before: float) -> CalibrationResult:
-    """Run the cancellation phases from a measured offset and measure the residual.
-
-    Decision +1 at zero input discharges ``vb_plus`` (speeding the lagging
-    plus side), -1 discharges ``vb_minus``. Body voltages clamp at ground
-    with a saturation flag.
-    """
-    config = engine.config
-    vdd = config.vdd
-    vcm_cal = cal.v_ref_input if cal.v_ref_input is not None else vdd / 2.0
-    op_cal = replace(op, vid=0.0, vcm=vcm_cal)
-    t_period = _resolve_period(cal, config)
-
-    vb_plus = vb_minus = vdd
-    saturated = False
-    history = []
-    for _ in range(cal.n_phases):
-        for tn in range(1, cal.n_cycles + 1):
-            s = engine.simulate(op_cal, mismatch, BodyBias(vb_plus, vb_minus)).decision
-            daco = dac_output(tn, cal, vdd)
-            step = cp_step(daco, cal, t_period)
-            if s > 0:
-                vb_plus -= step
-                if vb_plus < 0.0:
-                    vb_plus = 0.0
-                    saturated = True
-            else:
-                vb_minus -= step
-                if vb_minus < 0.0:
-                    vb_minus = 0.0
-                    saturated = True
-            history.append((len(history) + 1, daco, step, s))
-
-    body = BodyBias(vb_plus, vb_minus)
-    offset_after = measure_offset(engine, op, mismatch, body, tol=cal.tol_os, span=cal.span)
-    state = CalibrationState(vb_plus=vb_plus, vb_minus=vb_minus, history=tuple(history))
+    before, after, (cycles, vb, saturated) = \
+        _Batch.one(engine, op, mismatch, None, cal.tol_os, cal.span).run(cal)
+    offset_before, offset_after = _offset(before, cal.span), _offset(after, cal.span)
+    history = tuple((k + 1, daco, step, 1 if plus[0] else -1)
+                    for k, (daco, step, plus) in enumerate(cycles))
+    state = CalibrationState(vb_plus=float(vb[1, 0]), vb_minus=float(vb[0, 0]), history=history)
     converged = abs(offset_after) <= residual_bound(cal, config)
     return CalibrationResult(state=state, offset_before=offset_before,
                              offset_after=offset_after, converged=converged,
-                             saturated=saturated)
+                             saturated=bool(saturated[0]))
 
 
 def monte_carlo(n: int, seed: int, config: ComparatorConfig, cal: CalibrationConfig,
@@ -221,104 +171,196 @@ def monte_carlo(n: int, seed: int, config: ComparatorConfig, cal: CalibrationCon
     trial's measured offset, or None without ``calibrate``. Trials are
     independent (one RNG stream per trial index). Span errors are counted,
     not fatal; a trial out of span before calibration counts in both phases.
-
-    The trials run as one batch through ``DecisionKernel``, which gives the
-    offsets of ``measure_offset`` and ``_calibrate`` bit for bit. If any
-    trial would raise, the scalar loop runs instead and raises that error.
+    Any other error is that of the lowest trial that raises, as from
+    measure_offset and run_calibration on each trial in turn.
     """
     if n < 1:
         raise ConfigError("n must be >= 1")
     engine = ComparatorEngine(config)
     op = op or typical_op(config, vid=0.0)
-    args = (n, seed, engine, op, cal, calibrate, avt, abeta)
-    try:
-        before, after = _batched_offsets(*args)
-    except _ScalarOnly:
-        before, after = _scalar_offsets(*args)
+    before, after = _batched_offsets(n, seed, engine, op, cal, calibrate, avt, abeta)
     return _offset_stats(n, before), (_offset_stats(n, after) if calibrate else None)
-
-
-class _ScalarOnly(Exception):
-    """Some trial raises in simulate; the scalar loop says which one and how."""
-
-
-def _scalar_offsets(n: int, seed: int, engine: ComparatorEngine, op: OperatingPoint,
-                    cal: CalibrationConfig, calibrate: bool, avt: float, abeta: float
-                    ) -> tuple[list[float], list[float]]:
-    """Measured offsets (before, after) of the trials, one simulate at a time."""
-    geoms = list(engine.config.geoms.values())
-    before, after = [], []
-    for trial in range(n):
-        mm = sample_mismatch(seed, trial, geoms, avt=avt, abeta=abeta)
-        with suppress(OffsetSpanError):  # counted as n - len(offsets) per phase
-            before.append(measure_offset(engine, op, mm, tol=cal.tol_os, span=cal.span))
-            if calibrate:
-                after.append(_calibrate(engine, op, mm, cal, before[-1]).offset_after)
-    return before, after
 
 
 def _batched_offsets(n: int, seed: int, engine: ComparatorEngine, op: OperatingPoint,
                      cal: CalibrationConfig, calibrate: bool, avt: float, abeta: float
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """``_scalar_offsets`` with every trial in one array; raises _ScalarOnly
-    where a trial would raise."""
-    config = engine.config
-    names, scales = mismatch_scales(config.geoms.values(), avt, abeta)
-    if not set(DecisionKernel.DEVICES) <= set(names):
-        raise _ScalarOnly  # the tail device is missing
-    cols = [2 * names.index(name) + k for name in DecisionKernel.DEVICES for k in (0, 1)]
-    draws = draw_mismatch(seed, range(n), scales, cols)
-    mismatch = {name: (draws[:, 2 * i], draws[:, 2 * i + 1])
-                for i, name in enumerate(DecisionKernel.DEVICES)}
-    try:
-        kernel = DecisionKernel(engine, op, mismatch)
-    except ConfigError:
-        raise _ScalarOnly from None
+    """The offsets (before, after) of the trials that flip inside the span."""
+    geoms = list(engine.config.geoms.values())
+    names, scales = mismatch_scales(geoms, avt, abeta)
+    kept = [name for name in DecisionKernel.DEVICES if name in names]
+    draws = draw_mismatch(seed, range(n), scales,
+                          [2 * names.index(name) + k for name in kept for k in (0, 1)])
+    mismatch = {name: (draws[:, 2 * i], draws[:, 2 * i + 1]) for i, name in enumerate(kept)}
+    before, after, _ = _Batch(engine, op, mismatch, n,
+                              lambda trial: sample_mismatch(seed, trial, geoms, avt=avt, abeta=abeta),
+                              None, cal.tol_os, cal.span).run(cal if calibrate else None)
+    return before[0][_flips(before)], (after[0][_flips(after)] if calibrate else np.empty(0))
 
-    def decide(rows, vid, vcm, vb_plus, vb_minus):
-        decision, raises = kernel.decide(rows, vid, vcm, vb_plus, vb_minus)
-        if raises.any():
-            raise _ScalarOnly
-        return decision
 
-    def offsets(rows, vb_plus, vb_minus):
-        """measure_offset of each trial; False in ``measured`` marks a span error."""
-        lo, hi = np.full(rows.size, -cal.span), np.full(rows.size, cal.span)
-        d_lo = decide(rows, lo, op.vcm, vb_plus, vb_minus)
-        d_hi = decide(rows, hi, op.vcm, vb_plus, vb_minus)
-        measured = (d_lo != d_hi) & (d_lo < 0)
-        active = measured & (hi - lo > cal.tol_os)
-        while active.any():
-            i = np.flatnonzero(active)
-            mid = 0.5 * (lo[i] + hi[i])
-            up = decide(rows[i], mid, op.vcm, vb_plus[i], vb_minus[i]) > 0
-            hi[i] = np.where(up, mid, hi[i])
-            lo[i] = np.where(up, lo[i], mid)
-            active[i] = hi[i] - lo[i] > cal.tol_os
-        return 0.5 * (lo + hi), measured
+def _flips(walk: tuple) -> np.ndarray:
+    """Where an (offset, plus at -span, plus at +span) bisection flips inside the span."""
+    return ~walk[1] & walk[2]
 
-    rows = np.arange(n)
-    supply = np.full(n, engine.supply(op))
-    before, measured = offsets(rows, supply, supply)
-    if not calibrate:
-        return before[measured], np.empty(0)
 
-    # _calibrate's cycles on the trials with a measured offset.
-    vdd = config.vdd
-    vcm_cal = cal.v_ref_input if cal.v_ref_input is not None else vdd / 2.0
-    t_period = _resolve_period(cal, config)
-    rows = rows[measured]
-    vb_plus, vb_minus = np.full(rows.size, vdd), np.full(rows.size, vdd)
-    for _ in range(cal.n_phases):
-        for tn in range(1, cal.n_cycles + 1):
-            plus = decide(rows, 0.0, vcm_cal, vb_plus, vb_minus) > 0
-            step = cp_step(dac_output(tn, cal, vdd), cal, t_period)
-            vb_plus = np.where(plus, vb_plus - step, vb_plus)
-            vb_minus = np.where(plus, vb_minus, vb_minus - step)
-            vb_plus = np.where(vb_plus < 0.0, 0.0, vb_plus)
-            vb_minus = np.where(vb_minus < 0.0, 0.0, vb_minus)
-    after, measured_after = offsets(rows, vb_plus, vb_minus)
-    return before[measured], after[measured_after]
+def _offset(walk: tuple, span: float) -> float:
+    """The offset of a one-trial bisection, or its OffsetSpanError."""
+    offset, plus_lo, plus_hi = (x[0] for x in walk)
+    if plus_lo == plus_hi:
+        raise OffsetSpanError(f"decision does not flip within +/-{span} V "
+                              f"(sign {1 if plus_lo else -1})")
+    if plus_lo:  # decision is monotone nondecreasing in vid; this cannot happen
+        raise OffsetSpanError("inverted decision polarity over the search span")
+    return float(offset)
+
+
+class _Batch:
+    """measure_offset and the cancellation cycles over a batch of trials.
+
+    Every decision is simulate's. Where a trial's flip point is exact and
+    simulate does not raise at it, the decision is +1 exactly at the vid
+    above the flip point, outside its guard band; at every other point it is
+    DecisionKernel.decide's. Body voltages are (2, trials) arrays, the minus
+    side in row 0. A trial stops at the first point of its sequence where
+    simulate raises; ``fault`` is (trial, (vid, vcm, vb_plus, vb_minus)) of
+    the lowest such trial at that point, and ``sample(trial)`` gives its
+    MismatchSample to raise the error with.
+    """
+
+    def __init__(self, engine: ComparatorEngine, op: OperatingPoint, mismatch: dict, n: int,
+                 sample, body: BodyBias | None, tol: float, span: float):
+        self.engine, self.op, self.sample, self.tol, self.span = engine, op, sample, tol, span
+        vdd = engine.supply(op)
+        self.body = body or BodyBias(vdd, vdd)
+        self.live, self.fault = np.ones(n, dtype=bool), None
+        try:
+            self.kernel = DecisionKernel(engine, op, mismatch)
+        except ConfigError:  # simulate raises at every point: raise the first one's error
+            self.fault = (0, (-span, op.vcm, self.body.vb_plus, self.body.vb_minus))
+            self.raise_first()
+
+    @classmethod
+    def one(cls, engine: ComparatorEngine, op: OperatingPoint, mismatch: MismatchSample,
+            body: BodyBias | None, tol: float, span: float) -> _Batch:
+        """A batch of the one trial ``mismatch``."""
+        columns = {name: (np.array([mismatch.delta_vth(name)]),
+                          np.array([mismatch.delta_beta(name)]))
+                   for name in DecisionKernel.DEVICES}
+        return cls(engine, op, columns, 1, lambda trial: mismatch, body, tol, span)
+
+    def run(self, cal: CalibrationConfig | None = None) -> tuple:
+        """(before, after, (cycles, vb, saturated)): the bisection of every
+        trial and, given ``cal``, the cancellation cycles and the bisection
+        again on the trials that flip inside the span. Raises the error of
+        the lowest trial that raises."""
+        rows = np.arange(self.live.size)
+        body = np.array([[self.body.vb_minus], [self.body.vb_plus]])
+        before, checked = self.offsets(rows, body.repeat(rows.size, axis=1))
+        after = state = None
+        if cal is not None:
+            calibrated = _flips(before) & self.live
+            rows = rows[calibrated]
+            state = self.calibrate(rows, cal, checked[calibrated])
+            after, _ = self.offsets(rows, state[1])
+        self.raise_first()
+        return before, after, state
+
+    def raise_first(self) -> None:
+        """Raise simulate's error at ``fault``, if there is one."""
+        if self.fault is not None:
+            trial, point = self.fault
+            vid, vcm, vb_plus, vb_minus = (float(x) for x in point)
+            self.engine.simulate(replace(self.op, vid=vid, vcm=vcm), self.sample(trial),
+                                 BodyBias(vb_plus, vb_minus))
+            raise AssertionError(f"trial {trial}: simulate accepts a point the kernel rejects")
+
+    def guard(self, rows: np.ndarray, vcm: float, vb: np.ndarray, checked=None) -> tuple:
+        """(vid*, lo, hi, checked): simulate decides +1 at a vid above vid*
+        and -1 below it, outside the guard interval (lo, hi). The interval is
+        the guard band where the flip point is exact and ``checked``, else
+        the whole line. Without ``checked`` the kernel checks where simulate
+        does not raise at vid*: the leading side's t0 falls on both sides of
+        it, so such a trial raises at no vid."""
+        flip, band, exact = self.kernel.flip_point(rows, vcm, vb[1], vb[0])
+        if checked is None:
+            checked = ~self.kernel.decide(rows, flip, vcm, vb[1], vb[0])[1]
+        exact &= checked
+        return flip, np.where(exact, flip - band, -np.inf), np.where(exact, flip + band, np.inf), checked
+
+    def plus(self, rows, vid, vcm, vb, guard, active) -> np.ndarray:
+        """Where simulate decides +1 at the trials' vid, given their guard. The
+        ``active`` trials inside the guard interval run the kernel; one that
+        would raise stops there, leaving ``active``."""
+        flip, lo, hi = guard
+        plus = vid > flip
+        near = (active & (vid > lo) & (vid < hi)).nonzero()[0]
+        if near.size:
+            decision, raises = self.kernel.decide(rows[near], vid[near], vcm,
+                                                  vb[1, near], vb[0, near])
+            plus[near] = decision > 0
+            new = near[raises]
+            if new.size:
+                active[new] = self.live[rows[new]] = False
+                k = new[rows[new].argmin()]
+                if self.fault is None or rows[k] < self.fault[0]:
+                    self.fault = (int(rows[k]), (vid[k], vcm, vb[1, k], vb[0, k]))
+        return plus
+
+    def offsets(self, rows: np.ndarray, vb: np.ndarray) -> tuple:
+        """measure_offset's bisection on the trials: ((offset, plus at -span,
+        plus at +span), checked), with ``checked`` as from ``guard``."""
+        vcm, tol, span = self.op.vcm, self.tol, self.span
+        # Beyond vdd simulate raises at the span ends, whatever vid* is.
+        unchecked = None if span < self.kernel.vdd else np.zeros(rows.size, dtype=bool)
+        *guard, checked = self.guard(rows, vcm, vb, unchecked)
+        lo, hi = np.full(rows.size, -span), np.full(rows.size, span)
+        live = self.live[rows]
+        plus_lo = self.plus(rows, lo, vcm, vb, guard, live)
+        plus_hi = self.plus(rows, hi, vcm, vb, guard, live)
+        active = ~plus_lo & plus_hi & live & (hi - lo > tol)
+        while np.count_nonzero(active):
+            mid = 0.5 * (lo + hi)
+            up = self.plus(rows, mid, vcm, vb, guard, active) & active
+            np.copyto(hi, mid, where=up)
+            np.copyto(lo, mid, where=active ^ up)
+            active &= hi - lo > tol
+        return (0.5 * (lo + hi), plus_lo, plus_hi), checked
+
+    def calibrate(self, rows: np.ndarray, cal: CalibrationConfig, checked: np.ndarray) -> tuple:
+        """The cancellation cycles on the trials from vb = vdd: (cycles, vb,
+        saturated), with (daco, step, where the decision is +1) per cycle.
+        ``checked`` is the first bisection's raise check of the trials.
+
+        Decision +1 at zero input discharges ``vb_plus`` (speeding the
+        lagging plus side), -1 discharges ``vb_minus``. Body voltages clamp
+        at ground with a saturation flag.
+        """
+        config = self.engine.config
+        vdd = config.vdd
+        vcm = cal.v_ref_input if cal.v_ref_input is not None else vdd / 2.0
+        t_period = _resolve_period(cal, config)
+        vb, zero = np.full((2, rows.size), vdd), np.zeros(rows.size)
+        live, saturated = np.ones(rows.size, dtype=bool), np.zeros(rows.size, dtype=bool)
+        # The first cycle checks for raises at vid*, unless the first
+        # bisection checked the same point. The bodies only fall, and with
+        # gamma >= 0 the input thresholds with them, so the sum of both
+        # overdrives grows and the leading side's t0 at vid*, its peak over
+        # vid, only falls: the check holds for every later cycle.
+        if vcm != self.op.vcm or self.body != BodyBias(vdd, vdd):
+            checked = None
+        cycles = []
+        for _ in range(cal.n_phases):
+            for tn in range(1, cal.n_cycles + 1):
+                *guard, checked = self.guard(rows, vcm, vb, checked)
+                plus = self.plus(rows, zero, vcm, vb, guard, live)
+                daco = dac_output(tn, cal, vdd)
+                step = cp_step(daco, cal, t_period)
+                vb = np.where(np.array((~plus, plus)), vb - step, vb)
+                below = vb < 0.0
+                saturated |= below.any(axis=0)
+                vb = np.where(below, 0.0, vb)
+                cycles.append((daco, step, plus))
+        return cycles, vb, saturated
 
 
 def _offset_stats(n: int, offsets: list[float]) -> OffsetStats:

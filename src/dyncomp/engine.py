@@ -319,7 +319,8 @@ class ComparatorEngine:
 
 
 class DecisionKernel:
-    """``simulate(op, mismatch, body).decision`` over a batch of trials.
+    """``simulate(op, mismatch, body).decision`` over a batch of trials, and
+    the vid where it flips.
 
     The engine and the operating point's corner, temperature and supply are
     shared; each trial (row) has its own mismatch, given per device as a
@@ -328,10 +329,12 @@ class DecisionKernel:
     the scalar one bit for bit. Only the devices in ``DEVICES`` enter the
     decision. Raises ConfigError, as every simulate would, when the corner
     and temperature leave invalid device parameters or the tail device is
-    missing. Overflow to inf passes silently, as in Python floats.
+    missing. Overflow to inf passes silently, as in Python floats. Per-side
+    arrays hold the minus side (Mp4, Mn3) in row 0 and the plus side in row 1.
     """
 
     DEVICES = ("Mp1", "Mp4", "Mp5", "Mn3", "Mn4")
+    _SIGN = np.array([[1.0], [-1.0]])  # the minus side's gate is at vcm - vid/2
 
     def __init__(self, engine: ComparatorEngine, op: OperatingPoint,
                  mismatch: Mapping[str, tuple[np.ndarray, np.ndarray]]):
@@ -351,10 +354,12 @@ class DecisionKernel:
             ov = vdd - (threshold(pparams) + mismatch["Mp1"][0])
             i_tail = 0.5 * b_tail * ov * ov * (1.0 - cfg.tail_derating)
             self.i_tail = np.where(ov > 0.0, i_tail, 0.0)
-            self.b_minus, self.b_plus = mismatched_beta("Mp4"), mismatched_beta("Mp5")
-            self.vth_sense_minus = threshold(nparams) + mismatch["Mn3"][0]
-            self.vth_sense_plus = threshold(nparams) + mismatch["Mn4"][0]
-        self.dvth_minus, self.dvth_plus = mismatch["Mp4"][0], mismatch["Mp5"][0]
+            self.b = np.stack((mismatched_beta("Mp4"), mismatched_beta("Mp5")))
+            self.vth_sense = threshold(nparams) + np.stack((mismatch["Mn3"][0], mismatch["Mn4"][0]))
+            # flip_point's k = sqrt(beta / vth_sense); NaN where it is not real.
+            self.k = np.where((self.b > 0.0) & (self.vth_sense > 0.0),
+                              np.sqrt(self.b / self.vth_sense), np.nan)
+        self.dvth = np.stack((mismatch["Mp4"][0], mismatch["Mp5"][0]))
 
     def decide(self, rows: np.ndarray, vid, vcm: float, vb_plus: np.ndarray,
                vb_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -366,46 +371,67 @@ class DecisionKernel:
         no preamp crossing inside the window.
         """
         vdd = self.vdd
-        raises = (np.abs(vid) >= vdd) | (not 0.0 <= vcm <= vdd)
-        for vb in (vb_plus, vb_minus):
-            raises = raises | ~((0.0 <= vb) & (vb <= vdd))
+        vb = np.array((vb_minus, vb_plus))
+        raises = ((np.abs(vid) >= vdd) | (not 0.0 <= vcm <= vdd)
+                  | ~((0.0 <= vb) & (vb <= vdd)).all(axis=0))
         with np.errstate(all="ignore"):
-            vth_minus, beyond_minus = self._body_threshold(vb_minus - vdd, self.dvth_minus[rows])
-            vth_plus, beyond_plus = self._body_threshold(vb_plus - vdd, self.dvth_plus[rows])
-            raises |= beyond_minus | beyond_plus
+            vth, beyond = self._thresholds(rows, vb)
+            raises |= beyond
 
             # branch_currents, the tail clamp included.
-            ov_minus = vdd - (vcm - vid / 2.0) - vth_minus
-            ov_plus = vdd - (vcm + vid / 2.0) - vth_plus
-            i_minus = np.where(ov_minus > 0.0, 0.5 * self.b_minus[rows] * ov_minus * ov_minus, 0.0)
-            i_plus = np.where(ov_plus > 0.0, 0.5 * self.b_plus[rows] * ov_plus * ov_plus, 0.0)
+            ov = vdd - (vcm - self._SIGN * (vid / 2.0)) - vth
+            i = np.where(ov > 0.0, 0.5 * self.b[:, rows] * ov * ov, 0.0)
             i_tail = self.i_tail[rows]
-            total = i_minus + i_plus
+            total = i[0] + i[1]
             clamped = total > i_tail
             raises |= clamped & (total == 0.0)  # ZeroDivisionError in simulate
             scale = i_tail / np.where(clamped, total, 1.0)
-            i_minus = np.where(clamped, i_minus * scale, i_minus)
-            i_plus = np.where(clamped, i_plus * scale, i_plus)
+            i = np.where(clamped, i * scale, i)
 
-            t0_minus = self._crossing(i_minus, self.vth_sense_minus[rows])
-            t0_plus = self._crossing(i_plus, self.vth_sense_plus[rows])
+            vs = self.vth_sense[:, rows]
+            crosses = (i > 0.0) & (vs > 0.0)
+            t0_minus, t0_plus = np.where(crosses, vs * self.c_out / np.where(crosses, i, 1.0),
+                                         math.inf)
         decision = np.where(t0_minus < t0_plus, 1,
                             np.where(t0_plus < t0_minus, -1, self.tie_break))
         t0 = np.where(decision > 0, t0_minus, t0_plus)
         raises |= ~np.isfinite(t0) | (t0 > self.window)
         return decision, raises
 
-    def _body_threshold(self, vsb: np.ndarray, dvth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """threshold(pparams, vsb, dvth), and where it raises BodyBiasError."""
-        p = self.pparams
-        arg = p.phi2f + vsb
-        beyond = arg <= 0.0
-        root = np.sqrt(np.where(beyond, 1.0, arg))
-        return p.vth0 + p.gamma * (root - math.sqrt(p.phi2f)) + dvth, beyond
+    def flip_point(self, rows: np.ndarray, vcm: float, vb_plus: np.ndarray,
+                   vb_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(vid*, band, exact) of the trials ``rows`` at their body voltages.
 
-    def _crossing(self, i_side: np.ndarray, vth_sense: np.ndarray) -> np.ndarray:
-        crosses = (i_side > 0.0) & (vth_sense > 0.0)
-        return np.where(crosses, vth_sense * self.c_out / np.where(crosses, i_side, 1.0), math.inf)
+        The tail clamp scales both branch currents alike, so the minus side
+        crosses first (+1) exactly where k-*ov- > k+*ov+, k = sqrt(b/vth_sense):
+        above vid* = 2*(k+*(A - vth+) - k-*(A - vth-))/(k- + k+), A = vdd - vcm.
+        Where ``exact`` (vid* real, both overdrives there above the band, a
+        valid body bias), decide gives that sign at every vid at least
+        ``band`` from vid*, unless it raises.
+        """
+        a = self.vdd - vcm
+        with np.errstate(all="ignore"):
+            vth, beyond = self._thresholds(rows, np.array((vb_minus, vb_plus)))
+            k = self.k[:, rows]
+            k_ov = k * (a - vth)
+            vid = 2.0 * (k_ov[1] - k_ov[0]) / (k[0] + k[1])
+            # Guard band, u = 2**-53, S = vdd + |vcm| + |vid*| + |vth-| + |vth+|:
+            # decide forms each overdrive in three roundings (error <= 3uS), and
+            # each crossing time with a relative error <= 2*3uS/ov + 5u. The two
+            # times differ by the relative (k- + k+)*|vid - vid*|/(k*ov), so
+            # decide orders them right once |vid - vid*| > 6uS + 10uS. vid*
+            # above errs by <= 14uS. The band, 256uS, is eight times the sum.
+            band = 2.0 ** -45 * (self.vdd + abs(vcm) + np.abs(vid) + np.abs(vth).sum(axis=0))
+            exact = (a + self._SIGN * (vid / 2.0) - vth > band).all(axis=0) & ~beyond
+        return vid, band, exact
+
+    def _thresholds(self, rows: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The input thresholds at the body voltages ``vb`` (one row per side),
+        and the trials where threshold() raises BodyBiasError instead."""
+        p = self.pparams
+        arg = p.phi2f + (vb - self.vdd)
+        vth = p.vth0 + p.gamma * (np.sqrt(arg) - math.sqrt(p.phi2f)) + self.dvth[:, rows]
+        return vth, (arg <= 0.0).any(axis=0)
 
 
 def typical_op(config: ComparatorConfig, vid: float = 50e-3, **overrides) -> OperatingPoint:

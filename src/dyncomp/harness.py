@@ -327,8 +327,15 @@ def load_csv(path) -> Table:
     if i >= len(lines):
         raise ConfigError(f"{path}: missing header row")
     columns = tuple(lines[i].split(","))
-    rows = [tuple(_parse_cell(cell) for cell in line.split(","))
-            for line in lines[i + 1:] if line]
+    rows = []
+    for lineno, line in enumerate(lines[i + 1:], start=i + 2):
+        if not line:
+            continue
+        cells = line.split(",")
+        if len(cells) != len(columns):
+            raise ConfigError(f"{path}: line {lineno} has {len(cells)} cells; "
+                              f"the header has {len(columns)}")
+        rows.append(tuple(_parse_cell(cell) for cell in cells))
     name = metadata.get("subcommand", "table")
     return Table(name=name, columns=columns, rows=rows, metadata=metadata)
 
@@ -454,7 +461,10 @@ def load_report_bundle(in_dir) -> ReportInputs:
     for variable in REPORT_SWEEP_VARIABLES:
         path = src / f"sweep_{variable}.csv"
         if path.exists():
-            sweeps[variable] = load_csv(path)
+            sweeps[variable] = table = load_csv(path)
+            # The report compares energies in every sweep of a shutdown design.
+            if table.metadata.get("shutdown") == "true" and "savings_pct" not in table.columns:
+                raise ConfigError(f"{path}: missing column savings_pct (shutdown=true)")
     mc_path = src / _BUNDLE_FILES["mc"]
     return ReportInputs(
         typical=load_csv(src / _BUNDLE_FILES["typical"]),

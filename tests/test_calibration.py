@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import offset_oracle
 from dyncomp import calibration
 from dyncomp.calibration import (CalibrationConfig, cp_step, dac_output,
                                  measure_offset, monte_carlo, residual_bound,
                                  run_calibration)
-from dyncomp.devices import (ABETA_DEFAULT, AVT_DEFAULT, DEFAULT_PMOS, DeviceParams,
-                             MismatchSample, beta, default_geometry, sample_mismatch, threshold)
-from dyncomp.engine import (BodyBias, ComparatorConfig, ComparatorEngine,
+from dyncomp.devices import (ABETA_DEFAULT, AVT_DEFAULT, CORNERS, DEFAULT_PMOS, ZERO_MISMATCH,
+                             DeviceParams, MismatchSample, beta, default_geometry,
+                             sample_mismatch, threshold)
+from dyncomp.engine import (BodyBias, ComparatorConfig, ComparatorEngine, DecisionKernel,
                             OperatingPoint, typical_op)
 from dyncomp.errors import (BodyBiasError, ConfigError, NoDecisionError, OffsetSpanError,
                             SimulationError)
@@ -136,18 +138,18 @@ class TestMeasureOffset:
         with pytest.raises(OffsetSpanError):
             measure_offset(engine, OP0, inject(0.200), span=0.1)
 
-    def test_iteration_budget(self, engine):
+    def test_iteration_budget(self, engine, monkeypatch):
+        # Each decision of the bisection costs at most one kernel evaluation.
         calls = 0
-        real = engine.simulate
+        real = DecisionKernel.decide
 
-        def counting(*args, **kwargs):
+        def counting(self, rows, *args):
             nonlocal calls
-            calls += 1
-            return real(*args, **kwargs)
+            calls += len(rows)
+            return real(self, rows, *args)
 
-        engine_proxy = type("P", (), {"simulate": staticmethod(counting),
-                                      "config": engine.config})()
-        measure_offset(engine_proxy, OP0, tol=10e-6, span=100e-3)
+        monkeypatch.setattr(DecisionKernel, "decide", counting)
+        measure_offset(engine, OP0, tol=10e-6, span=100e-3)
         # 2 endpoints + ceil(log2(0.2 / 1e-5)) = 15 bisection steps
         assert calls <= 17
 
@@ -326,10 +328,10 @@ class TestMonteCarlo:
 
 
 def scalar_monte_carlo(n, seed, config, cal, calibrate, avt=AVT_DEFAULT, abeta=ABETA_DEFAULT):
-    """Oracle: monte_carlo on the per-trial loop of measure_offset and _calibrate."""
+    """Oracle: monte_carlo on offset_oracle's per-trial simulate loop."""
     args = (n, seed, ComparatorEngine(config), typical_op(config, vid=0.0), cal, calibrate,
             avt, abeta)
-    before, after = calibration._scalar_offsets(*args)
+    before, after = offset_oracle.scalar_offsets(*args)
     return (calibration._offset_stats(n, before),
             calibration._offset_stats(n, after) if calibrate else None)
 
@@ -388,7 +390,7 @@ class TestBatchedMonteCarlo:
             monte_carlo(30, seed, config, cal, calibrate)
         assert type(batched.value) is type(scalar.value)
         assert str(batched.value) == str(scalar.value)
-        with pytest.raises(calibration._ScalarOnly):
+        with pytest.raises(error):
             batched_offsets(30, seed, config, cal, calibrate)
 
     def test_every_trial_out_of_span(self):
@@ -461,3 +463,74 @@ def test_mirrored_mismatch_flips_offset(deviations):
         assert abs(measured + mirrored) <= 2 * tol
     else:
         assert measured == mirrored
+
+
+def outcome(call):
+    """A call's value, or the type and text of the error it raises."""
+    try:
+        return call()
+    except (SimulationError, ConfigError) as exc:
+        return type(exc), str(exc)
+
+
+def calibration_outcome(call):
+    """run_calibration's fields that the oracle also gives, or its error."""
+    result = outcome(call)
+    if not isinstance(result, calibration.CalibrationResult):
+        return result
+    return (result.offset_before, result.offset_after, result.state.vb_plus,
+            result.state.vb_minus, result.state.history, result.saturated, result.converged)
+
+
+# Small deviations keep most offsets inside the span; large ones push an
+# overdrive or a latch threshold to zero or below.
+KERNEL_DEVIATION = st.tuples(st.one_of(st.floats(-0.03, 0.03), st.floats(-0.6, 0.6)),
+                             st.floats(-0.5, 0.5))
+
+
+@settings(deadline=None, max_examples=200)
+@given(deviations=st.fixed_dictionaries({name: KERNEL_DEVIATION
+                                         for name in DecisionKernel.DEVICES}),
+       vdd=st.floats(1.2, 2.2), vcm=st.floats(0.0, 1.0), corner=st.sampled_from(sorted(CORNERS)),
+       temp_c=st.floats(-55.0, 300.0), vb_plus=st.floats(0.5, 1.0), vb_minus=st.floats(0.5, 1.0),
+       tie_break=st.sampled_from([1, -1]), cb=st.sampled_from([1e-12, 2e-13, 5e-14]),
+       phases=st.integers(1, 2))
+def test_one_trial_equals_simulate_oracle(deviations, vdd, vcm, corner, temp_c, vb_plus,
+                                          vb_minus, tie_break, cb, phases):
+    # One trial on the flip-point path against one simulate per decision:
+    # the same offsets, body voltages, history and flags, or the same error.
+    config = ComparatorConfig(vdd=vdd, tie_break=tie_break)
+    engine = ComparatorEngine(config)
+    op = OperatingPoint(vid=0.0, vcm=vcm * vdd, corner=CORNERS[corner], t_kelvin=temp_c + 273.15)
+    mismatch = MismatchSample(deviations)
+    body = BodyBias(vb_plus * vdd, vb_minus * vdd)
+    assert outcome(lambda: measure_offset(engine, op, mismatch, body)) == \
+        outcome(lambda: offset_oracle.measure_offset(engine, op, mismatch, body))
+    cal = CalibrationConfig(cb=cb, n_phases=phases)
+    assert calibration_outcome(lambda: run_calibration(config, mismatch, cal, op)) == \
+        calibration_outcome(lambda: offset_oracle.run_calibration(config, mismatch, cal, op))
+
+
+@pytest.mark.parametrize("tie_break", [1, -1])
+def test_exact_tie_takes_the_kernel(tie_break):
+    # At zero mismatch the flip point is exactly 0.0, the bisection's first
+    # midpoint is exactly 0.0 and the first cycle's input is 0.0: each is a
+    # tie that simulate breaks by tie_break, so each must be decided in the
+    # guard band.
+    config = ComparatorConfig(tie_break=tie_break)
+    engine = ComparatorEngine(config)
+    cal = CalibrationConfig()
+    assert measure_offset(engine, OP0) == offset_oracle.measure_offset(engine, OP0)
+    assert (measure_offset(engine, OP0) > 0) == (tie_break < 0)
+    result = run_calibration(config, ZERO_MISMATCH, cal, OP0)
+    oracle = offset_oracle.run_calibration(config, ZERO_MISMATCH, cal, OP0)
+    assert result.state.history == oracle.state.history
+    assert result.state.history[0][3] == tie_break
+    assert (result.offset_before, result.offset_after) == \
+        (oracle.offset_before, oracle.offset_after)
+    vdd = np.full(1, config.vdd)
+    columns = {name: (np.zeros(1), np.zeros(1)) for name in DecisionKernel.DEVICES}
+    flip, band, exact = DecisionKernel(engine, OP0, columns).flip_point(np.arange(1), OP0.vcm,
+                                                                        vdd, vdd)
+    assert (flip[0], bool(exact[0])) == (0.0, True) and band[0] > 0.0
+    assert 0.5 * (-cal.span + cal.span) == 0.0

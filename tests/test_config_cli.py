@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dyncomp.calibration import CalibrationConfig, _scalar_offsets
+from dyncomp.calibration import CalibrationConfig
+from offset_oracle import scalar_offsets
 from dyncomp.cli import build_parser, main
 from dyncomp.config import (SWEEPS, RunConfig, apply_overrides,
                             build_calibration_config, build_comparator_config,
@@ -296,11 +297,11 @@ class TestTables:
         run_sweep(cfg, compare=True)
         assert len(calls) == 4
 
-    @pytest.mark.parametrize("calibrate, per_trial", [(False, 17), (True, 40)])
+    @pytest.mark.parametrize("calibrate, per_trial", [(False, 1), (True, 2)])
     def test_simulates_per_mc_trial(self, monkeypatch, calibrate, per_trial):
-        # Monte Carlo calls no simulate: its decisions come from the kernel, at
-        # 17 per trial for one bisection from +/-100 mV to 10 uV, and 40 for
-        # before, 6 cycles and after.
+        # Monte Carlo calls no simulate: its decisions come from the flip
+        # point. The kernel runs once per trial for one bisection, the raise
+        # check at the flip point, and 3 times for before, cycles and after.
         calls = count_calls(monkeypatch, "simulate")
         evaluations = []
         decide = DecisionKernel.decide
@@ -515,7 +516,7 @@ class TestCli:
         cfg = apply_overrides(RunConfig(), ["trials=30", *sets])
         config = build_comparator_config(cfg)
         with pytest.raises(SimulationError) as scalar:
-            _scalar_offsets(cfg.trials, cfg.seed, ComparatorEngine(config),
+            scalar_offsets(cfg.trials, cfg.seed, ComparatorEngine(config),
                             build_operating_point(cfg, vid=0.0), build_calibration_config(cfg),
                             cfg.calibrate, cfg.avt, cfg.abeta)
         assert main(["mc", *(arg for s in sets for arg in ("--set", s)), "--trials", "30"]) == 2
@@ -613,6 +614,32 @@ class TestReport:
         assert main(["report", "--from-dir", str(copy)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: ConfigError: {copy / 'typical.csv'}: ")
+
+    def test_ragged_bundle_row(self, bundle, tmp_path, capsys):
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        path = copy / "sweep_vid.csv"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        header = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+        lines[header + 3] = lines[header + 3].rsplit(",", 1)[0]  # drop the last cell
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert main(["report", "--from-dir", str(copy)]) == 2
+        assert capsys.readouterr().err == (f"error: ConfigError: {path}: line {header + 4} has "
+                                           f"8 cells; the header has 9\n")
+
+    def test_bundle_sweep_without_savings_column(self, bundle, tmp_path, capsys):
+        # A shutdown=true sweep without its savings column must not drop out
+        # of the worst-case saving.
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        path = copy / "sweep_temp.csv"
+        table = load_csv(path)
+        keep = [k for k, name in enumerate(table.columns) if name != "savings_pct"]
+        emit_csv(Table(table.name, tuple(table.columns[k] for k in keep),
+                       [tuple(row[k] for k in keep) for row in table.rows], table.metadata), path)
+        assert main(["report", "--from-dir", str(copy)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: ConfigError: {path}: ") and "savings_pct" in err
 
     def test_report_sweeps_take_no_grid_keys(self, bundle, tmp_path, capsys):
         grid = {"sweep.start": "0.5", "sweep.stop": "1.0", "sweep.points": "3",
