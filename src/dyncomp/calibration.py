@@ -18,7 +18,7 @@ from .devices import (ABETA_DEFAULT, AVT_DEFAULT, MismatchSample, ZERO_MISMATCH,
                       draw_mismatch, mismatch_scales, sample_mismatch)
 from .engine import (BodyBias, ComparatorConfig, ComparatorEngine, DecisionKernel,
                      OperatingPoint, typical_op)
-from .errors import ConfigError, OffsetSpanError
+from .errors import ConfigError, OffsetSpanError, SimulationError
 
 
 @dataclass(frozen=True)
@@ -217,14 +217,13 @@ def _offset(walk: tuple, span: float) -> float:
 class _Batch:
     """measure_offset and the cancellation cycles over a batch of trials.
 
-    Every decision is simulate's. Where a trial's flip point is exact and
-    simulate does not raise at it, the decision is +1 exactly at the vid
-    above the flip point, outside its guard band; at every other point it is
-    DecisionKernel.decide's. Body voltages are (2, trials) arrays, the minus
-    side in row 0. A trial stops at the first point of its sequence where
-    simulate raises; ``fault`` is (trial, (vid, vcm, vb_plus, vb_minus)) of
-    the lowest such trial at that point, and ``sample(trial)`` gives its
-    MismatchSample to raise the error with.
+    Every decision is simulate's. Where a trial's flip point is exact, the
+    decision is +1 exactly at the vids above the flip point's guard band and
+    -1 below it; every other point runs simulate on that trial. Body voltages
+    are (2, trials) arrays, the minus side in row 0. A trial stops at the
+    first point of its sequence where simulate raises; ``fault`` is (trial,
+    error) of the lowest such trial, and ``sample(trial)`` gives a trial's
+    MismatchSample for simulate.
     """
 
     def __init__(self, engine: ComparatorEngine, op: OperatingPoint, mismatch: dict, n: int,
@@ -236,8 +235,8 @@ class _Batch:
         try:
             self.kernel = DecisionKernel(engine, op, mismatch)
         except ConfigError:  # simulate raises at every point: raise the first one's error
-            self.fault = (0, (-span, op.vcm, self.body.vb_plus, self.body.vb_minus))
-            self.raise_first()
+            engine.simulate(replace(op, vid=-span), sample(0), self.body)
+            raise AssertionError("trial 0: simulate accepts a point the kernel rejects")
 
     @classmethod
     def one(cls, engine: ComparatorEngine, op: OperatingPoint, mismatch: MismatchSample,
@@ -255,64 +254,49 @@ class _Batch:
         the lowest trial that raises."""
         rows = np.arange(self.live.size)
         body = np.array([[self.body.vb_minus], [self.body.vb_plus]])
-        before, checked = self.offsets(rows, body.repeat(rows.size, axis=1))
+        before = self.offsets(rows, body.repeat(rows.size, axis=1))
         after = state = None
         if cal is not None:
-            calibrated = _flips(before) & self.live
-            rows = rows[calibrated]
-            state = self.calibrate(rows, cal, checked[calibrated])
-            after, _ = self.offsets(rows, state[1])
-        self.raise_first()
+            rows = rows[_flips(before) & self.live]
+            state = self.calibrate(rows, cal)
+            after = self.offsets(rows, state[1])
+        if self.fault is not None:
+            raise self.fault[1]
         return before, after, state
 
-    def raise_first(self) -> None:
-        """Raise simulate's error at ``fault``, if there is one."""
-        if self.fault is not None:
-            trial, point = self.fault
-            vid, vcm, vb_plus, vb_minus = (float(x) for x in point)
-            self.engine.simulate(replace(self.op, vid=vid, vcm=vcm), self.sample(trial),
-                                 BodyBias(vb_plus, vb_minus))
-            raise AssertionError(f"trial {trial}: simulate accepts a point the kernel rejects")
-
-    def guard(self, rows: np.ndarray, vcm: float, vb: np.ndarray, checked=None) -> tuple:
-        """(vid*, lo, hi, checked): simulate decides +1 at a vid above vid*
-        and -1 below it, outside the guard interval (lo, hi). The interval is
-        the guard band where the flip point is exact and ``checked``, else
-        the whole line. Without ``checked`` the kernel checks where simulate
-        does not raise at vid*: the leading side's t0 falls on both sides of
-        it, so such a trial raises at no vid."""
+    def guard(self, rows: np.ndarray, vcm: float, vb: np.ndarray, reach: float) -> tuple:
+        """(lo, hi): simulate decides -1 at a vid <= lo and +1 at a vid >= hi,
+        for |vid| <= reach. The interval is the flip point's guard band where
+        it is exact and reach < vdd, else the whole line."""
         flip, band, exact = self.kernel.flip_point(rows, vcm, vb[1], vb[0])
-        if checked is None:
-            checked = ~self.kernel.decide(rows, flip, vcm, vb[1], vb[0])[1]
-        exact &= checked
-        return flip, np.where(exact, flip - band, -np.inf), np.where(exact, flip + band, np.inf), checked
+        exact &= reach < self.kernel.vdd
+        return np.where(exact, flip - band, -np.inf), np.where(exact, flip + band, np.inf)
 
     def plus(self, rows, vid, vcm, vb, guard, active) -> np.ndarray:
         """Where simulate decides +1 at the trials' vid, given their guard. The
-        ``active`` trials inside the guard interval run the kernel; one that
-        would raise stops there, leaving ``active``."""
-        flip, lo, hi = guard
-        plus = vid > flip
-        near = (active & (vid > lo) & (vid < hi)).nonzero()[0]
-        if near.size:
-            decision, raises = self.kernel.decide(rows[near], vid[near], vcm,
-                                                  vb[1, near], vb[0, near])
-            plus[near] = decision > 0
-            new = near[raises]
-            if new.size:
-                active[new] = self.live[rows[new]] = False
-                k = new[rows[new].argmin()]
-                if self.fault is None or rows[k] < self.fault[0]:
-                    self.fault = (int(rows[k]), (vid[k], vcm, vb[1, k], vb[0, k]))
+        ``active`` trials inside the guard interval run simulate; one that
+        raises stops there, leaving ``active``. Above the fault's trial none
+        runs: its error would not be the one raised."""
+        lo, hi = guard
+        plus = vid >= hi
+        for k in (active & (vid > lo) & (vid < hi)).nonzero()[0]:
+            trial = int(rows[k])
+            if self.fault is not None and trial > self.fault[0]:
+                continue
+            point = replace(self.op, vid=float(vid[k]), vcm=vcm)
+            mismatch, body = self.sample(trial), BodyBias(float(vb[1, k]), float(vb[0, k]))
+            try:
+                plus[k] = self.engine.simulate(point, mismatch, body).decision > 0
+            except (ConfigError, SimulationError) as exc:
+                active[k] = self.live[trial] = False
+                self.fault = (trial, exc)
         return plus
 
     def offsets(self, rows: np.ndarray, vb: np.ndarray) -> tuple:
-        """measure_offset's bisection on the trials: ((offset, plus at -span,
-        plus at +span), checked), with ``checked`` as from ``guard``."""
+        """measure_offset's bisection on the trials: (offset, plus at -span,
+        plus at +span)."""
         vcm, tol, span = self.op.vcm, self.tol, self.span
-        # Beyond vdd simulate raises at the span ends, whatever vid* is.
-        unchecked = None if span < self.kernel.vdd else np.zeros(rows.size, dtype=bool)
-        *guard, checked = self.guard(rows, vcm, vb, unchecked)
+        guard = self.guard(rows, vcm, vb, span)
         lo, hi = np.full(rows.size, -span), np.full(rows.size, span)
         live = self.live[rows]
         plus_lo = self.plus(rows, lo, vcm, vb, guard, live)
@@ -324,12 +308,11 @@ class _Batch:
             np.copyto(hi, mid, where=up)
             np.copyto(lo, mid, where=active ^ up)
             active &= hi - lo > tol
-        return (0.5 * (lo + hi), plus_lo, plus_hi), checked
+        return 0.5 * (lo + hi), plus_lo, plus_hi
 
-    def calibrate(self, rows: np.ndarray, cal: CalibrationConfig, checked: np.ndarray) -> tuple:
+    def calibrate(self, rows: np.ndarray, cal: CalibrationConfig) -> tuple:
         """The cancellation cycles on the trials from vb = vdd: (cycles, vb,
         saturated), with (daco, step, where the decision is +1) per cycle.
-        ``checked`` is the first bisection's raise check of the trials.
 
         Decision +1 at zero input discharges ``vb_plus`` (speeding the
         lagging plus side), -1 discharges ``vb_minus``. Body voltages clamp
@@ -341,18 +324,10 @@ class _Batch:
         t_period = _resolve_period(cal, config)
         vb, zero = np.full((2, rows.size), vdd), np.zeros(rows.size)
         live, saturated = np.ones(rows.size, dtype=bool), np.zeros(rows.size, dtype=bool)
-        # The first cycle checks for raises at vid*, unless the first
-        # bisection checked the same point. The bodies only fall, and with
-        # gamma >= 0 the input thresholds with them, so the sum of both
-        # overdrives grows and the leading side's t0 at vid*, its peak over
-        # vid, only falls: the check holds for every later cycle.
-        if vcm != self.op.vcm or self.body != BodyBias(vdd, vdd):
-            checked = None
         cycles = []
         for _ in range(cal.n_phases):
             for tn in range(1, cal.n_cycles + 1):
-                *guard, checked = self.guard(rows, vcm, vb, checked)
-                plus = self.plus(rows, zero, vcm, vb, guard, live)
+                plus = self.plus(rows, zero, vcm, vb, self.guard(rows, vcm, vb, 0.0), live)
                 daco = dac_output(tn, cal, vdd)
                 step = cp_step(daco, cal, t_period)
                 vb = np.where(np.array((~plus, plus)), vb - step, vb)

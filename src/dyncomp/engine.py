@@ -319,18 +319,17 @@ class ComparatorEngine:
 
 
 class DecisionKernel:
-    """``simulate(op, mismatch, body).decision`` over a batch of trials, and
-    the vid where it flips.
+    """The vid where ``simulate(op, mismatch, body).decision`` flips, over a
+    batch of trials.
 
     The engine and the operating point's corner, temperature and supply are
     shared; each trial (row) has its own mismatch, given per device as a
-    (delta_vth, delta_beta) pair of arrays over the rows. The kernel repeats
-    simulate's float operations in the same order, so every decision equals
-    the scalar one bit for bit. Only the devices in ``DEVICES`` enter the
-    decision. Raises ConfigError, as every simulate would, when the corner
-    and temperature leave invalid device parameters or the tail device is
-    missing. Overflow to inf passes silently, as in Python floats. Per-side
-    arrays hold the minus side (Mp4, Mn3) in row 0 and the plus side in row 1.
+    (delta_vth, delta_beta) pair of arrays over the rows. Only the devices in
+    ``DEVICES`` enter the decision. Raises ConfigError, as every simulate
+    would, when the corner and temperature leave invalid device parameters
+    or the tail device is missing. Overflow to inf passes silently, as in
+    Python floats. Per-side arrays hold the minus side (Mp4, Mn3) in row 0
+    and the plus side in row 1.
     """
 
     DEVICES = ("Mp1", "Mp4", "Mp5", "Mn3", "Mn4")
@@ -343,60 +342,22 @@ class DecisionKernel:
         self.vdd = vdd = engine.supply(op)
         self.pparams = pparams
         self.window = cfg.window
-        self.tie_break = cfg.tie_break
-        self.c_out = engine.node_caps().c_out
+        self.c_out = c_out = engine.node_caps().c_out
 
         def mismatched_beta(name: str) -> np.ndarray:
             return beta(_require(cfg.geoms, name), pparams) * (1.0 + mismatch[name][1])
 
         with np.errstate(all="ignore"):
-            b_tail = mismatched_beta("Mp1")
             ov = vdd - (threshold(pparams) + mismatch["Mp1"][0])
-            i_tail = 0.5 * b_tail * ov * ov * (1.0 - cfg.tail_derating)
-            self.i_tail = np.where(ov > 0.0, i_tail, 0.0)
-            self.b = np.stack((mismatched_beta("Mp4"), mismatched_beta("Mp5")))
-            self.vth_sense = threshold(nparams) + np.stack((mismatch["Mn3"][0], mismatch["Mn4"][0]))
+            i_tail = 0.5 * mismatched_beta("Mp1") * ov * ov * (1.0 - cfg.tail_derating)
+            b = np.stack((mismatched_beta("Mp4"), mismatched_beta("Mp5")))
+            vth_sense = threshold(nparams) + np.stack((mismatch["Mn3"][0], mismatch["Mn4"][0]))
             # flip_point's k = sqrt(beta / vth_sense); NaN where it is not real.
-            self.k = np.where((self.b > 0.0) & (self.vth_sense > 0.0),
-                              np.sqrt(self.b / self.vth_sense), np.nan)
+            self.k = np.where((b > 0.0) & (vth_sense > 0.0), np.sqrt(b / vth_sense), np.nan)
+            # The clamped t0 at vid*; inf where the tail conducts nothing.
+            self.t_clamp = np.where((ov > 0.0) & (i_tail > 0.0),
+                                    c_out * vth_sense.sum(axis=0) / i_tail, np.inf)
         self.dvth = np.stack((mismatch["Mp4"][0], mismatch["Mp5"][0]))
-
-    def decide(self, rows: np.ndarray, vid, vcm: float, vb_plus: np.ndarray,
-               vb_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(decision, raises) of the trials ``rows`` at their vid and body voltages.
-
-        ``raises`` marks the points where simulate raises instead: vid or vcm
-        out of range, a body voltage outside [0, vdd] or beyond the threshold
-        model's validity, a negative tail current that clamps no current, or
-        no preamp crossing inside the window.
-        """
-        vdd = self.vdd
-        vb = np.array((vb_minus, vb_plus))
-        raises = ((np.abs(vid) >= vdd) | (not 0.0 <= vcm <= vdd)
-                  | ~((0.0 <= vb) & (vb <= vdd)).all(axis=0))
-        with np.errstate(all="ignore"):
-            vth, beyond = self._thresholds(rows, vb)
-            raises |= beyond
-
-            # branch_currents, the tail clamp included.
-            ov = vdd - (vcm - self._SIGN * (vid / 2.0)) - vth
-            i = np.where(ov > 0.0, 0.5 * self.b[:, rows] * ov * ov, 0.0)
-            i_tail = self.i_tail[rows]
-            total = i[0] + i[1]
-            clamped = total > i_tail
-            raises |= clamped & (total == 0.0)  # ZeroDivisionError in simulate
-            scale = i_tail / np.where(clamped, total, 1.0)
-            i = np.where(clamped, i * scale, i)
-
-            vs = self.vth_sense[:, rows]
-            crosses = (i > 0.0) & (vs > 0.0)
-            t0_minus, t0_plus = np.where(crosses, vs * self.c_out / np.where(crosses, i, 1.0),
-                                         math.inf)
-        decision = np.where(t0_minus < t0_plus, 1,
-                            np.where(t0_plus < t0_minus, -1, self.tie_break))
-        t0 = np.where(decision > 0, t0_minus, t0_plus)
-        raises |= ~np.isfinite(t0) | (t0 > self.window)
-        return decision, raises
 
     def flip_point(self, rows: np.ndarray, vcm: float, vb_plus: np.ndarray,
                    vb_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -405,24 +366,38 @@ class DecisionKernel:
         The tail clamp scales both branch currents alike, so the minus side
         crosses first (+1) exactly where k-*ov- > k+*ov+, k = sqrt(b/vth_sense):
         above vid* = 2*(k+*(A - vth+) - k-*(A - vth-))/(k- + k+), A = vdd - vcm.
-        Where ``exact`` (vid* real, both overdrives there above the band, a
-        valid body bias), decide gives that sign at every vid at least
-        ``band`` from vid*, unless it raises.
+        Where ``exact``, simulate raises at no vid with |vid| < vdd and
+        decides sign(vid - vid*) at every such vid outside
+        [vid* - band, vid* + band].
         """
-        a = self.vdd - vcm
+        vdd = self.vdd
+        a = vdd - vcm
+        vb = np.array((vb_minus, vb_plus))
         with np.errstate(all="ignore"):
-            vth, beyond = self._thresholds(rows, np.array((vb_minus, vb_plus)))
+            vth, beyond = self._thresholds(rows, vb)
             k = self.k[:, rows]
             k_ov = k * (a - vth)
             vid = 2.0 * (k_ov[1] - k_ov[0]) / (k[0] + k[1])
             # Guard band, u = 2**-53, S = vdd + |vcm| + |vid*| + |vth-| + |vth+|:
-            # decide forms each overdrive in three roundings (error <= 3uS), and
-            # each crossing time with a relative error <= 2*3uS/ov + 5u. The two
-            # times differ by the relative (k- + k+)*|vid - vid*|/(k*ov), so
-            # decide orders them right once |vid - vid*| > 6uS + 10uS. vid*
-            # above errs by <= 14uS. The band, 256uS, is eight times the sum.
-            band = 2.0 ** -45 * (self.vdd + abs(vcm) + np.abs(vid) + np.abs(vth).sum(axis=0))
-            exact = (a + self._SIGN * (vid / 2.0) - vth > band).all(axis=0) & ~beyond
+            # simulate forms each overdrive in three roundings (error <= 3uS),
+            # and each crossing time with a relative error <= 2*3uS/ov + 5u.
+            # The two times differ by the relative (k- + k+)*|vid - vid*|/(k*ov),
+            # so simulate orders them right once |vid - vid*| > 6uS + 10uS.
+            # vid* above errs by <= 14uS. The band, 256uS, is eight times the sum.
+            band = 2.0 ** -45 * (vdd + abs(vcm) + np.abs(vid) + np.abs(vth).sum(axis=0))
+            ov = a + self._SIGN * (vid / 2.0) - vth
+            # Simulate's t0 on the leading side, c_out*vth_sense/i, times
+            # total/i_tail where the tail clamps, falls as vid leaves vid*.
+            # At vid* both sides have i/vth_sense = (k*ov)**2/2, so t0 peaks at
+            # c_out*max(2/(k*ov)**2, (vth_sense- + vth_sense+)/i_tail); the
+            # smaller k*ov of the two sides covers vid*'s error. Simulate's t0
+            # at any vid exceeds the peak by a relative <= 12uS/ov + 10u, ov
+            # the smaller overdrive at vid*, and this bound errs by <= 6uS/ov
+            # + 8u: together less than band/ov, as ov <= S.
+            t0 = np.maximum(2.0 * self.c_out / (k * ov).min(axis=0) ** 2, self.t_clamp[rows])
+            exact = ((ov > band).all(axis=0) & ~beyond
+                     & (t0 * (1.0 + band / ov.min(axis=0)) <= self.window)
+                     & ((0.0 <= vb) & (vb <= vdd)).all(axis=0) & (0.0 <= vcm <= vdd))
         return vid, band, exact
 
     def _thresholds(self, rows: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -48,7 +48,6 @@ def fmt_cell(x) -> str:
 class Table:
     """One emitted result table: metadata lines, a header and rows."""
 
-    name: str
     columns: tuple[str, ...]
     rows: list[tuple]
     metadata: dict[str, str] = field(default_factory=dict)
@@ -179,8 +178,7 @@ def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
         meta["compare"] = "true"
     if sweep.plot_scale is not None:
         meta["plot_scale"] = sweep.plot_scale
-    return Table(name=f"sweep_{cfg.sweep_variable}", columns=tuple(columns), rows=rows,
-                 metadata=meta)
+    return Table(columns=tuple(columns), rows=rows, metadata=meta)
 
 
 def _failed_row(value, compare: bool) -> tuple:
@@ -202,7 +200,7 @@ def run_single(cfg: RunConfig, subcommand: str = "sim") -> Table:
            round9(result.t_dm), round9(result.t_esd),
            round9(result.energy.total * cfg.freq), round9(result.energy.total),
            int(result.shutdown_occurred), int(result.late))
-    return Table(name="sim", columns=columns, rows=[row], metadata=base_metadata(cfg, subcommand))
+    return Table(columns=columns, rows=[row], metadata=base_metadata(cfg, subcommand))
 
 
 def run_montecarlo(cfg: RunConfig) -> tuple[OffsetStats, OffsetStats | None, Table]:
@@ -226,7 +224,7 @@ def run_montecarlo(cfg: RunConfig) -> tuple[OffsetStats, OffsetStats | None, Tab
         meta[f"result.{phase}_mean_V"] = fmt_cell(round9(stats.mean))
         meta[f"result.{phase}_sigma_V"] = fmt_cell(round9(stats.sigma))
         meta[f"result.{phase}_span_errors"] = str(stats.span_errors)
-    return before, after, Table(name="mc_offset", columns=columns, rows=rows, metadata=meta)
+    return before, after, Table(columns=columns, rows=rows, metadata=meta)
 
 
 def run_calibrate_once(cfg: RunConfig, trial: int = 0) -> tuple:
@@ -245,7 +243,7 @@ def run_calibrate_once(cfg: RunConfig, trial: int = 0) -> tuple:
     meta["result.residual_bound_V"] = fmt_cell(round9(residual_bound(cal, config)))
     meta["result.converged"] = "true" if result.converged else "false"
     meta["result.saturated"] = "true" if result.saturated else "false"
-    return result, Table(name="calibrate", columns=columns, rows=rows, metadata=meta)
+    return result, Table(columns=columns, rows=rows, metadata=meta)
 
 
 def run_sizing(cfg: RunConfig) -> Table:
@@ -257,7 +255,7 @@ def run_sizing(cfg: RunConfig) -> Table:
     rows = [(round9(cfg.alpha), round9(solution.x), round9(solution.y),
              round9(sizing_mod.normalized_balance_residual(solution)),
              round9(geom_residual))]
-    return Table(name="size", columns=columns, rows=rows, metadata=base_metadata(cfg, "size"))
+    return Table(columns=columns, rows=rows, metadata=base_metadata(cfg, "size"))
 
 
 # -- serialization ---------------------------------------------------------------
@@ -336,8 +334,7 @@ def load_csv(path) -> Table:
             raise ConfigError(f"{path}: line {lineno} has {len(cells)} cells; "
                               f"the header has {len(columns)}")
         rows.append(tuple(_parse_cell(cell) for cell in cells))
-    name = metadata.get("subcommand", "table")
-    return Table(name=name, columns=columns, rows=rows, metadata=metadata)
+    return Table(columns=columns, rows=rows, metadata=metadata)
 
 
 # -- report -----------------------------------------------------------------------
@@ -389,6 +386,7 @@ def report_text(inputs: ReportInputs) -> str:
     typ = inputs.typical.rows[0]
     typ_cols = inputs.typical.columns
     fast = inputs.fast.rows[0]
+    fast_cols = inputs.fast.columns
 
     def cell(row, cols, name):
         return row[cols.index(name)]
@@ -400,11 +398,11 @@ def report_text(inputs: ReportInputs) -> str:
                     meta.get("temp_c"), meta.get("corner")))
     lines.append("")
     lines.append(f"delay_typical_ps: {cell(typ, typ_cols, 't_dm_s') * 1e12:.4g}")
-    lines.append(f"delay_vid_1mV_ps: {cell(fast, typ_cols, 't_dm_s') * 1e12:.4g}")
-    fmax = 0.5 / cell(fast, typ_cols, "t_dm_s")
+    lines.append(f"delay_vid_1mV_ps: {cell(fast, fast_cols, 't_dm_s') * 1e12:.4g}")
+    fmax = 0.5 / cell(fast, fast_cols, "t_dm_s")
     lines.append(f"fmax_vid_1mV_GHz: {fmax / 1e9:.4g}")
     lines.append(f"power_typical_uW: {cell(typ, typ_cols, 'power_W') * 1e6:.4g}")
-    lines.append(f"power_500MHz_vid_1mV_uW: {cell(fast, typ_cols, 'power_W') * 1e6:.4g}"
+    lines.append(f"power_500MHz_vid_1mV_uW: {cell(fast, fast_cols, 'power_W') * 1e6:.4g}"
                  "  (design target: 47)")
 
     savings = []
@@ -440,6 +438,12 @@ _BUNDLE_FILES = {
     "mc": "mc_offset.csv",
     "sizing": "size.csv",
 }
+# The columns report_text reads from the first row of these bundle tables.
+_REPORT_COLUMNS = {
+    "typical": ("t_dm_s", "power_W"),
+    "fast": ("t_dm_s", "power_W"),
+    "sizing": ("x", "y", "residual"),
+}
 
 
 def write_report_bundle(inputs: ReportInputs, out_dir) -> None:
@@ -465,11 +469,17 @@ def load_report_bundle(in_dir) -> ReportInputs:
             # The report compares energies in every sweep of a shutdown design.
             if table.metadata.get("shutdown") == "true" and "savings_pct" not in table.columns:
                 raise ConfigError(f"{path}: missing column savings_pct (shutdown=true)")
+    tables = {}
+    for key, columns in _REPORT_COLUMNS.items():
+        path = src / _BUNDLE_FILES[key]
+        tables[key] = table = load_csv(path)
+        for name in columns:
+            if name not in table.columns:
+                raise ConfigError(f"{path}: missing column {name}")
+        if not table.rows:
+            raise ConfigError(f"{path}: no data row")
     mc_path = src / _BUNDLE_FILES["mc"]
-    return ReportInputs(
-        typical=load_csv(src / _BUNDLE_FILES["typical"]),
-        fast=load_csv(src / _BUNDLE_FILES["fast"]),
-        sweeps=sweeps,
-        mc=load_csv(mc_path) if mc_path.exists() else None,
-        sizing=load_csv(src / _BUNDLE_FILES["sizing"]),
-    )
+    mc = load_csv(mc_path) if mc_path.exists() else None
+    if mc is not None and "result.before_sigma_V" not in mc.metadata:
+        raise ConfigError(f"{mc_path}: missing metadata key result.before_sigma_V")
+    return ReportInputs(sweeps=sweeps, mc=mc, **tables)

@@ -139,19 +139,18 @@ class TestMeasureOffset:
             measure_offset(engine, OP0, inject(0.200), span=0.1)
 
     def test_iteration_budget(self, engine, monkeypatch):
-        # Each decision of the bisection costs at most one kernel evaluation.
-        calls = 0
-        real = DecisionKernel.decide
+        # Each decision of the bisection costs at most one simulate.
+        calls = []
+        real = ComparatorEngine.simulate
 
-        def counting(self, rows, *args):
-            nonlocal calls
-            calls += len(rows)
-            return real(self, rows, *args)
+        def counting(self, *args):
+            calls.append(args)
+            return real(self, *args)
 
-        monkeypatch.setattr(DecisionKernel, "decide", counting)
+        monkeypatch.setattr(ComparatorEngine, "simulate", counting)
         measure_offset(engine, OP0, tol=10e-6, span=100e-3)
         # 2 endpoints + ceil(log2(0.2 / 1e-5)) = 15 bisection steps
-        assert calls <= 17
+        assert len(calls) <= 17
 
 
 def straight_line_loop(config, mismatch, cal, op):

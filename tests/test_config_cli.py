@@ -269,7 +269,6 @@ class TestTables:
             path = tmp_path / f"{k}.csv"
             emit_csv(table, path)
             loaded = load_csv(path)
-            # the table name is not stored in the file
             assert (loaded.metadata, loaded.columns) == (table.metadata, table.columns)
             assert cells(loaded.rows) == cells(table.rows)
             assert render_csv(loaded) == render_csv(table)
@@ -297,25 +296,25 @@ class TestTables:
         run_sweep(cfg, compare=True)
         assert len(calls) == 4
 
-    @pytest.mark.parametrize("calibrate, per_trial", [(False, 1), (True, 2)])
+    @pytest.mark.parametrize("calibrate, per_trial", [(False, 1), (True, 8)])
     def test_simulates_per_mc_trial(self, monkeypatch, calibrate, per_trial):
         # Monte Carlo calls no simulate: its decisions come from the flip
-        # point. The kernel runs once per trial for one bisection, the raise
-        # check at the flip point, and 3 times for before, cycles and after.
+        # point, found once per trial for one bisection, and 8 times for
+        # before, the 6 cycles and after.
         calls = count_calls(monkeypatch, "simulate")
-        evaluations = []
-        decide = DecisionKernel.decide
+        rows = []
+        flip_point = DecisionKernel.flip_point
 
-        def counting(self, rows, *args):
-            evaluations.append(len(rows))
-            return decide(self, rows, *args)
+        def counting(self, trials, *args):
+            rows.append(len(trials))
+            return flip_point(self, trials, *args)
 
-        monkeypatch.setattr(DecisionKernel, "decide", counting)
+        monkeypatch.setattr(DecisionKernel, "flip_point", counting)
         before, _, _ = run_montecarlo(replace_runconfig(RunConfig(), trials=5,
                                                         calibrate=calibrate))
         assert before.span_errors == 0
         assert calls == []
-        assert sum(evaluations) == 5 * per_trial
+        assert sum(rows) == 5 * per_trial
 
     @pytest.mark.parametrize("key, value", [("sweep.start", "0.1"), ("sweep.stop", "1"),
                                             ("sweep.points", "3"), ("sweep.scale", "log")])
@@ -635,11 +634,55 @@ class TestReport:
         path = copy / "sweep_temp.csv"
         table = load_csv(path)
         keep = [k for k, name in enumerate(table.columns) if name != "savings_pct"]
-        emit_csv(Table(table.name, tuple(table.columns[k] for k in keep),
+        emit_csv(Table(tuple(table.columns[k] for k in keep),
                        [tuple(row[k] for k in keep) for row in table.rows], table.metadata), path)
         assert main(["report", "--from-dir", str(copy)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: ConfigError: {path}: ") and "savings_pct" in err
+
+    @pytest.mark.parametrize("name, column", [("typical.csv", "t_dm_s"), ("fast.csv", "t_dm_s"),
+                                              ("fast.csv", "power_W"), ("size.csv", "residual")])
+    def test_bundle_table_without_report_column(self, bundle, tmp_path, capsys, name, column):
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        path = copy / name
+        table = load_csv(path)
+        columns = tuple(f"{c}_old" if c == column else c for c in table.columns)
+        emit_csv(Table(columns, table.rows, table.metadata), path)
+        assert main(["report", "--from-dir", str(copy)]) == 2
+        assert capsys.readouterr().err == f"error: ConfigError: {path}: missing column {column}\n"
+
+    def test_bundle_fast_table_read_by_its_own_header(self, bundle, tmp_path, capsys):
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        path = copy / "fast.csv"
+        table = load_csv(path)
+        order = sorted(range(len(table.columns)), key=lambda k: table.columns[k])
+        emit_csv(Table(tuple(table.columns[k] for k in order),
+                       [tuple(row[k] for k in order) for row in table.rows], table.metadata), path)
+        assert main(["report", "--from-dir", str(copy)]) == 0
+        assert capsys.readouterr().out == (bundle / "report.txt").read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("name", ["typical.csv", "fast.csv", "size.csv"])
+    def test_bundle_table_without_data_row(self, bundle, tmp_path, capsys, name):
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        path = copy / name
+        table = load_csv(path)
+        emit_csv(Table(table.columns, [], table.metadata), path)
+        assert main(["report", "--from-dir", str(copy)]) == 2
+        assert capsys.readouterr().err == f"error: ConfigError: {path}: no data row\n"
+
+    def test_bundle_mc_without_sigma(self, bundle, tmp_path, capsys):
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        path = copy / "mc_offset.csv"
+        table = load_csv(path)
+        del table.metadata["result.before_sigma_V"]
+        emit_csv(table, path)
+        assert main(["report", "--from-dir", str(copy)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: ConfigError: {path}: missing metadata key result.before_sigma_V\n"
 
     def test_report_sweeps_take_no_grid_keys(self, bundle, tmp_path, capsys):
         grid = {"sweep.start": "0.5", "sweep.stop": "1.0", "sweep.points": "3",

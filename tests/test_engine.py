@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import offset_oracle
+from dyncomp.calibration import measure_offset
 from dyncomp.devices import (CORNERS, MIN_LENGTH, ZERO_MISMATCH, DeviceParams, MismatchSample,
                              TransistorGeom, default_geometry, sample_mismatch)
 from dyncomp.engine import (BodyBias, ComparatorConfig, ComparatorEngine, DecisionKernel,
@@ -350,50 +352,64 @@ class TestSimulate:
         assert delays["FS"] > delays["TT"]  # slow PMOS inputs dominate
 
 
-def kernel_decision(engine, op, mismatch, body):
-    """DecisionKernel on a batch of one trial: (decision, raises)."""
+def kernel_flip_point(engine, op, mismatch, body):
+    """DecisionKernel.flip_point on a batch of one trial: (vid*, band, exact)."""
     columns = {name: (np.array([mismatch.delta_vth(name)]), np.array([mismatch.delta_beta(name)]))
                for name in DecisionKernel.DEVICES}
-    decision, raises = DecisionKernel(engine, op, columns).decide(
-        np.array([0]), np.array([op.vid]), op.vcm,
-        np.array([body.vb_plus]), np.array([body.vb_minus]))
-    return int(decision[0]), bool(raises[0])
+    flip, band, exact = DecisionKernel(engine, op, columns).flip_point(
+        np.array([0]), op.vcm, np.array([body.vb_plus]), np.array([body.vb_minus]))
+    return float(flip[0]), float(band[0]), bool(exact[0])
 
 
-def tail_engine(vdd, tail_w, tie_break=+1):
+def tail_engine(vdd, tail_w, tie_break=+1, freq=ComparatorConfig.freq):
     geoms = dict(default_geometry(), Mp1=TransistorGeom("Mp1", tail_w, MIN_LENGTH, "pmos"))
-    return ComparatorEngine(ComparatorConfig(geoms=geoms, vdd=vdd, tie_break=tie_break))
+    return ComparatorEngine(ComparatorConfig(geoms=geoms, vdd=vdd, freq=freq, tie_break=tie_break))
+
+
+# A body voltage as a fraction of vdd: above 0.7 the threshold model holds
+# at every drawn vdd, above 1 simulate rejects it.
+BODY = st.one_of(st.floats(0.0, 1.0), st.floats(0.7, 1.05))
+ZERO_DEVIATIONS = {name: (0.0, 0.0) for name in DecisionKernel.DEVICES}
 
 
 class TestDecisionKernel:
-    @settings(deadline=None, max_examples=300)
+    @settings(deadline=None, max_examples=1000)
     @given(deviations=st.fixed_dictionaries({name: DEVIATION for name in DecisionKernel.DEVICES}),
-           vdd=st.floats(0.9, 2.2), vb_plus=st.floats(0.0, 1.0), vb_minus=st.floats(0.0, 1.0),
-           vid=st.one_of(st.floats(-0.2, 0.2), st.floats(-2.5, 2.5)), vcm=st.floats(0.0, 1.0),
-           corner=st.sampled_from(sorted(CORNERS)), temp_c=st.floats(-55.0, 150.0),
-           tail_w=st.floats(0.22e-6, 4e-6), tie_break=st.sampled_from([1, -1]))
-    @example(deviations={name: (0.0, 0.0) for name in DecisionKernel.DEVICES}, vdd=1.8,
-             vb_plus=1.0, vb_minus=1.0, vid=0.0, vcm=0.5, corner="TT", temp_c=27.0,
-             tail_w=2e-6, tie_break=-1)
-    @example(deviations={name: (0.0, 0.0) for name in DecisionKernel.DEVICES}, vdd=1.8,
-             vb_plus=0.8, vb_minus=0.9, vid=0.01, vcm=0.0, corner="FF", temp_c=27.0,
-             tail_w=0.22e-6, tie_break=1)
-    def test_equals_simulate(self, deviations, vdd, vb_plus, vb_minus, vid, vcm, corner,
-                             temp_c, tail_w, tie_break):
-        # Mismatch, body voltages in [0, vdd], input, corner, temperature and
-        # supply; points where simulate raises must be flagged instead.
-        engine = tail_engine(vdd, tail_w, tie_break)
-        op = OperatingPoint(vid=vid, vcm=vcm * vdd, corner=CORNERS[corner],
-                            t_kelvin=temp_c + 273.15)
+           vdd=st.floats(0.9, 2.2), vb_plus=BODY, vb_minus=BODY,
+           vids=st.lists(st.one_of(st.floats(-0.2, 0.2), st.floats(-2.5, 2.5)), max_size=4),
+           vcm=st.floats(-0.05, 1.0), corner=st.sampled_from(sorted(CORNERS)),
+           temp_c=st.floats(-55.0, 150.0), tail_w=st.floats(0.22e-6, 4e-6),
+           tie_break=st.sampled_from([1, -1]),
+           window=st.one_of(st.floats(0.5, 2.0), st.floats(1.0 - 1e-11, 1.0 + 1e-11)))
+    @example(deviations=ZERO_DEVIATIONS, vdd=1.8, vb_plus=1.0, vb_minus=1.0, vids=[],
+             vcm=0.5, corner="TT", temp_c=27.0, tail_w=2e-6, tie_break=-1, window=1.0 + 1e-12)
+    @example(deviations=ZERO_DEVIATIONS, vdd=1.8, vb_plus=0.9, vb_minus=0.95, vids=[0.01],
+             vcm=0.0, corner="FF", temp_c=27.0, tail_w=0.22e-6, tie_break=1, window=1.0 + 1e-12)
+    def test_exact_flip_point_is_simulates_decision(self, deviations, vdd, vb_plus, vb_minus,
+                                                     vids, vcm, corner, temp_c, tail_w,
+                                                     tie_break, window):
+        # Where flip_point is exact, simulate raises at no |vid| < vdd and
+        # decides sign(vid - vid*) at least band away from vid*: at both band
+        # edges and at the drawn vids. The window is drawn as a multiple of
+        # simulate's t0 at vid*, the largest t0 over vid. The examples sit
+        # just inside the window edge, the second with the tail clamp engaged.
+        op = OperatingPoint(vcm=vcm * vdd, corner=CORNERS[corner], t_kelvin=temp_c + 273.15)
         mismatch = MismatchSample(deviations)
         body = BodyBias(vb_plus * vdd, vb_minus * vdd)
-        decision, raises = kernel_decision(engine, op, mismatch, body)
-        try:
-            expected = engine.simulate(op, mismatch, body).decision
-        except (SimulationError, ConfigError):
-            assert raises
-        else:
-            assert not raises and decision == expected
+        engine = tail_engine(vdd, tail_w, tie_break)
+        flip, band, exact = kernel_flip_point(engine, op, mismatch, body)
+        slow = tail_engine(vdd, tail_w, tie_break, freq=1.0)  # a 0.5 s window
+        with suppress(SimulationError, ConfigError):
+            peak = slow.simulate(replace(op, vid=flip), mismatch, body).t0
+            engine = tail_engine(vdd, tail_w, tie_break, freq=0.5 / (peak * window))
+            flip, band, exact = kernel_flip_point(engine, op, mismatch, body)
+        if not exact:
+            return
+        lo, hi = flip - band, flip + band
+        for vid in [lo, hi] + vids:
+            if abs(vid) < vdd and not lo < vid < hi:
+                decision = engine.simulate(replace(op, vid=vid), mismatch, body).decision
+                assert decision == (1 if vid > flip else -1)
 
     def test_tail_clamp_engages(self):
         # A minimum-width tail at vcm = 0: the input pair would draw more
@@ -401,14 +417,16 @@ class TestDecisionKernel:
         engine = tail_engine(1.8, 0.22e-6)
         mismatch = sample_mismatch(4, 0, default_geometry().values())
         body = BodyBias(1.5, 1.6)
+        op = OperatingPoint(vid=0.0, vcm=0.0)
         for vid in np.linspace(-0.05, 0.05, 21):
-            op = OperatingPoint(vid=float(vid), vcm=0.0)
-            vth_minus = engine.params_at(op)[1].vth0  # any threshold below the gate overdrive
-            i_minus, i_plus = branch_currents(engine, op, vth_minus, vth_minus, mismatch)
-            assert i_minus + i_plus == pytest.approx(tail_current(engine, op, mismatch),
+            point = replace(op, vid=float(vid))
+            vth_minus = engine.params_at(point)[1].vth0  # any threshold below the gate overdrive
+            i_minus, i_plus = branch_currents(engine, point, vth_minus, vth_minus, mismatch)
+            assert i_minus + i_plus == pytest.approx(tail_current(engine, point, mismatch),
                                                      rel=1e-12)
-            assert kernel_decision(engine, op, mismatch, body) \
-                == (engine.simulate(op, mismatch, body).decision, False)
+        assert kernel_flip_point(engine, op, mismatch, body)[2]
+        assert measure_offset(engine, op, mismatch, body) \
+            == offset_oracle.measure_offset(engine, op, mismatch, body)
 
     def test_rows_select_trials(self):
         engine = ComparatorEngine(ComparatorConfig())
@@ -417,15 +435,14 @@ class TestDecisionKernel:
         columns = {name: (np.array([s.delta_vth(name) for s in samples]),
                           np.array([s.delta_beta(name) for s in samples]))
                    for name in DecisionKernel.DEVICES}
-        kernel = DecisionKernel(engine, OP0, columns)
         rows = np.array([5, 1, 3])
-        vid = np.array([2e-3, -1e-3, 0.0])
         vdd = np.full(3, 1.8)
-        decision, raises = kernel.decide(rows, vid, OP0.vcm, vdd, vdd)
-        assert not raises.any()
-        expected = [engine.simulate(replace(OP0, vid=float(v)), samples[r]).decision
-                    for r, v in zip(rows, vid)]
-        assert decision.tolist() == expected
+        flip, band, exact = DecisionKernel(engine, OP0, columns).flip_point(rows, OP0.vcm,
+                                                                            vdd, vdd)
+        body = BodyBias(1.8, 1.8)
+        expected = [kernel_flip_point(engine, OP0, samples[r], body) for r in rows]
+        assert list(zip(flip.tolist(), band.tolist(), exact.tolist())) == expected
+        assert len(set(flip.tolist())) == 3
 
     def test_invalid_corner_parameters_raise_like_simulate(self):
         engine = ComparatorEngine(ComparatorConfig())
