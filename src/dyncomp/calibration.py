@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .devices import (ABETA_DEFAULT, AVT_DEFAULT, MismatchSample, ZERO_MISMATCH,
-                      draw_mismatch, mismatch_scales, sample_mismatch)
+                      draw_mismatch, mismatch_scales)
 from .engine import (BodyBias, ComparatorConfig, ComparatorEngine, DecisionKernel,
                      OperatingPoint, typical_op)
 from .errors import ConfigError, OffsetSpanError, SimulationError
@@ -186,15 +186,13 @@ def _batched_offsets(n: int, seed: int, engine: ComparatorEngine, op: OperatingP
                      cal: CalibrationConfig, calibrate: bool, avt: float, abeta: float
                      ) -> tuple[np.ndarray, np.ndarray]:
     """The offsets (before, after) of the trials that flip inside the span."""
-    geoms = list(engine.config.geoms.values())
-    names, scales = mismatch_scales(geoms, avt, abeta)
-    kept = [name for name in DecisionKernel.DEVICES if name in names]
+    devices = DecisionKernel.DEVICES
+    names, scales = mismatch_scales(engine.config.geoms.values(), avt, abeta)
     draws = draw_mismatch(seed, range(n), scales,
-                          [2 * names.index(name) + k for name in kept for k in (0, 1)])
-    mismatch = {name: (draws[:, 2 * i], draws[:, 2 * i + 1]) for i, name in enumerate(kept)}
-    before, after, _ = _Batch(engine, op, mismatch, n,
-                              lambda trial: sample_mismatch(seed, trial, geoms, avt=avt, abeta=abeta),
-                              None, cal.tol_os, cal.span).run(cal if calibrate else None)
+                          [2 * names.index(name) + k for name in devices for k in (0, 1)])
+    mismatch = {name: (draws[:, 2 * i], draws[:, 2 * i + 1]) for i, name in enumerate(devices)}
+    before, after, _ = _Batch(engine, op, mismatch, n, None, cal.tol_os,
+                              cal.span).run(cal if calibrate else None)
     return before[0][_flips(before)], (after[0][_flips(after)] if calibrate else np.empty(0))
 
 
@@ -222,20 +220,19 @@ class _Batch:
     -1 below it; every other point runs simulate on that trial. Body voltages
     are (2, trials) arrays, the minus side in row 0. A trial stops at the
     first point of its sequence where simulate raises; ``fault`` is (trial,
-    error) of the lowest such trial, and ``sample(trial)`` gives a trial's
-    MismatchSample for simulate.
+    error) of the lowest such trial.
     """
 
     def __init__(self, engine: ComparatorEngine, op: OperatingPoint, mismatch: dict, n: int,
-                 sample, body: BodyBias | None, tol: float, span: float):
-        self.engine, self.op, self.sample, self.tol, self.span = engine, op, sample, tol, span
+                 body: BodyBias | None, tol: float, span: float):
+        self.engine, self.op, self.mismatch, self.tol, self.span = engine, op, mismatch, tol, span
         vdd = engine.supply(op)
         self.body = body or BodyBias(vdd, vdd)
         self.live, self.fault = np.ones(n, dtype=bool), None
         try:
             self.kernel = DecisionKernel(engine, op, mismatch)
         except ConfigError:  # simulate raises at every point: raise the first one's error
-            engine.simulate(replace(op, vid=-span), sample(0), self.body)
+            engine.simulate(replace(op, vid=-span), self.sample(0), self.body)
             raise AssertionError("trial 0: simulate accepts a point the kernel rejects")
 
     @classmethod
@@ -245,7 +242,16 @@ class _Batch:
         columns = {name: (np.array([mismatch.delta_vth(name)]),
                           np.array([mismatch.delta_beta(name)]))
                    for name in DecisionKernel.DEVICES}
-        return cls(engine, op, columns, 1, lambda trial: mismatch, body, tol, span)
+        return cls(engine, op, columns, 1, body, tol, span)
+
+    def sample(self, trial: int) -> MismatchSample:
+        """The trial's MismatchSample for simulate, of the kernel's devices only.
+        Simulate's decision and errors read no other device: Mp1 sets the tail
+        current, Mp4/Mp5 the branch currents, Mn3/Mn4 the crossing times that
+        decide and meet the window check. The rest enter only t1, t_esd, t_dm
+        and the energy, which ``plus`` ignores."""
+        return MismatchSample({name: (float(dvth[trial]), float(dbeta[trial]))
+                               for name, (dvth, dbeta) in self.mismatch.items()})
 
     def run(self, cal: CalibrationConfig | None = None) -> tuple:
         """(before, after, (cycles, vb, saturated)): the bisection of every

@@ -139,17 +139,14 @@ def cmd_size(cfg: RunConfig, args) -> int:
 
 
 def cmd_report(cfg: RunConfig, args) -> int:
-    if args.from_dir is not None:
-        inputs = harness.load_report_bundle(args.from_dir)
-    else:
-        inputs = harness.collect_report_inputs(cfg)
-    text = harness.report_text(inputs)
+    tables = (harness.load_report_bundle(args.from_dir) if args.from_dir is not None
+              else harness.collect_report_inputs(cfg))
+    text = harness.report_text(tables)
     if args.out_dir is not None:
+        args.out_dir.mkdir(parents=True, exist_ok=True)
         if args.from_dir is None:
-            harness.write_report_bundle(inputs, args.out_dir)
-        else:
-            Path(args.out_dir).mkdir(parents=True, exist_ok=True)
-            (Path(args.out_dir) / "report.txt").write_text(text, encoding="utf-8")
+            harness.write_report_bundle(tables, args.out_dir)
+        (args.out_dir / "report.txt").write_text(text, encoding="utf-8")
     if args.out is not None:
         Path(args.out).write_text(text, encoding="utf-8")
     sys.stdout.write(text)

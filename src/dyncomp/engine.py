@@ -32,6 +32,8 @@ _SYMMETRIC_PAIRS = (
     ("Mni1", "Mni4"), ("Mp2", "Mp3"), ("Mp4", "Mp5"), ("Mp6", "Mp9"),
     ("Mp7", "Mp8"), ("Mpi1", "Mpi4"), ("Mpi2", "Mpi3"),
 )
+# Every device of the modeled circuit: the tail device and the pairs.
+_DEVICES = ("Mp1",) + tuple(name for pair in _SYMMETRIC_PAIRS for name in pair)
 
 EXTRA_NODES = ("out", "pi", "p3", "latch")
 
@@ -123,13 +125,6 @@ class ComparisonResult:
     energy: EnergyBreakdown | None = None
 
 
-def _require(geoms: Mapping[str, TransistorGeom], name: str) -> TransistorGeom:
-    try:
-        return geoms[name]
-    except KeyError:
-        raise ConfigError(f"geometry set is missing transistor {name!r}") from None
-
-
 def inverter_delay(c_load: float, beta_eff: float, vdd: float) -> float:
     """Dynamic single-input inverter propagation delay 1.6*C/(beta*Vdd)."""
     return 1.6 * c_load / (beta_eff * vdd)
@@ -144,8 +139,11 @@ class ComparatorEngine:
 
     def __init__(self, config: ComparatorConfig):
         self.config = config
+        for name in _DEVICES:
+            if name not in config.geoms:
+                raise ConfigError(f"geometry set is missing transistor {name!r}")
         for a, b in _SYMMETRIC_PAIRS:
-            ga, gb = _require(config.geoms, a), _require(config.geoms, b)
+            ga, gb = config.geoms[a], config.geoms[b]
             if ga.w != gb.w or ga.l != gb.l:
                 raise ConfigError(f"asymmetric pair {a}/{b}: {ga.w}x{ga.l} vs {gb.w}x{gb.l}")
         self._caps = self._node_caps()
@@ -155,8 +153,8 @@ class ComparatorEngine:
     def _node_caps(self) -> NodeCaps:
         cfg = self.config
         extra = cfg.extra_load
-        g = lambda name: _require(cfg.geoms, name)
-        cap = lambda name: gate_cap(g(name), cfg.nmos if g(name).polarity == dev.NMOS else cfg.pmos)
+        g = cfg.geoms
+        cap = lambda name: gate_cap(g[name], cfg.nmos if g[name].polarity == dev.NMOS else cfg.pmos)
         c_out = cap("Mn3") + cap("Mni2") + extra.get("out", 0.0)
         c_pi = cap("Mpi1") + extra.get("pi", 0.0)
         # The two parallel tail switches split between the two buffer chains:
@@ -196,7 +194,7 @@ class ComparatorEngine:
                      mismatch: MismatchSample = ZERO_MISMATCH) -> float:
         """Tail current before shutdown at the PMOS parameters ``pparams``, derating included."""
         vdd = self.supply(op)
-        b = beta(_require(self.config.geoms, "Mp1"), pparams) * (1.0 + mismatch.delta_beta("Mp1"))
+        b = beta(self.config.geoms["Mp1"], pparams) * (1.0 + mismatch.delta_beta("Mp1"))
         vth = threshold(pparams, 0.0, mismatch.delta_vth("Mp1"))
         ov = vdd - vth
         if ov <= 0.0:
@@ -212,8 +210,8 @@ class ComparatorEngine:
         already including mismatch and body shift.
         """
         vdd = self.supply(op)
-        b4 = beta(_require(self.config.geoms, "Mp4"), pparams) * (1.0 + mismatch.delta_beta("Mp4"))
-        b5 = beta(_require(self.config.geoms, "Mp5"), pparams) * (1.0 + mismatch.delta_beta("Mp5"))
+        b4 = beta(self.config.geoms["Mp4"], pparams) * (1.0 + mismatch.delta_beta("Mp4"))
+        b5 = beta(self.config.geoms["Mp5"], pparams) * (1.0 + mismatch.delta_beta("Mp5"))
         ov_minus = vdd - (op.vcm - op.vid / 2.0) - vth_minus
         ov_plus = vdd - (op.vcm + op.vid / 2.0) - vth_plus
         i_minus = 0.5 * b4 * ov_minus * ov_minus if ov_minus > 0.0 else 0.0
@@ -278,13 +276,13 @@ class ComparatorEngine:
         buf_p = "Mpi1" if lead_minus else "Mpi4"
         i_lead = i_minus if lead_minus else i_plus
         t1 = crossing(i_lead, threshold(nparams, 0.0, mismatch.delta_vth(sense)))
-        b_ni = beta(_require(geoms, sense), nparams) * (1.0 + mismatch.delta_beta(sense))
-        b_pi = beta(_require(geoms, buf_p), pparams) * (1.0 + mismatch.delta_beta(buf_p))
+        b_ni = beta(geoms[sense], nparams) * (1.0 + mismatch.delta_beta(sense))
+        b_pi = beta(geoms[buf_p], pparams) * (1.0 + mismatch.delta_beta(buf_p))
         t_esd = t1 + inverter_delay(caps.c_pi, b_ni, vdd) \
             + cfg.alpha * inverter_delay(caps.c_p3, b_pi, vdd)
 
         latch_n = "Mn3" if lead_minus else "Mn4"
-        b_n3 = beta(_require(geoms, latch_n), nparams) * (1.0 + mismatch.delta_beta(latch_n))
+        b_n3 = beta(geoms[latch_n], nparams) * (1.0 + mismatch.delta_beta(latch_n))
         t_dm = t0 + inverter_delay(caps.c_latch, b_n3, vdd)
 
         # Designed regime: the chain fires only after the latch crossing, so
@@ -326,10 +324,9 @@ class DecisionKernel:
     shared; each trial (row) has its own mismatch, given per device as a
     (delta_vth, delta_beta) pair of arrays over the rows. Only the devices in
     ``DEVICES`` enter the decision. Raises ConfigError, as every simulate
-    would, when the corner and temperature leave invalid device parameters
-    or the tail device is missing. Overflow to inf passes silently, as in
-    Python floats. Per-side arrays hold the minus side (Mp4, Mn3) in row 0
-    and the plus side in row 1.
+    would, when the corner and temperature leave invalid device parameters.
+    Overflow to inf passes silently, as in Python floats. Per-side arrays
+    hold the minus side (Mp4, Mn3) in row 0 and the plus side in row 1.
     """
 
     DEVICES = ("Mp1", "Mp4", "Mp5", "Mn3", "Mn4")
@@ -345,7 +342,7 @@ class DecisionKernel:
         self.c_out = c_out = engine.node_caps().c_out
 
         def mismatched_beta(name: str) -> np.ndarray:
-            return beta(_require(cfg.geoms, name), pparams) * (1.0 + mismatch[name][1])
+            return beta(cfg.geoms[name], pparams) * (1.0 + mismatch[name][1])
 
         with np.errstate(all="ignore"):
             ov = vdd - (threshold(pparams) + mismatch["Mp1"][0])

@@ -341,32 +341,26 @@ def load_csv(path) -> Table:
 
 # The report runs every sweep of the operating point, none of the widths.
 REPORT_SWEEP_VARIABLES = tuple(v for v, sweep in SWEEPS.items() if sweep.width_target is None)
+_SWEEP_STEMS = {f"sweep_{v}": v for v in REPORT_SWEEP_VARIABLES}
+# The report bundle, one <stem>.csv per table: the columns report_text
+# reads from a required table's first row, or None for an optional table.
+_BUNDLE = {"typical": ("t_dm_s", "power_W"), "fast": ("t_dm_s", "power_W"),
+           **dict.fromkeys(_SWEEP_STEMS), "mc_offset": None, "size": ("x", "y", "residual")}
 
 
-@dataclass
-class ReportInputs:
-    """Tables the summary report is a pure function of."""
-
-    typical: Table                  # single point at typical conditions
-    fast: Table                     # vid=1 mV at the 500 MHz reporting clock
-    sweeps: dict[str, Table]        # compare-mode sweeps per variable
-    mc: Table | None
-    sizing: Table
-
-
-def collect_report_inputs(cfg: RunConfig) -> ReportInputs:
+def collect_report_inputs(cfg: RunConfig) -> dict[str, Table]:
+    """The tables the report is a pure function of, by bundle file stem."""
     _reject_grid(cfg, "report, whose sweeps run on their default grids")
-    typical = run_single(cfg, subcommand="report-typical")
-    fast_cfg = replace_runconfig(cfg, vid=1e-3, freq=500e6)
-    fast = run_single(fast_cfg, subcommand="report-fast")
-    sweeps = {}
-    for variable in REPORT_SWEEP_VARIABLES:
-        sweep_cfg = replace_runconfig(cfg, sweep_variable=variable)
-        sweeps[variable] = run_sweep(sweep_cfg, compare=cfg.shutdown)
-    mc_cfg = replace_runconfig(cfg, calibrate=True)
-    _, _, mc_table = run_montecarlo(mc_cfg)
-    return ReportInputs(typical=typical, fast=fast, sweeps=sweeps, mc=mc_table,
-                        sizing=run_sizing(cfg))
+    tables = {"typical": run_single(cfg, subcommand="report-typical"),
+              # vid=1 mV at the 500 MHz reporting clock
+              "fast": run_single(replace_runconfig(cfg, vid=1e-3, freq=500e6),
+                                 subcommand="report-fast")}
+    for stem, variable in _SWEEP_STEMS.items():
+        tables[stem] = run_sweep(replace_runconfig(cfg, sweep_variable=variable),
+                                 compare=cfg.shutdown)
+    tables["mc_offset"] = run_montecarlo(replace_runconfig(cfg, calibrate=True))[2]
+    tables["size"] = run_sizing(cfg)
+    return tables
 
 
 def replace_runconfig(cfg: RunConfig, **changes) -> RunConfig:
@@ -381,41 +375,33 @@ def _column(table: Table, name: str) -> list:
     return [row[idx] for row in table.rows]
 
 
-def report_text(inputs: ReportInputs) -> str:
-    """One-page summary; a pure function of the input tables."""
-    typ = inputs.typical.rows[0]
-    typ_cols = inputs.typical.columns
-    fast = inputs.fast.rows[0]
-    fast_cols = inputs.fast.columns
+def report_text(tables: dict[str, Table]) -> str:
+    """One-page summary; a pure function of the bundle tables."""
 
-    def cell(row, cols, name):
-        return row[cols.index(name)]
+    def cell(stem: str, column: str):
+        table = tables[stem]
+        return table.rows[0][table.columns.index(column)]
 
-    lines = [f"{TOOL_NAME} report (version {__version__})", ""]
-    meta = inputs.typical.metadata
-    lines.append("typical conditions: vdd=%s V, vid=%s V, f=%s Hz, T=%s C, corner %s"
-                 % (meta.get("vdd"), meta.get("vid"), meta.get("freq"),
-                    meta.get("temp_c"), meta.get("corner")))
-    lines.append("")
-    lines.append(f"delay_typical_ps: {cell(typ, typ_cols, 't_dm_s') * 1e12:.4g}")
-    lines.append(f"delay_vid_1mV_ps: {cell(fast, fast_cols, 't_dm_s') * 1e12:.4g}")
-    fmax = 0.5 / cell(fast, fast_cols, "t_dm_s")
-    lines.append(f"fmax_vid_1mV_GHz: {fmax / 1e9:.4g}")
-    lines.append(f"power_typical_uW: {cell(typ, typ_cols, 'power_W') * 1e6:.4g}")
-    lines.append(f"power_500MHz_vid_1mV_uW: {cell(fast, fast_cols, 'power_W') * 1e6:.4g}"
-                 "  (design target: 47)")
+    meta = tables["typical"].metadata
+    lines = [f"{TOOL_NAME} report (version {__version__})", "",
+             "typical conditions: vdd=%s V, vid=%s V, f=%s Hz, T=%s C, corner %s"
+             % tuple(meta.get(key) for key in ("vdd", "vid", "freq", "temp_c", "corner")), "",
+             f"delay_typical_ps: {cell('typical', 't_dm_s') * 1e12:.4g}",
+             f"delay_vid_1mV_ps: {cell('fast', 't_dm_s') * 1e12:.4g}",
+             f"fmax_vid_1mV_GHz: {0.5 / cell('fast', 't_dm_s') / 1e9:.4g}",
+             f"power_typical_uW: {cell('typical', 'power_W') * 1e6:.4g}",
+             f"power_500MHz_vid_1mV_uW: {cell('fast', 'power_W') * 1e6:.4g}  (design target: 47)"]
 
-    savings = []
-    for table in inputs.sweeps.values():
-        if "savings_pct" in table.columns:
-            savings.extend(s for s in _column(table, "savings_pct") if not math.isnan(s))
+    sweeps = [tables[stem] for stem in _SWEEP_STEMS if stem in tables]
+    savings = [s for table in sweeps if "savings_pct" in table.columns
+               for s in _column(table, "savings_pct") if not math.isnan(s)]
     if savings:
         lines.append(f"power_savings_worst_case_pct: {min(savings):.4g}  (design target: 21.7)")
     else:
         lines.append("power_savings_worst_case_pct: 0  (shutdown disabled)")
 
-    if inputs.mc is not None:
-        mc_meta = inputs.mc.metadata
+    if "mc_offset" in tables:
+        mc_meta = tables["mc_offset"].metadata
         sigma_before = float(mc_meta["result.before_sigma_V"])
         lines.append(f"offset_sigma_uncal_mV: {sigma_before * 1e3:.4g}")
         if "result.after_sigma_V" in mc_meta:
@@ -424,62 +410,50 @@ def report_text(inputs: ReportInputs) -> str:
             if sigma_after > 0:
                 lines.append(f"offset_reduction_factor: {sigma_before / sigma_after:.4g}")
 
-    size_row = inputs.sizing.rows[0]
-    size_cols = inputs.sizing.columns
-    lines.append(f"sizing_x: {cell(size_row, size_cols, 'x'):.4g}")
-    lines.append(f"sizing_y: {cell(size_row, size_cols, 'y'):.4g}")
-    lines.append(f"sizing_residual: {cell(size_row, size_cols, 'residual'):.4g}")
+    lines += [f"sizing_{name}: {cell('size', name):.4g}" for name in _BUNDLE["size"]]
     return "\n".join(lines) + "\n"
 
 
-_BUNDLE_FILES = {
-    "typical": "typical.csv",
-    "fast": "fast.csv",
-    "mc": "mc_offset.csv",
-    "sizing": "size.csv",
-}
-# The columns report_text reads from the first row of these bundle tables.
-_REPORT_COLUMNS = {
-    "typical": ("t_dm_s", "power_W"),
-    "fast": ("t_dm_s", "power_W"),
-    "sizing": ("x", "y", "residual"),
-}
+def write_report_bundle(tables: dict[str, Table], out_dir) -> None:
+    """Write each table to ``<stem>.csv`` in the existing directory ``out_dir``."""
+    for stem, table in tables.items():
+        emit_csv(table, Path(out_dir) / f"{stem}.csv")
 
 
-def write_report_bundle(inputs: ReportInputs, out_dir) -> None:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    emit_csv(inputs.typical, out / _BUNDLE_FILES["typical"])
-    emit_csv(inputs.fast, out / _BUNDLE_FILES["fast"])
-    for variable, table in inputs.sweeps.items():
-        emit_csv(table, out / f"sweep_{variable}.csv")
-    if inputs.mc is not None:
-        emit_csv(inputs.mc, out / _BUNDLE_FILES["mc"])
-    emit_csv(inputs.sizing, out / _BUNDLE_FILES["sizing"])
-    (out / "report.txt").write_text(report_text(inputs), encoding="utf-8")
-
-
-def load_report_bundle(in_dir) -> ReportInputs:
-    src = Path(in_dir)
-    sweeps = {}
-    for variable in REPORT_SWEEP_VARIABLES:
-        path = src / f"sweep_{variable}.csv"
-        if path.exists():
-            sweeps[variable] = table = load_csv(path)
-            # The report compares energies in every sweep of a shutdown design.
-            if table.metadata.get("shutdown") == "true" and "savings_pct" not in table.columns:
-                raise ConfigError(f"{path}: missing column savings_pct (shutdown=true)")
+def load_report_bundle(in_dir) -> dict[str, Table]:
+    """The bundle's tables, each checked for what report_text reads from it.
+    A missing required file raises OSError; a missing optional one is left out."""
     tables = {}
-    for key, columns in _REPORT_COLUMNS.items():
-        path = src / _BUNDLE_FILES[key]
-        tables[key] = table = load_csv(path)
-        for name in columns:
-            if name not in table.columns:
-                raise ConfigError(f"{path}: missing column {name}")
-        if not table.rows:
-            raise ConfigError(f"{path}: no data row")
-    mc_path = src / _BUNDLE_FILES["mc"]
-    mc = load_csv(mc_path) if mc_path.exists() else None
-    if mc is not None and "result.before_sigma_V" not in mc.metadata:
-        raise ConfigError(f"{mc_path}: missing metadata key result.before_sigma_V")
-    return ReportInputs(sweeps=sweeps, mc=mc, **tables)
+    for stem, columns in _BUNDLE.items():
+        path = Path(in_dir) / f"{stem}.csv"
+        if columns is None and not path.exists():
+            continue
+        tables[stem] = table = load_csv(path)
+        if columns is not None:
+            if not table.rows:
+                raise ConfigError(f"{path}: no data row")
+            for name in columns:
+                if name not in table.columns:
+                    raise ConfigError(f"{path}: missing column {name}")
+                _require_numbers(path, f"column {name}", _column(table, name)[:1])
+        elif stem in _SWEEP_STEMS:
+            # The report compares energies in every sweep of a shutdown design.
+            if "savings_pct" in table.columns:
+                _require_numbers(path, "column savings_pct", _column(table, "savings_pct"))
+            elif table.metadata.get("shutdown") == "true":
+                raise ConfigError(f"{path}: missing column savings_pct (shutdown=true)")
+        elif "result.before_sigma_V" not in table.metadata:  # mc_offset
+            raise ConfigError(f"{path}: missing metadata key result.before_sigma_V")
+        else:
+            for key in ("result.before_sigma_V", "result.after_sigma_V"):
+                if key in table.metadata:
+                    _require_numbers(path, f"metadata key {key}",
+                                     [_parse_cell(table.metadata[key])])
+    return tables
+
+
+def _require_numbers(path, name: str, values: list) -> None:
+    """Raise a ConfigError naming ``path`` and ``name`` at a value that loaded as text."""
+    for value in values:
+        if isinstance(value, str):
+            raise ConfigError(f"{path}: {name} is not a number: {value!r}")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import offset_oracle
-from dyncomp import calibration
+from dyncomp import calibration, devices
 from dyncomp.calibration import (CalibrationConfig, cp_step, dac_output,
                                  measure_offset, monte_carlo, residual_bound,
                                  run_calibration)
@@ -325,6 +325,18 @@ class TestMonteCarlo:
                                calibrate=False)
         assert sum(stats.counts) == 60 - stats.span_errors
 
+    def test_missing_tail_device_rejected(self):
+        # The engine rejects the geometry set, so every entry point names the device.
+        geoms = default_geometry()
+        del geoms["Mp1"]
+        cfg = ComparatorConfig(geoms=geoms)
+        calls = [lambda: ComparatorEngine(cfg).simulate(OP0),
+                 lambda: measure_offset(ComparatorEngine(cfg), OP0),
+                 lambda: monte_carlo(5, 1, cfg, CalibrationConfig(), calibrate=True)]
+        for call in calls:
+            with pytest.raises(ConfigError, match="missing transistor 'Mp1'"):
+                call()
+
 
 def scalar_monte_carlo(n, seed, config, cal, calibrate, avt=AVT_DEFAULT, abeta=ABETA_DEFAULT):
     """Oracle: monte_carlo on offset_oracle's per-trial simulate loop."""
@@ -391,6 +403,21 @@ class TestBatchedMonteCarlo:
         assert str(batched.value) == str(scalar.value)
         with pytest.raises(error):
             batched_offsets(30, seed, config, cal, calibrate)
+
+    def test_error_path_draws_no_sample(self, monkeypatch):
+        # A raising trial runs simulate on the batch's own mismatch columns;
+        # nothing draws the trial again.
+        drawn = []
+
+        def counting(*args, **kwargs):
+            drawn.append(args[:2])
+            return sample_mismatch(*args, **kwargs)
+
+        monkeypatch.setattr(devices, "sample_mismatch", counting)
+        monkeypatch.setattr(calibration, "sample_mismatch", counting, raising=False)
+        with pytest.raises(NoDecisionError):
+            monte_carlo(30, 5, ComparatorConfig(freq=5.62e10), CalibrationConfig(), True)
+        assert drawn == []
 
     def test_every_trial_out_of_span(self):
         cal = CalibrationConfig(span=1e-4)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dyncomp import harness
 from dyncomp.calibration import CalibrationConfig
 from offset_oracle import scalar_offsets
 from dyncomp.cli import build_parser, main
@@ -20,9 +21,9 @@ from dyncomp.devices import CORNERS, default_geometry
 from dyncomp.engine import (EXTRA_NODES, ComparatorConfig, ComparatorEngine, DecisionKernel,
                             OperatingPoint)
 from dyncomp.errors import ConfigError, SimulationError
-from dyncomp.harness import (REPORT_SWEEP_VARIABLES, Table, _parse_cell, emit_csv, load_csv,
-                             render_csv, render_json, replace_runconfig, round9, run_calibrate_once,
-                             run_montecarlo, run_single, run_sizing, run_sweep)
+from dyncomp.harness import (REPORT_SWEEP_VARIABLES, Table, _column, _parse_cell, emit_csv,
+                             load_csv, render_csv, render_json, replace_runconfig, round9,
+                             run_calibrate_once, run_montecarlo, run_single, run_sizing, run_sweep)
 
 
 def _is_number(text: str) -> bool:
@@ -683,6 +684,66 @@ class TestReport:
         assert main(["report", "--from-dir", str(copy)]) == 2
         assert capsys.readouterr().err == \
             f"error: ConfigError: {path}: missing metadata key result.before_sigma_V\n"
+
+    @pytest.mark.parametrize("name, key", [("mc_offset.csv", "result.before_sigma_V"),
+                                           ("mc_offset.csv", "result.after_sigma_V"),
+                                           ("sweep_vid.csv", "savings_pct"),
+                                           ("fast.csv", "t_dm_s")])
+    def test_bundle_non_numeric_value(self, bundle, tmp_path, capsys, name, key):
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        path = copy / name
+        table = load_csv(path)
+        if key in table.metadata:
+            table.metadata[key], what = "abc", f"metadata key {key}"
+        else:  # the last row: the report reads every savings_pct cell
+            k = table.columns.index(key)
+            table.rows[-1] = table.rows[-1][:k] + ("abc",) + table.rows[-1][k + 1:]
+            what = f"column {key}"
+        emit_csv(table, path)
+        assert main(["report", "--from-dir", str(copy)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: ConfigError: {path}: {what} is not a number: 'abc'\n"
+
+    @pytest.mark.parametrize("name", ["typical.csv", "fast.csv", "size.csv"])
+    def test_bundle_without_required_table(self, bundle, tmp_path, capsys, name):
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        (copy / name).unlink()
+        assert main(["report", "--from-dir", str(copy)]) == 2
+        assert capsys.readouterr().err.startswith("error: FileNotFoundError: ")
+
+    def test_bundle_without_optional_tables(self, bundle, tmp_path, capsys):
+        copy = tmp_path / "bundle"
+        shutil.copytree(bundle, copy)
+        (copy / "mc_offset.csv").unlink()
+        (copy / "sweep_vdd.csv").unlink()
+        assert main(["report", "--from-dir", str(copy)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        full = (bundle / "report.txt").read_text(encoding="utf-8").splitlines()
+        # The vdd sweep holds the worst-case saving, so the line takes the
+        # worst case of the sweeps left.
+        worst = min(s for v in REPORT_SWEEP_VARIABLES if v != "vdd"
+                    for s in _column(load_csv(copy / f"sweep_{v}.csv"), "savings_pct")
+                    if not math.isnan(s))
+        savings = f"power_savings_worst_case_pct: {worst:.4g}  (design target: 21.7)"
+        assert savings not in full
+        assert lines == [savings if line.startswith("power_savings_worst_case_pct:") else line
+                         for line in full if not line.startswith("offset_")]
+
+    def test_report_text_runs_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = harness.report_text
+
+        def counting(tables):
+            calls.append(tables)
+            return original(tables)
+
+        monkeypatch.setattr(harness, "report_text", counting)
+        assert main(["report", "--trials", "5", "--out-dir", str(tmp_path)]) == 0
+        assert len(calls) == 1
+        assert (tmp_path / "report.txt").read_text(encoding="utf-8") == original(
+            harness.load_report_bundle(tmp_path))
 
     def test_report_sweeps_take_no_grid_keys(self, bundle, tmp_path, capsys):
         grid = {"sweep.start": "0.5", "sweep.stop": "1.0", "sweep.points": "3",
