@@ -167,6 +167,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.json and args.out is not None and args.out.suffix == ".json":
+            raise ConfigError(f"--out: {args.out} is the --json mirror's own path")
         cfg = load_runconfig(args)
         return _COMMANDS[args.command](cfg, args)
     except (ConfigError, SimulationError, OSError) as exc:

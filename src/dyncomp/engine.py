@@ -127,8 +127,9 @@ class ComparisonResult:
 
 @dataclass(frozen=True)
 class GridResult:
-    """Per-row arrays of ComparatorEngine.simulate_grid. A failed row is one
-    where simulate raises SimulationError; its other entries mean nothing."""
+    """Per-row arrays of simulate_grid, which evaluates every sweep. A failed
+    row is one where simulate raises SimulationError; its other entries mean
+    nothing."""
 
     decision: np.ndarray
     t_dm: np.ndarray
@@ -330,83 +331,94 @@ class ComparatorEngine:
         return EnergyBreakdown(e_preamp=e_preamp, e_latch=e_latch, e_ddvb=e_ddvb,
                                e_reset=e_reset, total=total)
 
-    # -- a grid of operating points ---------------------------------------------
 
-    def simulate_grid(self, ops: Sequence[OperatingPoint]) -> GridResult:
-        """``simulate(op)`` at every row ``op`` of ``ops`` in one array pass.
+def simulate_grid(rows: Sequence[tuple[ComparatorEngine, OperatingPoint]]) -> GridResult:
+    """``engine.simulate(op)`` at every row ``(engine, op)`` in one array pass.
 
-        Device parameters are resolved once per distinct (corner,
-        temperature). Raises the ConfigError that simulate raises at the
-        first row that raises one.
+    Each row takes its engine's node caps, geometry and settings, read once
+    per engine, and device parameters resolved once per distinct (nmos, pmos,
+    corner, temperature). Raises the ConfigError that simulate raises at the
+    first row that raises one.
 
-        The arrays repeat simulate's float operations in order, at zero
-        mismatch and body voltages at the supply, so every row equals the
-        scalar result bit for bit: only + - * /, comparisons, np.where and
-        np.minimum touch them (np.power can differ from Python's pow).
-        """
-        cfg = self.config
-        caps, geoms = self._caps, cfg.geoms
-        # (vth_n, mu_n, vth_p, mu_p) per (corner, temperature)
-        params: dict = {}
-        rows = []
-        for op in ops:
-            vdd = self.supply(op)
-            self.validate_op(op, vdd)
-            key = (op.corner, op.t_kelvin)
-            if key not in params:
-                nparams, pparams = self.params_at(op)
-                params[key] = (threshold(nparams), nparams.mu_cox,
-                               threshold(pparams), pparams.mu_cox)
-            rows.append((op.vid, op.vcm, vdd, *params[key]))
-        vid, vcm, vdd, vth_n, mu_n, vth_p, mu_p = np.array(rows, float).reshape(len(ops), 7).T
+    The arrays repeat simulate's float operations in order, at zero
+    mismatch and body voltages at the supply, so every row equals the
+    scalar result bit for bit: only + - * /, comparisons, np.where and
+    np.minimum touch them (np.power can differ from Python's pow).
+    """
+    devices: dict = {}  # index per distinct (nmos, pmos)
+    engines: dict = {}  # (index into columns, index into devices) per engine
+    params: dict = {}   # index into par per (devices index, corner, temperature)
+    par, columns, table = [], [], []
+    for engine, op in rows:
+        vdd = engine.supply(op)
+        engine.validate_op(op, vdd)
+        if engine not in engines:
+            cfg, caps = engine.config, engine.node_caps()
+            # One device per symmetric pair: ComparatorEngine checks the pairs equal.
+            geoms = [cfg.geoms[name] for name in ("Mp1", "Mp4", "Mn3", "Mni2", "Mpi1")]
+            engines[engine] = (len(columns),
+                               devices.setdefault((cfg.nmos, cfg.pmos), len(devices)))
+            columns.append((caps.c_out, caps.c_pi, caps.c_p3, caps.c_latch,
+                            *(x for g in geoms for x in (g.w, g.l)), cfg.alpha,
+                            cfg.tail_derating, cfg.tie_break, cfg.early_shutdown_enabled,
+                            cfg.window))
+        e, d = engines[engine]
+        key = (d, op.corner, op.t_kelvin)
+        p = params.get(key)
+        if p is None:
+            nparams, pparams = engine.params_at(op)
+            params[key] = p = len(par)
+            par.append((threshold(nparams), nparams.mu_cox, threshold(pparams), pparams.mu_cox))
+        table.append((op.vid, op.vcm, vdd, p, e))
+    vid, vcm, vdd, p, e = np.array(table, float).reshape(len(table), 5).T
+    # Indexing copies values, so the rows' parameters and engine columns are exact.
+    vth_n, mu_n, vth_p, mu_p = np.array(par, float).reshape(-1, 4)[p.astype(int)].T
+    (c_out, c_pi, c_p3, c_latch, w_p1, l_p1, w_p4, l_p4, w_n3, l_n3, w_ni2, l_ni2, w_pi1, l_pi1,
+     alpha, derating, tie_break, shutdown_on, window) = \
+        np.array(columns, float).reshape(-1, 19)[e.astype(int)].T
 
-        def beta_of(name: str, mu_cox: np.ndarray) -> np.ndarray:
-            return mu_cox * geoms[name].w / geoms[name].l
+    with np.errstate(all="ignore"):
+        # Zero mismatch gives both sides of every pair one beta and one
+        # threshold, and the body at the supply leaves vsb = 0.
+        ov = vdd - vth_p
+        i_tail = np.where(ov <= 0.0, 0.0, 0.5 * (mu_p * w_p1 / l_p1) * ov * ov
+                          * (1.0 - derating))
+        b_in = mu_p * w_p4 / l_p4
+        ov_minus = vdd - (vcm - vid / 2.0) - vth_p
+        ov_plus = vdd - (vcm + vid / 2.0) - vth_p
+        i_minus = np.where(ov_minus > 0.0, 0.5 * b_in * ov_minus * ov_minus, 0.0)
+        i_plus = np.where(ov_plus > 0.0, 0.5 * b_in * ov_plus * ov_plus, 0.0)
+        total = i_minus + i_plus
+        clamped = total > i_tail
+        scale = i_tail / total
+        i_minus = np.where(clamped, i_minus * scale, i_minus)
+        i_plus = np.where(clamped, i_plus * scale, i_plus)
 
-        with np.errstate(all="ignore"):
-            # Zero mismatch gives both sides of every pair one beta and one
-            # threshold, and the body at the supply leaves vsb = 0.
-            ov = vdd - vth_p
-            i_tail = np.where(ov <= 0.0, 0.0, 0.5 * beta_of("Mp1", mu_p) * ov * ov
-                              * (1.0 - cfg.tail_derating))
-            b_in = beta_of("Mp4", mu_p)
-            ov_minus = vdd - (vcm - vid / 2.0) - vth_p
-            ov_plus = vdd - (vcm + vid / 2.0) - vth_p
-            i_minus = np.where(ov_minus > 0.0, 0.5 * b_in * ov_minus * ov_minus, 0.0)
-            i_plus = np.where(ov_plus > 0.0, 0.5 * b_in * ov_plus * ov_plus, 0.0)
-            total = i_minus + i_plus
-            clamped = total > i_tail
-            scale = i_tail / total
-            i_minus = np.where(clamped, i_minus * scale, i_minus)
-            i_plus = np.where(clamped, i_plus * scale, i_plus)
+        def crossing(i_side):
+            return np.where((i_side > 0.0) & (vth_n > 0.0), vth_n * c_out / i_side, np.inf)
 
-            def crossing(i_side):
-                return np.where((i_side > 0.0) & (vth_n > 0.0), vth_n * caps.c_out / i_side,
-                                np.inf)
+        t0_minus, t0_plus = crossing(i_minus), crossing(i_plus)
+        decision = np.where(t0_minus < t0_plus, 1,
+                            np.where(t0_plus < t0_minus, -1, tie_break.astype(int)))
+        # The sense and latch devices share vth_n, so t1 = t0.
+        t0 = np.where(decision > 0, t0_minus, t0_plus)
+        failed = ~np.isfinite(t0) | (t0 > window)
+        t_esd = t0 + 1.6 * c_pi / (mu_n * w_ni2 / l_ni2 * vdd) \
+            + alpha * (1.6 * c_p3 / (mu_p * w_pi1 / l_pi1 * vdd))
+        t_dm = t0 + 1.6 * c_latch / (mu_n * w_n3 / l_n3 * vdd)
+        late = (t_dm > window) | (t_esd < t0)
+        shutdown = (shutdown_on != 0.0) & (t_esd <= window)
 
-            t0_minus, t0_plus = crossing(i_minus), crossing(i_plus)
-            decision = np.where(t0_minus < t0_plus, 1,
-                                np.where(t0_plus < t0_minus, -1, cfg.tie_break))
-            # The sense and latch devices share vth_n, so t1 = t0.
-            t0 = np.where(decision > 0, t0_minus, t0_plus)
-            window = cfg.window
-            failed = ~np.isfinite(t0) | (t0 > window)
-            t_esd = t0 + 1.6 * caps.c_pi / (beta_of("Mni2", mu_n) * vdd) \
-                + cfg.alpha * (1.6 * caps.c_p3 / (beta_of("Mpi1", mu_p) * vdd))
-            t_dm = t0 + 1.6 * caps.c_latch / (beta_of("Mn3", mu_n) * vdd)
-            late = (t_dm > window) | (t_esd < t0)
-            shutdown = cfg.early_shutdown_enabled & (t_esd <= window)
-
-            e_latch = caps.c_latch * vdd * vdd
-            e_reset = 2.0 * caps.c_out * vdd * vdd
-            energy = (vdd * i_tail * np.minimum(np.where(shutdown, t_esd, window), window)
-                      + e_latch
-                      + np.where(shutdown, 2.0 * (caps.c_pi + caps.c_p3) * vdd * vdd, 0.0)
-                      + e_reset)
-            # The same cycle accounted with the tail on for the whole window.
-            energy_noesd = vdd * i_tail * window + e_latch + e_reset
-        return GridResult(decision=decision, t_dm=t_dm, t_esd=t_esd, energy=energy,
-                          energy_noesd=energy_noesd, late=late, failed=failed)
+        e_latch = c_latch * vdd * vdd
+        e_reset = 2.0 * c_out * vdd * vdd
+        energy = (vdd * i_tail * np.minimum(np.where(shutdown, t_esd, window), window)
+                  + e_latch
+                  + np.where(shutdown, 2.0 * (c_pi + c_p3) * vdd * vdd, 0.0)
+                  + e_reset)
+        # The same cycle accounted with the tail on for the whole window.
+        energy_noesd = vdd * i_tail * window + e_latch + e_reset
+    return GridResult(decision=decision, t_dm=t_dm, t_esd=t_esd, energy=energy,
+                      energy_noesd=energy_noesd, late=late, failed=failed)
 
 
 class DecisionKernel:

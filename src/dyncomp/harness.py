@@ -21,8 +21,8 @@ from .calibration import (OffsetStats, monte_carlo, residual_bound,
 from .config import (SWEEPS, RunConfig, build_calibration_config, build_comparator_config,
                      build_operating_point, resolved_metadata)
 from .devices import CORNERS, sample_mismatch
-from .engine import ComparatorConfig, ComparatorEngine, OperatingPoint
-from .errors import ConfigError, SimulationError
+from .engine import ComparatorEngine, simulate_grid
+from .errors import ConfigError
 
 TOOL_NAME = "dyncomp-sim"
 
@@ -128,15 +128,14 @@ def _check_grid_ends(cfg: RunConfig, engine: ComparatorEngine, values: list) -> 
 
 
 def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
-    """Evaluate the engine over the sweep grid in deterministic row order: a
-    sweep of the operating point in one simulate_grid pass, a width sweep
-    point by point.
+    """Evaluate the engine over the sweep grid in deterministic row order, in
+    one simulate_grid pass: a width sweep gives each point its own engine.
 
     With ``compare`` the shutdown design runs at every point and the table
     gains no-shutdown energy and savings-percent columns; the no-shutdown
     energy is the same cycle accounted with the tail on for the whole
     window, so a compare sweep needs shutdown=true. Per-point engine errors
-    become rows flagged late with NaN metrics.
+    and widths the geometry rejects become rows flagged late with NaN metrics.
     """
     values = _grid_values(cfg)
     if compare and not cfg.shutdown:
@@ -150,19 +149,23 @@ def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
     config = build_comparator_config(cfg)
     engine = ComparatorEngine(config)
     _check_grid_ends(cfg, engine, values)
-    if sweep.width_target is None:
-        grid = engine.simulate_grid([build_operating_point(cfg, **sweep.fields(cfg, value))
-                                     for value in values])
-        points = [None if failed else point for failed, *point in zip(
-            grid.failed.tolist(), grid.decision.tolist(), grid.t_dm.tolist(),
-            grid.t_esd.tolist(), grid.energy.tolist(), grid.energy_noesd.tolist(),
-            grid.late.tolist())]
-    else:
-        op = build_operating_point(cfg)
-        points = [_width_point(config, sweep.width_target, value, op) for value in values]
+    engines = []  # None where the geometry rejects the width
+    for value in values:
+        try:
+            engines.append(engine if sweep.width_target is None else ComparatorEngine(
+                sizing_mod.scaled_config(config, sweep.width_target, value)))
+        except ConfigError:
+            engines.append(None)
+    grid = simulate_grid([(eng, build_operating_point(cfg, **sweep.fields(cfg, value)))
+                          for eng, value in zip(engines, values) if eng is not None])
+    points = iter([None if failed else point for failed, *point in zip(
+        grid.failed.tolist(), grid.decision.tolist(), grid.t_dm.tolist(),
+        grid.t_esd.tolist(), grid.energy.tolist(), grid.energy_noesd.tolist(),
+        grid.late.tolist())])
 
     rows = []
-    for value, point in zip(values, points):
+    for value, eng in zip(values, engines):
+        point = None if eng is None else next(points)
         if point is None:
             rows.append(_failed_row(value, compare))
             continue
@@ -180,26 +183,6 @@ def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
     if sweep.plot_scale is not None:
         meta["plot_scale"] = sweep.plot_scale
     return Table(columns=tuple(columns), rows=rows, metadata=meta)
-
-
-def _width_point(config: ComparatorConfig, target: str, width: float,
-                 op: OperatingPoint) -> tuple | None:
-    """(decision, t_dm, t_esd, energy, energy_noesd, late) of ``op`` on the
-    engine with ``target`` at ``width``; None where the width is invalid or
-    simulate raises SimulationError. Each width has its own engine and runs
-    its own simulate.
-    """
-    try:
-        engine = ComparatorEngine(sizing_mod.scaled_config(config, target, width))
-    except ConfigError:
-        return None
-    try:
-        result = engine.simulate(op)
-    except SimulationError:
-        return None
-    e_off = engine.energy_per_comparison(engine.supply(op), result.i_tail, result.t_esd, False)
-    return (result.decision, result.t_dm, result.t_esd, result.energy.total, e_off.total,
-            result.late)
 
 
 def _failed_row(value, compare: bool) -> tuple:

@@ -283,22 +283,23 @@ class TestTables:
         got = _parse_cell(text)
         assert (type(got), repr(got)) == (type(value), repr(value))
 
-    def test_one_simulate_per_compare_point(self, monkeypatch):
-        # An operating-point sweep evaluates its grid in one simulate_grid
-        # pass: no point runs the scalar simulate.
+    @pytest.mark.parametrize("variable", list(SWEEPS))
+    def test_one_simulate_per_compare_point(self, monkeypatch, variable):
+        # Every sweep evaluates its grid in one simulate_grid pass: no point
+        # runs the scalar simulate.
         calls = count_calls(monkeypatch, "simulate")
-        cfg = replace_runconfig(RunConfig(), sweep_variable="vid", sweep_points=4)
-        run_sweep(cfg, compare=True)
+        run_sweep(sweep_of(variable), compare=True)
         assert len(calls) == 0
 
-    def test_one_params_at_per_compare_point(self, monkeypatch):
+    @pytest.mark.parametrize("variable, resolves", [
+        (v, {"temp": 6, "corner": len(CORNERS)}.get(v, 1)) for v in SWEEPS])
+    def test_one_params_at_per_compare_point(self, monkeypatch, variable, resolves):
         # The grid pass resolves the device parameters once per distinct
-        # (corner, temperature), and the grid-end check of a vid sweep
-        # resolves none.
+        # (nmos, pmos, corner, temperature), so once for a width sweep; the
+        # grid-end check resolves them only at a temperature sweep's two ends.
         calls = count_calls(monkeypatch, "params_at")
-        cfg = replace_runconfig(RunConfig(), sweep_variable="vid", sweep_points=4)
-        run_sweep(cfg, compare=True)
-        assert len(calls) == 1
+        run_sweep(sweep_of(variable), compare=True)
+        assert len(calls) == resolves
 
     @pytest.mark.parametrize("calibrate, per_trial", [(False, 1), (True, 8)])
     def test_simulates_per_mc_trial(self, monkeypatch, calibrate, per_trial):
@@ -349,6 +350,12 @@ class TestSweepTable:
             assert table.columns[0] == sweep.column
             assert len(table.rows) == points
             assert ("savings_pct" in table.columns) == bool(flags)
+
+
+def sweep_of(variable: str) -> RunConfig:
+    """A 4-point sweep of ``variable``; the corner sweep takes every corner."""
+    points = {} if SWEEPS[variable].grid is None else {"sweep_points": 4}
+    return replace_runconfig(RunConfig(), sweep_variable=variable, **points)
 
 
 def count_calls(monkeypatch, method: str) -> list:
@@ -403,6 +410,14 @@ class TestCli:
         assert main(["sim", "--out", str(out), "--json"]) == 0
         mirror = json.loads(out.with_suffix(".json").read_text())
         assert mirror["metadata"]["subcommand"] == "sim"
+
+    @pytest.mark.parametrize("command", ["sim", "sweep"])
+    def test_json_flag_rejects_json_out(self, tmp_path, capsys, command):
+        # The mirror would overwrite the CSV, so nothing runs.
+        out = tmp_path / "r.json"
+        assert main([command, "--set", "sweep.variable=vid", "--out", str(out), "--json"]) == 2
+        assert capsys.readouterr().err.startswith("error: ConfigError: --out: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_error_exit_code_and_message(self, tmp_path, capsys):
         assert main(["sim", "--set", "bogus=1"]) == 2

@@ -1,10 +1,12 @@
 """The one-pass sweep grid against the per-point loop and scalar simulate."""
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dyncomp.config import SWEEPS, RunConfig
-from dyncomp.devices import CORNERS, MIN_WIDTH
-from dyncomp.engine import ComparatorConfig, ComparatorEngine, OperatingPoint
+from dyncomp.devices import CORNERS, DEFAULT_NMOS, DEFAULT_PMOS, MIN_WIDTH
+from dyncomp.engine import ComparatorConfig, ComparatorEngine, OperatingPoint, simulate_grid
 from dyncomp.errors import ConfigError, SimulationError
 from dyncomp.harness import render_csv, replace_runconfig, run_sweep
 from dyncomp.sizing import scaled_config
@@ -73,42 +75,65 @@ def scalar_outcome(engine, op):
         return exc
 
 
+# One engine: its geometry (a scaled width target), settings and device
+# parameters. The few mu_cox factors and temperatures make rows share the
+# corner and temperature while their engines differ in nmos or pmos.
+ENGINE = st.fixed_dictionaries({
+    "vdd": st.floats(1.0, 2.4),
+    "freq": st.sampled_from([333e6, 5e9]),
+    "alpha": st.floats(1.0, 4.0),
+    "tail_derating": st.sampled_from([0.0, 0.02, 0.5]),
+    "tie_break": st.sampled_from([1, -1]),
+    "early_shutdown_enabled": st.booleans(),
+    "target": st.sampled_from([None, "preamp", "inv_n", "inv_both"]),
+    "width": st.floats(MIN_WIDTH, 4e-6),
+    "mu_n": st.sampled_from([1.0, 0.5]),
+    "mu_p": st.sampled_from([1.0, 2.0]),
+})
+
 ROW = st.fixed_dictionaries({
+    "engine": st.integers(0, 2),
     "vid": st.floats(-0.2, 0.2),
     "vcm_share": st.floats(-0.02, 1.02),
     "vdd_override": st.one_of(st.none(), st.floats(1.0, 2.4)),
     "corner": st.sampled_from(sorted(CORNERS)),
-    "temp_c": st.floats(-60.0, 270.0),
+    "temp_c": st.one_of(st.sampled_from([27.0, 125.0]), st.floats(-60.0, 270.0)),
 })
 
 
+def build_engine(spec) -> ComparatorEngine:
+    config = ComparatorConfig(
+        vdd=spec["vdd"], freq=spec["freq"], alpha=spec["alpha"],
+        tail_derating=spec["tail_derating"], tie_break=spec["tie_break"],
+        early_shutdown_enabled=spec["early_shutdown_enabled"],
+        nmos=replace(DEFAULT_NMOS, mu_cox=DEFAULT_NMOS.mu_cox * spec["mu_n"]),
+        pmos=replace(DEFAULT_PMOS, mu_cox=DEFAULT_PMOS.mu_cox * spec["mu_p"]))
+    if spec["target"] is not None:
+        config = scaled_config(config, spec["target"], spec["width"])
+    return ComparatorEngine(config)
+
+
 @settings(deadline=None, max_examples=300)
-@given(rows=st.lists(ROW, min_size=1, max_size=6), vdd=st.floats(1.0, 2.4),
-       alpha=st.floats(1.0, 4.0), tie_break=st.sampled_from([1, -1]), shutdown=st.booleans(),
-       target=st.sampled_from([None, "preamp", "inv_n", "inv_both"]),
-       width=st.floats(MIN_WIDTH, 4e-6))
-def test_grid_rows_are_scalar_simulate(rows, vdd, alpha, tie_break, shutdown, target, width):
-    config = ComparatorConfig(vdd=vdd, alpha=alpha, tie_break=tie_break,
-                              early_shutdown_enabled=shutdown)
-    if target is not None:
-        config = scaled_config(config, target, width)
-    engine = ComparatorEngine(config)
-    ops = []
+@given(specs=st.lists(ENGINE, min_size=1, max_size=3), rows=st.lists(ROW, min_size=1, max_size=6))
+def test_grid_rows_are_scalar_simulate(specs, rows):
+    engines = [build_engine(spec) for spec in specs]
+    grid_rows = []
     for row in rows:
-        supply = vdd if row["vdd_override"] is None else row["vdd_override"]
-        ops.append(OperatingPoint(vid=row["vid"], vcm=row["vcm_share"] * supply,
-                                  corner=CORNERS[row["corner"]],
-                                  t_kelvin=row["temp_c"] + 273.15,
-                                  vdd_override=row["vdd_override"]))
-    outcomes = [scalar_outcome(engine, op) for op in ops]
+        engine = engines[row["engine"] % len(engines)]
+        supply = engine.config.vdd if row["vdd_override"] is None else row["vdd_override"]
+        grid_rows.append((engine, OperatingPoint(vid=row["vid"], vcm=row["vcm_share"] * supply,
+                                                 corner=CORNERS[row["corner"]],
+                                                 t_kelvin=row["temp_c"] + 273.15,
+                                                 vdd_override=row["vdd_override"])))
+    outcomes = [scalar_outcome(engine, op) for engine, op in grid_rows]
     errors = [out for out in outcomes if isinstance(out, ConfigError)]
     if errors:
         with pytest.raises(ConfigError) as raised:
-            engine.simulate_grid(ops)
+            simulate_grid(grid_rows)
         assert str(raised.value) == str(errors[0])
         return
-    grid = engine.simulate_grid(ops)
-    for k, (op, out) in enumerate(zip(ops, outcomes)):
+    grid = simulate_grid(grid_rows)
+    for k, ((engine, op), out) in enumerate(zip(grid_rows, outcomes)):
         assert grid.failed[k] == isinstance(out, SimulationError)
         if grid.failed[k]:
             continue
@@ -122,5 +147,5 @@ def test_grid_rows_are_scalar_simulate(rows, vdd, alpha, tie_break, shutdown, ta
 
 
 def test_empty_grid():
-    grid = ComparatorEngine(ComparatorConfig()).simulate_grid([])
+    grid = simulate_grid([])
     assert grid.failed.shape == grid.t_dm.shape == (0,)
