@@ -139,6 +139,8 @@ def cmd_size(cfg: RunConfig, args) -> int:
 
 
 def cmd_report(cfg: RunConfig, args) -> int:
+    if args.json:
+        raise ConfigError("--json: report writes text, which has no JSON mirror")
     tables = (harness.load_report_bundle(args.from_dir) if args.from_dir is not None
               else harness.collect_report_inputs(cfg))
     text = harness.report_text(tables)

@@ -71,8 +71,8 @@ class RunConfig:
 class Sweep:
     """One sweep.variable: its CSV value column, its default (start, stop,
     points) grid (None: the corner names in CORNERS order), and what one value
-    sets, either OperatingPoint fields or the width of a sizing.scaled_config
-    target."""
+    sets, either OperatingPoint fields or the width of a sizing.WIDTH_TARGETS
+    target; run_sweep makes them per-row columns of one engine's grid."""
 
     column: str
     grid: tuple[float, float, int] | None

@@ -129,9 +129,9 @@ def beta(geom: TransistorGeom, params: DeviceParams) -> float:
     return params.mu_cox * geom.w / geom.l
 
 
-def gate_cap(geom: TransistorGeom, params: DeviceParams) -> float:
-    """Gate capacitance cox_area * W * L, F."""
-    return params.cox_area * geom.w * geom.l
+def gate_cap(geom: TransistorGeom, params: DeviceParams, w=None) -> float:
+    """Gate capacitance cox_area * W * L, F, at the width ``w`` (or widths) if given."""
+    return params.cox_area * (geom.w if w is None else w) * geom.l
 
 
 def threshold(params: DeviceParams, vsb: float = 0.0, delta_vth: float = 0.0) -> float:

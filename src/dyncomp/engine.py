@@ -128,8 +128,8 @@ class ComparisonResult:
 @dataclass(frozen=True)
 class GridResult:
     """Per-row arrays of simulate_grid, which evaluates every sweep. A failed
-    row is one where simulate raises SimulationError; its other entries mean
-    nothing."""
+    row is one where simulate raises SimulationError, or whose widths the
+    geometry rejects; its other entries mean nothing."""
 
     decision: np.ndarray
     t_dm: np.ndarray
@@ -161,15 +161,17 @@ class ComparatorEngine:
             ga, gb = config.geoms[a], config.geoms[b]
             if ga.w != gb.w or ga.l != gb.l:
                 raise ConfigError(f"asymmetric pair {a}/{b}: {ga.w}x{ga.l} vs {gb.w}x{gb.l}")
-        self._caps = self._node_caps()
+        self._caps = self.node_caps()
 
     # -- static structure ---------------------------------------------------
 
-    def _node_caps(self) -> NodeCaps:
+    def node_caps(self, widths: Mapping[str, np.ndarray] = {}) -> NodeCaps:
+        """The lumped node caps; arrays of them where ``widths`` gives per-row device widths."""
         cfg = self.config
         extra = cfg.extra_load
         g = cfg.geoms
-        cap = lambda name: gate_cap(g[name], cfg.nmos if g[name].polarity == dev.NMOS else cfg.pmos)
+        cap = lambda name: gate_cap(g[name], cfg.nmos if g[name].polarity == dev.NMOS else cfg.pmos,
+                                    widths.get(name))
         c_out = cap("Mn3") + cap("Mni2") + extra.get("out", 0.0)
         c_pi = cap("Mpi1") + extra.get("pi", 0.0)
         # The two parallel tail switches split between the two buffer chains:
@@ -177,9 +179,6 @@ class ComparatorEngine:
         c_p3 = 0.5 * (cap("Mp2") + cap("Mp3")) + extra.get("p3", 0.0)
         c_latch = cap("Mp8") + cap("Mn6") + extra.get("latch", 0.0)
         return NodeCaps(c_out=c_out, c_pi=c_pi, c_p3=c_p3, c_latch=c_latch)
-
-    def node_caps(self) -> NodeCaps:
-        return self._caps
 
     # -- operating-point resolution ------------------------------------------
 
@@ -332,57 +331,62 @@ class ComparatorEngine:
                                e_reset=e_reset, total=total)
 
 
-def simulate_grid(rows: Sequence[tuple[ComparatorEngine, OperatingPoint]]) -> GridResult:
-    """``engine.simulate(op)`` at every row ``(engine, op)`` in one array pass.
+def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[float],
+                  vdd: Sequence[float], corner: Sequence[CornerSpec], t_kelvin: Sequence[float],
+                  widths: Mapping[str, np.ndarray] = {}) -> GridResult:
+    """``engine.simulate`` at every row of the columns in one array pass.
 
-    Each row takes its engine's node caps, geometry and settings, read once
-    per engine, and device parameters resolved once per distinct (nmos, pmos,
-    corner, temperature). Raises the ConfigError that simulate raises at the
-    first row that raises one.
+    Row k is the operating point (vid[k], vcm[k], corner[k], t_kelvin[k]) at
+    the supply vdd[k]. ``widths`` maps devices to per-row widths in place of
+    the geometry's, both of a symmetric pair alike (sizing.target_widths); a
+    row with one below MIN_WIDTH, a geometry ComparatorEngine rejects, fails
+    unchecked. Device parameters resolve once per distinct (corner, t_kelvin).
+    Raises the ConfigError simulate raises at the first other row raising one.
 
     The arrays repeat simulate's float operations in order, at zero
     mismatch and body voltages at the supply, so every row equals the
     scalar result bit for bit: only + - * /, comparisons, np.where and
     np.minimum touch them (np.power can differ from Python's pow).
     """
-    devices: dict = {}  # index per distinct (nmos, pmos)
-    engines: dict = {}  # (index into columns, index into devices) per engine
-    params: dict = {}   # index into par per (devices index, corner, temperature)
-    par, columns, table = [], [], []
-    for engine, op in rows:
-        vdd = engine.supply(op)
-        engine.validate_op(op, vdd)
-        if engine not in engines:
-            cfg, caps = engine.config, engine.node_caps()
-            # One device per symmetric pair: ComparatorEngine checks the pairs equal.
-            geoms = [cfg.geoms[name] for name in ("Mp1", "Mp4", "Mn3", "Mni2", "Mpi1")]
-            engines[engine] = (len(columns),
-                               devices.setdefault((cfg.nmos, cfg.pmos), len(devices)))
-            columns.append((caps.c_out, caps.c_pi, caps.c_p3, caps.c_latch,
-                            *(x for g in geoms for x in (g.w, g.l)), cfg.alpha,
-                            cfg.tail_derating, cfg.tie_break, cfg.early_shutdown_enabled,
-                            cfg.window))
-        e, d = engines[engine]
-        key = (d, op.corner, op.t_kelvin)
-        p = params.get(key)
-        if p is None:
-            nparams, pparams = engine.params_at(op)
-            params[key] = p = len(par)
-            par.append((threshold(nparams), nparams.mu_cox, threshold(pparams), pparams.mu_cox))
-        table.append((op.vid, op.vcm, vdd, p, e))
-    vid, vcm, vdd, p, e = np.array(table, float).reshape(len(table), 5).T
-    # Indexing copies values, so the rows' parameters and engine columns are exact.
-    vth_n, mu_n, vth_p, mu_p = np.array(par, float).reshape(-1, 4)[p.astype(int)].T
-    (c_out, c_pi, c_p3, c_latch, w_p1, l_p1, w_p4, l_p4, w_n3, l_n3, w_ni2, l_ni2, w_pi1, l_pi1,
-     alpha, derating, tie_break, shutdown_on, window) = \
-        np.array(columns, float).reshape(-1, 19)[e.astype(int)].T
+    cfg, g, window = engine.config, engine.config.geoms, engine.config.window
+    vid, vcm, vdd = (np.asarray(x, float) for x in (vid, vcm, vdd))
+    unbuilt = np.any([w < dev.MIN_WIDTH - 1e-15 for w in widths.values()], axis=0)
+    index: dict = {}    # index into par per distinct (corner, t_kelvin)
+    par, errors, p = [], {}, []  # errors: the ConfigError params_at raises, by index into par
+    for key in zip(corner, np.asarray(t_kelvin, float).tolist()):
+        i = index.get(key)
+        if i is None:
+            index[key] = i = len(par)
+            try:
+                nparams, pparams = engine.params_at(OperatingPoint(corner=key[0], t_kelvin=key[1]))
+                par.append((threshold(nparams), nparams.mu_cox, threshold(pparams), pparams.mu_cox,
+                            0.0))
+            except ConfigError as exc:
+                errors[i] = exc
+                par.append((math.nan,) * 4 + (1.0,))
+        p.append(i)
+    p = np.array(p, int)
+    # Indexing copies values, so the rows' parameters are exact.
+    vth_n, mu_n, vth_p, mu_p, unresolved = np.array(par, float).reshape(-1, 5)[p].T
+    # simulate's checks in its order: vcm, then vid, at the supply, then the parameters.
+    invalid = ~((0.0 <= vcm) & (vcm <= vdd)) | (np.abs(vid) >= vdd)
+    raising = ~unbuilt & (invalid | (unresolved != 0.0))
+    if raising.any():
+        k = int(raising.argmax())
+        if invalid[k]:
+            engine.validate_op(OperatingPoint(vid=float(vid[k]), vcm=float(vcm[k])), float(vdd[k]))
+        raise errors[p[k]]
+    c_out, c_pi, c_p3, c_latch = vars(engine.node_caps(widths)).values()
+    # One device per symmetric pair: ComparatorEngine checks the pairs equal.
+    (w_p1, l_p1), (w_p4, l_p4), (w_n3, l_n3), (w_ni2, l_ni2), (w_pi1, l_pi1) = (
+        (widths.get(name, g[name].w), g[name].l) for name in ("Mp1", "Mp4", "Mn3", "Mni2", "Mpi1"))
 
     with np.errstate(all="ignore"):
         # Zero mismatch gives both sides of every pair one beta and one
         # threshold, and the body at the supply leaves vsb = 0.
         ov = vdd - vth_p
         i_tail = np.where(ov <= 0.0, 0.0, 0.5 * (mu_p * w_p1 / l_p1) * ov * ov
-                          * (1.0 - derating))
+                          * (1.0 - cfg.tail_derating))
         b_in = mu_p * w_p4 / l_p4
         ov_minus = vdd - (vcm - vid / 2.0) - vth_p
         ov_plus = vdd - (vcm + vid / 2.0) - vth_p
@@ -399,15 +403,15 @@ def simulate_grid(rows: Sequence[tuple[ComparatorEngine, OperatingPoint]]) -> Gr
 
         t0_minus, t0_plus = crossing(i_minus), crossing(i_plus)
         decision = np.where(t0_minus < t0_plus, 1,
-                            np.where(t0_plus < t0_minus, -1, tie_break.astype(int)))
+                            np.where(t0_plus < t0_minus, -1, cfg.tie_break))
         # The sense and latch devices share vth_n, so t1 = t0.
         t0 = np.where(decision > 0, t0_minus, t0_plus)
-        failed = ~np.isfinite(t0) | (t0 > window)
+        failed = unbuilt | ~np.isfinite(t0) | (t0 > window)
         t_esd = t0 + 1.6 * c_pi / (mu_n * w_ni2 / l_ni2 * vdd) \
-            + alpha * (1.6 * c_p3 / (mu_p * w_pi1 / l_pi1 * vdd))
+            + cfg.alpha * (1.6 * c_p3 / (mu_p * w_pi1 / l_pi1 * vdd))
         t_dm = t0 + 1.6 * c_latch / (mu_n * w_n3 / l_n3 * vdd)
         late = (t_dm > window) | (t_esd < t0)
-        shutdown = (shutdown_on != 0.0) & (t_esd <= window)
+        shutdown = cfg.early_shutdown_enabled & (t_esd <= window)
 
         e_latch = c_latch * vdd * vdd
         e_reset = 2.0 * c_out * vdd * vdd

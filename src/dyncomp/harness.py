@@ -1,8 +1,8 @@
 """Batch runners: sweeps, Monte Carlo, CSV/JSON emission and the report.
 
 Output files are deterministic byte-for-byte for a fixed config and seed:
-floats are normalized to 9 significant digits when rows are built, so a
-table loaded back from its CSV is value-identical to the live one.
+floats take their 9-significant-digit CSV value when rows are built (a sweep
+reads it back from each row's one formatting), so a loaded table equals the live one.
 """
 from __future__ import annotations
 
@@ -51,6 +51,7 @@ class Table:
     columns: tuple[str, ...]
     rows: list[tuple]
     metadata: dict[str, str] = field(default_factory=dict)
+    text: list[str] | None = None   # the rows' CSV lines, where formatted with them
 
 
 def base_metadata(cfg: RunConfig, subcommand: str) -> dict[str, str]:
@@ -129,7 +130,8 @@ def _check_grid_ends(cfg: RunConfig, engine: ComparatorEngine, values: list) -> 
 
 def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
     """Evaluate the engine over the sweep grid in deterministic row order, in
-    one simulate_grid pass: a width sweep gives each point its own engine.
+    one simulate_grid pass of the configured engine: the sweep sets each
+    row's operating-point columns or its target's widths.
 
     With ``compare`` the shutdown design runs at every point and the table
     gains no-shutdown energy and savings-percent columns; the no-shutdown
@@ -142,54 +144,52 @@ def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
         raise ConfigError("shutdown: a compare sweep compares the shutdown design, "
                           "so it needs shutdown=true")
     sweep = SWEEPS[cfg.sweep_variable]
-    columns = [sweep.column, "decision", "t_dm_s", "t_esd_s", "power_W", "energy_J", "late"]
-    if compare:
-        columns += ["energy_noesd_J", "savings_pct"]
-
+    columns = (sweep.column, "decision", "t_dm_s", "t_esd_s", "power_W", "energy_J", "late",
+               "energy_noesd_J", "savings_pct")[:9 if compare else 7]
     config = build_comparator_config(cfg)
     engine = ComparatorEngine(config)
     _check_grid_ends(cfg, engine, values)
-    engines = []  # None where the geometry rejects the width
-    for value in values:
-        try:
-            engines.append(engine if sweep.width_target is None else ComparatorEngine(
-                sizing_mod.scaled_config(config, sweep.width_target, value)))
-        except ConfigError:
-            engines.append(None)
-    grid = simulate_grid([(eng, build_operating_point(cfg, **sweep.fields(cfg, value)))
-                          for eng, value in zip(engines, values) if eng is not None])
-    points = iter([None if failed else point for failed, *point in zip(
-        grid.failed.tolist(), grid.decision.tolist(), grid.t_dm.tolist(),
-        grid.t_esd.tolist(), grid.energy.tolist(), grid.energy_noesd.tolist(),
-        grid.late.tolist())])
-
-    rows = []
-    for value, eng in zip(values, engines):
-        point = None if eng is None else next(points)
-        if point is None:
-            rows.append(_failed_row(value, compare))
-            continue
-        decision, t_dm, t_esd, e_on, e_off, late = point
-        row = [round9(value), decision, round9(t_dm), round9(t_esd), round9(e_on * cfg.freq),
-               round9(e_on), int(late)]
-        if compare:
-            savings = 100.0 * (1.0 - e_on / e_off) if e_off > 0 else math.nan
-            row += [round9(e_off), round9(savings)]
-        rows.append(tuple(row))
+    # Each operating-point field as a column: the swept values, else the
+    # unswept point's, whose vdd_override is the supply.
+    op = vars(build_operating_point(cfg, vdd_override=config.vdd))
+    points = [sweep.fields(cfg, value) for value in values]
+    swept = dict(zip(points[0], zip(*(point.values() for point in points))))
+    column = lambda name: swept.get(name, [op[name]] * len(values))
+    grid = simulate_grid(engine, column("vid"), column("vcm"), column("vdd_override"),
+                         column("corner"), column("t_kelvin"),
+                         {} if sweep.width_target is None
+                         else sizing_mod.target_widths(sweep.width_target, np.array(values)))
+    e_on, e_off = grid.energy, grid.energy_noesd
+    with np.errstate(all="ignore"):
+        savings = np.where(e_off > 0, 100.0 * (1.0 - e_on / e_off), math.nan)
+    # A failed row takes _failed_row's cells; zip drops the compare columns unless asked.
+    rows, text = _formatted([values] + [np.where(grid.failed, fill, x).tolist() for fill, x in zip(
+        _failed_row(None, compare)[1:], (grid.decision, grid.t_dm, grid.t_esd, e_on * cfg.freq,
+                                         e_on, grid.late, e_off, savings))])
 
     meta = base_metadata(cfg, "sweep")
     if compare:
         meta["compare"] = "true"
     if sweep.plot_scale is not None:
         meta["plot_scale"] = sweep.plot_scale
-    return Table(columns=tuple(columns), rows=rows, metadata=meta)
+    return Table(columns=columns, rows=rows, metadata=meta, text=text)
 
 
 def _failed_row(value, compare: bool) -> tuple:
-    row = [round9(value), 0, math.nan, math.nan, math.nan, math.nan, 1]
-    if compare:
-        row += [math.nan, math.nan]
-    return tuple(row)
+    """A sweep row whose point failed: no decision, NaN metrics, flagged late."""
+    return (round9(value), 0) + (math.nan,) * 4 + (1,) + (math.nan,) * 2 * compare
+
+
+def _formatted(cells: list[list]) -> tuple[list[tuple], list[str]]:
+    """The rows of the nonempty value columns ``cells`` and their CSV lines,
+    each row formatted once. A float column's values are read back from its
+    text, so they are round9's and load back equal."""
+    floats = [isinstance(column[0], float) for column in cells]
+    fmt = ",".join("%.9g" if f else "%s" for f in floats)
+    text = [fmt % row for row in zip(*cells)]
+    parsed = zip(*(line.split(",") for line in text))
+    return list(zip(*(list(map(float, texts)) if f else column
+                      for f, column, texts in zip(floats, cells, parsed)))), text
 
 
 def run_single(cfg: RunConfig, subcommand: str = "sim") -> Table:
@@ -268,8 +268,8 @@ def run_sizing(cfg: RunConfig) -> Table:
 def render_csv(table: Table) -> str:
     lines = [f"# {k}={v}" for k, v in table.metadata.items()]
     lines.append(",".join(table.columns))
-    for row in table.rows:
-        lines.append(",".join(fmt_cell(x) for x in row))
+    lines += (table.text if table.text is not None
+              else [",".join(map(fmt_cell, row)) for row in table.rows])
     return "\n".join(lines) + "\n"
 
 
@@ -279,12 +279,8 @@ def emit_csv(table: Table, path) -> None:
 
 
 def render_json(table: Table) -> str:
-    payload = {
-        "metadata": table.metadata,
-        "columns": list(table.columns),
-        "rows": [[round9(x) if isinstance(x, float) else x for x in row]
-                 for row in table.rows],
-    }
+    # Every row is built from 9-digit values: no float needs rounding here.
+    payload = {"metadata": table.metadata, "columns": list(table.columns), "rows": table.rows}
     return json.dumps(payload, indent=2, allow_nan=True) + "\n"
 
 
@@ -296,12 +292,13 @@ def emit_json(table: Table, path) -> None:
 def _parse_cell(text: str):
     """A rendered cell's value: an int where the text is an int's str(), else a
     float, else the text (a float rendered like an int, 2.0 as "2", loads as 2)."""
-    try:
-        value = int(text)
-        if str(value) == text:
-            return value
-    except ValueError:
-        pass
+    if text[text.startswith("-"):].isdecimal():  # a float cell skips int()'s ValueError
+        try:
+            value = int(text)
+            if str(value) == text:
+                return value
+        except ValueError:  # more digits than int() converts
+            pass
     try:
         return float(text)
     except ValueError:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .devices import TransistorGeom, beta
+from .devices import beta
 from .engine import (ComparatorConfig, ComparatorEngine, NodeCaps, OperatingPoint)
 from .errors import ConfigError, SimulationError
 
@@ -109,33 +109,30 @@ def solve_sizing(alpha: float, x_max: float = 4.0, y_max: float = 4.0,
     return SizingVars(x=best[0], y=best[1], alpha=alpha)
 
 
-_SWEEP_TARGETS = ("preamp", "inv_n", "inv_both")
+# Each width target's devices, with the factor on the swept width w of each:
+# the input pair at w and the tail device at 2*w, the buffer NMOS devices, or
+# the NMOS and PMOS buffer devices together, keeping the two stages matched.
+WIDTH_TARGETS = {
+    "preamp": {"Mp4": 1, "Mp5": 1, "Mp1": 2},
+    "inv_n": dict.fromkeys(("Mni1", "Mni2", "Mni3", "Mni4"), 1),
+    "inv_both": dict.fromkeys(("Mni1", "Mni2", "Mni3", "Mni4", "Mpi1", "Mpi2", "Mpi3", "Mpi4"), 1),
+}
+
+
+def target_widths(target: str, w) -> dict:
+    """Each device of the width ``target`` at the swept width ``w`` (or per-row widths)."""
+    if target not in WIDTH_TARGETS:
+        raise ConfigError(f"unknown sweep target {target!r}; "
+                          f"expected one of {tuple(WIDTH_TARGETS)}")
+    return {name: factor * w for name, factor in WIDTH_TARGETS[target].items()}
 
 
 def scaled_config(config: ComparatorConfig, target: str, w: float) -> ComparatorConfig:
-    """Rebuild the geometry set with the target block rescaled to width ``w``.
-
-    preamp: input pair at w, tail device at 2*w. inv_n: the buffer NMOS
-    devices. inv_both: NMOS and PMOS buffer devices together, keeping the
-    two stages matched.
-    """
-    if target not in _SWEEP_TARGETS:
-        raise ConfigError(f"unknown sweep target {target!r}; expected one of {_SWEEP_TARGETS}")
-    if target == "preamp":
-        scaled = {"Mp4": w, "Mp5": w, "Mp1": 2.0 * w}
-    elif target == "inv_n":
-        scaled = {n: w for n in ("Mni1", "Mni2", "Mni3", "Mni4")}
-    else:
-        scaled = {n: w for n in ("Mni1", "Mni2", "Mni3", "Mni4",
-                                 "Mpi1", "Mpi2", "Mpi3", "Mpi4")}
+    """The configuration with the width ``target`` at ``w`` (WIDTH_TARGETS)."""
     geoms = dict(config.geoms)
-    for name, width in scaled.items():
-        geom = geoms[name]
-        geoms[name] = TransistorGeom(geom.name, width, geom.l, geom.polarity)
-    return ComparatorConfig(geoms=geoms, nmos=config.nmos, pmos=config.pmos, vdd=config.vdd,
-                            freq=config.freq, alpha=config.alpha, extra_load=config.extra_load,
-                            early_shutdown_enabled=config.early_shutdown_enabled,
-                            tail_derating=config.tail_derating, tie_break=config.tie_break)
+    for name, width in target_widths(target, w).items():
+        geoms[name] = replace(geoms[name], w=width)
+    return replace(config, geoms=geoms)
 
 
 def width_sweep(target: str, widths, op: OperatingPoint,

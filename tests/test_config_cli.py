@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dyncomp import harness
+from dyncomp import harness, sizing
 from dyncomp.calibration import CalibrationConfig
 from offset_oracle import scalar_offsets
 from dyncomp.cli import build_parser, main
@@ -283,6 +283,27 @@ class TestTables:
         got = _parse_cell(text)
         assert (type(got), repr(got)) == (type(value), repr(value))
 
+    @pytest.mark.parametrize("text, value", [
+        ("\u0661\u0662", 12.0), (" 7", 7.0), ("007", 7.0), ("-12", -12), ("-007", -7.0),
+        ("--12", "--12"), ("\u00b2", "\u00b2"), ("1" * 5000, math.inf),
+    ])
+    def test_parse_cell_digit_texts(self, text, value):
+        # Texts a digit check before int() could misread: non-ASCII digits
+        # (str.isdigit accepts superscripts, which int() rejects), padding,
+        # leading zeros, signs, and more digits than int() converts.
+        got = _parse_cell(text)
+        assert (type(got), repr(got)) == (type(value), repr(value))
+
+    @pytest.mark.parametrize("variable", list(SWEEPS))
+    def test_one_engine_per_sweep(self, monkeypatch, variable):
+        # Width rows carry their widths as columns of the one configured
+        # engine: no sweep builds a second engine or a scaled configuration.
+        engines = count_calls(monkeypatch, "__init__")
+        scaled = []
+        monkeypatch.setattr(sizing, "scaled_config", lambda *args: scaled.append(args))
+        run_sweep(sweep_of(variable), compare=True)
+        assert (len(engines), scaled) == (1, [])
+
     @pytest.mark.parametrize("variable", list(SWEEPS))
     def test_one_simulate_per_compare_point(self, monkeypatch, variable):
         # Every sweep evaluates its grid in one simulate_grid pass: no point
@@ -417,6 +438,13 @@ class TestCli:
         out = tmp_path / "r.json"
         assert main([command, "--set", "sweep.variable=vid", "--out", str(out), "--json"]) == 2
         assert capsys.readouterr().err.startswith("error: ConfigError: --out: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_report_rejects_json(self, tmp_path, capsys):
+        # The report is text, so --json would be ignored: nothing runs.
+        out = tmp_path / "r.txt"
+        assert main(["report", "--trials", "20", "--json", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ConfigError: --json: ")
         assert list(tmp_path.iterdir()) == []
 
     def test_error_exit_code_and_message(self, tmp_path, capsys):

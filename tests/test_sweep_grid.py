@@ -1,6 +1,7 @@
 """The one-pass sweep grid against the per-point loop and scalar simulate."""
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,8 +9,8 @@ from dyncomp.config import SWEEPS, RunConfig
 from dyncomp.devices import CORNERS, DEFAULT_NMOS, DEFAULT_PMOS, MIN_WIDTH
 from dyncomp.engine import ComparatorConfig, ComparatorEngine, OperatingPoint, simulate_grid
 from dyncomp.errors import ConfigError, SimulationError
-from dyncomp.harness import render_csv, replace_runconfig, run_sweep
-from dyncomp.sizing import scaled_config
+from dyncomp.harness import render_csv, render_json, replace_runconfig, run_sweep
+from dyncomp.sizing import WIDTH_TARGETS, scaled_config, target_widths
 from sweep_oracle import run_sweep_oracle
 
 # (sweep.variable, RunConfig changes): every variable, on default and dense
@@ -46,6 +47,13 @@ def test_run_sweep_renders_the_per_point_loop(variable, changes, compare):
     assert render_csv(run_sweep(cfg, compare)) == render_csv(run_sweep_oracle(cfg, compare))
 
 
+@pytest.mark.parametrize("variable", ["vdd", "temp", "corner", "width_inv_both"])
+def test_run_sweep_json_is_the_per_point_loop(variable):
+    # The JSON mirror keeps each float column's type, 2.0 included, and its 9 digits.
+    cfg = replace_runconfig(RunConfig(), sweep_variable=variable)
+    assert render_json(run_sweep(cfg, True)) == render_json(run_sweep_oracle(cfg, True))
+
+
 @pytest.mark.parametrize("variable", ["vid", "width_preamp"])
 def test_no_shutdown_sweep_renders_the_per_point_loop(variable):
     cfg = replace_runconfig(RunConfig(), sweep_variable=variable, shutdown=False)
@@ -67,17 +75,23 @@ def test_first_config_error_row_raises(variable, changes):
     assert str(raised.value) == str(expected.value)
 
 
-def scalar_outcome(engine, op):
-    """What ``simulate`` gives at one row: its result, or the exception it raises."""
+def scalar_outcome(config, target, width, op):
+    """What ``simulate`` gives at one row on the configuration with ``target``
+    at ``width``: its result, the exception it raises, or None where the
+    scaled geometry is rejected."""
+    try:
+        engine = ComparatorEngine(config if target is None
+                                  else scaled_config(config, target, width))
+    except ConfigError:
+        return None
     try:
         return engine.simulate(op)
     except (ConfigError, SimulationError) as exc:
         return exc
 
 
-# One engine: its geometry (a scaled width target), settings and device
-# parameters. The few mu_cox factors and temperatures make rows share the
-# corner and temperature while their engines differ in nmos or pmos.
+# One engine's settings and device parameters, and the width target its
+# rows rescale (None: no width column).
 ENGINE = st.fixed_dictionaries({
     "vdd": st.floats(1.0, 2.4),
     "freq": st.sampled_from([333e6, 5e9]),
@@ -85,67 +99,71 @@ ENGINE = st.fixed_dictionaries({
     "tail_derating": st.sampled_from([0.0, 0.02, 0.5]),
     "tie_break": st.sampled_from([1, -1]),
     "early_shutdown_enabled": st.booleans(),
-    "target": st.sampled_from([None, "preamp", "inv_n", "inv_both"]),
-    "width": st.floats(MIN_WIDTH, 4e-6),
+    "target": st.sampled_from([None] + list(WIDTH_TARGETS)),
     "mu_n": st.sampled_from([1.0, 0.5]),
     "mu_p": st.sampled_from([1.0, 2.0]),
 })
 
+# One row: its operating point and its target width, some of them below
+# MIN_WIDTH or at the edge of its 1e-15 tolerance.
 ROW = st.fixed_dictionaries({
-    "engine": st.integers(0, 2),
     "vid": st.floats(-0.2, 0.2),
     "vcm_share": st.floats(-0.02, 1.02),
     "vdd_override": st.one_of(st.none(), st.floats(1.0, 2.4)),
     "corner": st.sampled_from(sorted(CORNERS)),
     "temp_c": st.one_of(st.sampled_from([27.0, 125.0]), st.floats(-60.0, 270.0)),
+    "width": st.one_of(st.sampled_from([0.1e-6, MIN_WIDTH - 2e-15, MIN_WIDTH - 5e-16]),
+                       st.floats(MIN_WIDTH, 4e-6), st.floats(0.1e-6, 4e-6)),
 })
 
 
-def build_engine(spec) -> ComparatorEngine:
-    config = ComparatorConfig(
+def build_config(spec) -> ComparatorConfig:
+    return ComparatorConfig(
         vdd=spec["vdd"], freq=spec["freq"], alpha=spec["alpha"],
         tail_derating=spec["tail_derating"], tie_break=spec["tie_break"],
         early_shutdown_enabled=spec["early_shutdown_enabled"],
         nmos=replace(DEFAULT_NMOS, mu_cox=DEFAULT_NMOS.mu_cox * spec["mu_n"]),
         pmos=replace(DEFAULT_PMOS, mu_cox=DEFAULT_PMOS.mu_cox * spec["mu_p"]))
-    if spec["target"] is not None:
-        config = scaled_config(config, spec["target"], spec["width"])
-    return ComparatorEngine(config)
 
 
 @settings(deadline=None, max_examples=300)
-@given(specs=st.lists(ENGINE, min_size=1, max_size=3), rows=st.lists(ROW, min_size=1, max_size=6))
-def test_grid_rows_are_scalar_simulate(specs, rows):
-    engines = [build_engine(spec) for spec in specs]
-    grid_rows = []
-    for row in rows:
-        engine = engines[row["engine"] % len(engines)]
-        supply = engine.config.vdd if row["vdd_override"] is None else row["vdd_override"]
-        grid_rows.append((engine, OperatingPoint(vid=row["vid"], vcm=row["vcm_share"] * supply,
-                                                 corner=CORNERS[row["corner"]],
-                                                 t_kelvin=row["temp_c"] + 273.15,
-                                                 vdd_override=row["vdd_override"])))
-    outcomes = [scalar_outcome(engine, op) for engine, op in grid_rows]
+@given(spec=ENGINE, rows=st.lists(ROW, min_size=1, max_size=6))
+def test_grid_rows_are_scalar_simulate(spec, rows):
+    config, target = build_config(spec), spec["target"]
+    supply = [config.vdd if row["vdd_override"] is None else row["vdd_override"] for row in rows]
+    ops = [OperatingPoint(vid=row["vid"], vcm=row["vcm_share"] * vdd,
+                          corner=CORNERS[row["corner"]], t_kelvin=row["temp_c"] + 273.15,
+                          vdd_override=row["vdd_override"]) for row, vdd in zip(rows, supply)]
+    widths = [row["width"] for row in rows]
+    outcomes = [scalar_outcome(config, target, w, op) for w, op in zip(widths, ops)]
+
+    def grid():
+        return simulate_grid(
+            ComparatorEngine(config), [op.vid for op in ops], [op.vcm for op in ops], supply,
+            [op.corner for op in ops], [op.t_kelvin for op in ops],
+            {} if target is None else target_widths(target, np.array(widths)))
+
     errors = [out for out in outcomes if isinstance(out, ConfigError)]
     if errors:
         with pytest.raises(ConfigError) as raised:
-            simulate_grid(grid_rows)
+            grid()
         assert str(raised.value) == str(errors[0])
         return
-    grid = simulate_grid(grid_rows)
-    for k, ((engine, op), out) in enumerate(zip(grid_rows, outcomes)):
-        assert grid.failed[k] == isinstance(out, SimulationError)
-        if grid.failed[k]:
+    result = grid()
+    for k, (w, op, out) in enumerate(zip(widths, ops, outcomes)):
+        assert result.failed[k] == (out is None or isinstance(out, SimulationError))
+        if result.failed[k]:
             continue
+        engine = ComparatorEngine(config if target is None else scaled_config(config, target, w))
         e_off = engine.energy_per_comparison(engine.supply(op), out.i_tail, out.t_esd,
                                              False).total
-        got = (int(grid.decision[k]), float(grid.t_dm[k]).hex(), float(grid.t_esd[k]).hex(),
-               float(grid.energy[k]).hex(), float(grid.energy_noesd[k]).hex(),
-               bool(grid.late[k]))
+        got = (int(result.decision[k]), float(result.t_dm[k]).hex(),
+               float(result.t_esd[k]).hex(), float(result.energy[k]).hex(),
+               float(result.energy_noesd[k]).hex(), bool(result.late[k]))
         assert got == (out.decision, out.t_dm.hex(), out.t_esd.hex(), out.energy.total.hex(),
                        e_off.hex(), out.late)
 
 
 def test_empty_grid():
-    grid = simulate_grid([])
+    grid = simulate_grid(ComparatorEngine(ComparatorConfig()), [], [], [], [], [])
     assert grid.failed.shape == grid.t_dm.shape == (0,)
