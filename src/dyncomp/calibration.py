@@ -16,8 +16,8 @@ import numpy as np
 
 from .devices import (ABETA_DEFAULT, AVT_DEFAULT, MismatchSample, ZERO_MISMATCH,
                       draw_mismatch, mismatch_scales)
-from .engine import (BodyBias, ComparatorConfig, ComparatorEngine, DecisionKernel,
-                     OperatingPoint, typical_op)
+from .engine import (OK, BodyBias, ComparatorConfig, ComparatorEngine, DecisionKernel,
+                     OperatingPoint, simulate_grid, typical_op)
 from .errors import ConfigError, OffsetSpanError, SimulationError
 
 
@@ -217,10 +217,10 @@ class _Batch:
 
     Every decision is simulate's. Where a trial's flip point is exact, the
     decision is +1 exactly at the vids above the flip point's guard band and
-    -1 below it; every other point runs simulate on that trial. Body voltages
-    are (2, trials) arrays, the minus side in row 0. A trial stops at the
-    first point of its sequence where simulate raises; ``fault`` is (trial,
-    error) of the lowest such trial.
+    -1 below it; the other points of a step run in one simulate_grid call on
+    their trials' mismatch. Body voltages are (2, trials) arrays, the minus
+    side in row 0. A trial stops at the first point of its sequence where
+    simulate raises; ``fault`` is (trial, error) of the lowest such trial.
     """
 
     def __init__(self, engine: ComparatorEngine, op: OperatingPoint, mismatch: dict, n: int,
@@ -231,9 +231,9 @@ class _Batch:
         self.live, self.fault = np.ones(n, dtype=bool), None
         try:
             self.kernel = DecisionKernel(engine, op, mismatch)
-        except ConfigError:  # simulate raises at every point: raise the first one's error
-            engine.simulate(replace(op, vid=-span), self.sample(0), self.body)
-            raise AssertionError("trial 0: simulate accepts a point the kernel rejects")
+        except ConfigError:  # simulate raises at every point, before it reads any mismatch
+            engine.simulate(replace(op, vid=-span), body=self.body)
+            raise AssertionError("simulate accepts a point the kernel rejects")
 
     @classmethod
     def one(cls, engine: ComparatorEngine, op: OperatingPoint, mismatch: MismatchSample,
@@ -243,15 +243,6 @@ class _Batch:
                           np.array([mismatch.delta_beta(name)]))
                    for name in DecisionKernel.DEVICES}
         return cls(engine, op, columns, 1, body, tol, span)
-
-    def sample(self, trial: int) -> MismatchSample:
-        """The trial's MismatchSample for simulate, of the kernel's devices only.
-        Simulate's decision and errors read no other device: Mp1 sets the tail
-        current, Mp4/Mp5 the branch currents, Mn3/Mn4 the crossing times that
-        decide and meet the window check. The rest enter only t1, t_esd, t_dm
-        and the energy, which ``plus`` ignores."""
-        return MismatchSample({name: (float(dvth[trial]), float(dbeta[trial]))
-                               for name, (dvth, dbeta) in self.mismatch.items()})
 
     def run(self, cal: CalibrationConfig | None = None) -> tuple:
         """(before, after, (cycles, vb, saturated)): the bisection of every
@@ -280,22 +271,33 @@ class _Batch:
 
     def plus(self, rows, vid, vcm, vb, guard, active) -> np.ndarray:
         """Where simulate decides +1 at the trials' vid, given their guard. The
-        ``active`` trials inside the guard interval run simulate; one that
-        raises stops there, leaving ``active``. Above the fault's trial none
-        runs: its error would not be the one raised."""
+        ``active`` trials inside the guard interval run one simulate_grid call,
+        on the kernel's devices: the others enter only t1, t_esd, t_dm and the
+        energy. The lowest trial whose row faults stops there, leaving
+        ``active``. Above the fault's trial none runs: its error would not be
+        the one raised."""
         lo, hi = guard
         plus = vid >= hi
-        for k in (active & (vid > lo) & (vid < hi)).nonzero()[0]:
-            trial = int(rows[k])
-            if self.fault is not None and trial > self.fault[0]:
-                continue
-            point = replace(self.op, vid=float(vid[k]), vcm=vcm)
-            mismatch, body = self.sample(trial), BodyBias(float(vb[1, k]), float(vb[0, k]))
+        run = (active & (vid > lo) & (vid < hi)).nonzero()[0]
+        if self.fault is not None:
+            run = run[rows[run] <= self.fault[0]]
+        if run.size == 0:
+            return plus
+        n, trials, op = run.size, rows[run], self.op
+        grid = simulate_grid(self.engine, vid[run], np.full(n, vcm), np.full(n, self.kernel.vdd),
+                             [op.corner] * n, [op.t_kelvin] * n,
+                             mismatch={name: (dvth[trials], dbeta[trials])
+                                       for name, (dvth, dbeta) in self.mismatch.items()},
+                             vb_plus=vb[1, run], vb_minus=vb[0, run])
+        plus[run] = grid.decision > 0
+        faulted = (grid.fault != OK).nonzero()[0]
+        if faulted.size:
+            k = run[faulted[0]]
+            active[k] = self.live[rows[k]] = False
             try:
-                plus[k] = self.engine.simulate(point, mismatch, body).decision > 0
+                grid.raise_row(int(faulted[0]))
             except (ConfigError, SimulationError) as exc:
-                active[k] = self.live[trial] = False
-                self.fault = (trial, exc)
+                self.fault = (int(rows[k]), exc)
         return plus
 
     def offsets(self, rows: np.ndarray, vb: np.ndarray) -> tuple:

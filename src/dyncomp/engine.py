@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -125,19 +125,40 @@ class ComparisonResult:
     energy: EnergyBreakdown
 
 
+# simulate_grid's per-row fault codes: the first check a row fails, in the
+# order simulate checks, or OK. UNBUILT marks widths the geometry rejects and
+# raises nothing; the vcm or vid range, the body range and the device
+# parameters raise ConfigError; the body bias of the minus, then the plus
+# side and a missing decision raise SimulationError.
+UNBUILT, BAD_OP, BAD_BODY, BAD_PARAMS, BODY_MINUS, BODY_PLUS, NO_DECISION, OK = range(8)
+# Per-side arrays hold the minus side (Mp4, Mn3) in row 0, whose gate is at
+# vcm - vid/2, and the plus side in row 1.
+_SIGN = np.array([[1.0], [-1.0]])
+
+
 @dataclass(frozen=True)
 class GridResult:
-    """Per-row arrays of simulate_grid, which evaluates every sweep. A failed
-    row is one where simulate raises SimulationError, or whose widths the
-    geometry rejects; its other entries mean nothing."""
+    """Per-row arrays of simulate_grid: ComparisonResult's fields, the energy
+    with the tail on for the whole window, and each row's fault (OK where
+    simulate returns). A faulted row's other entries mean nothing;
+    ``raise_row(k)`` raises what simulate raises at row k."""
 
     decision: np.ndarray
-    t_dm: np.ndarray
+    t0: np.ndarray
+    t1: np.ndarray
     t_esd: np.ndarray
+    t_dm: np.ndarray
+    shutdown: np.ndarray
+    late: np.ndarray
+    i_tail: np.ndarray
+    e_preamp: np.ndarray
+    e_latch: np.ndarray
+    e_ddvb: np.ndarray
+    e_reset: np.ndarray
     energy: np.ndarray          # energy.total of the cycle
     energy_noesd: np.ndarray    # the same cycle with the tail on for the whole window
-    late: np.ndarray
-    failed: np.ndarray
+    fault: np.ndarray
+    raise_row: Callable[[int], None]
 
 
 def inverter_delay(c_load: float, beta_eff: float, vdd: float) -> float:
@@ -202,227 +223,157 @@ class ComparatorEngine:
         if abs(op.vid) >= vdd:
             raise ConfigError(f"|vid|={abs(op.vid)} must be below vdd={vdd}")
 
-    # -- currents -------------------------------------------------------------
-
-    def tail_current(self, op: OperatingPoint, pparams: DeviceParams,
-                     mismatch: MismatchSample = ZERO_MISMATCH) -> float:
-        """Tail current before shutdown at the PMOS parameters ``pparams``, derating included."""
-        vdd = self.supply(op)
-        b = beta(self.config.geoms["Mp1"], pparams) * (1.0 + mismatch.delta_beta("Mp1"))
-        vth = threshold(pparams, 0.0, mismatch.delta_vth("Mp1"))
-        ov = vdd - vth
-        if ov <= 0.0:
-            return 0.0
-        return 0.5 * b * ov * ov * (1.0 - self.config.tail_derating)
-
-    def branch_currents(self, op: OperatingPoint, pparams: DeviceParams, i_tail: float,
-                        vth_minus: float, vth_plus: float,
-                        mismatch: MismatchSample = ZERO_MISMATCH) -> tuple[float, float]:
-        """(I_minus, I_plus) of the input pair, clamped by the tail current ``i_tail``.
-
-        ``vth_minus``/``vth_plus`` are the per-side input-device thresholds
-        already including mismatch and body shift.
-        """
-        vdd = self.supply(op)
-        b4 = beta(self.config.geoms["Mp4"], pparams) * (1.0 + mismatch.delta_beta("Mp4"))
-        b5 = beta(self.config.geoms["Mp5"], pparams) * (1.0 + mismatch.delta_beta("Mp5"))
-        ov_minus = vdd - (op.vcm - op.vid / 2.0) - vth_minus
-        ov_plus = vdd - (op.vcm + op.vid / 2.0) - vth_plus
-        i_minus = 0.5 * b4 * ov_minus * ov_minus if ov_minus > 0.0 else 0.0
-        i_plus = 0.5 * b5 * ov_plus * ov_plus if ov_plus > 0.0 else 0.0
-        total = i_minus + i_plus
-        if total > i_tail:
-            scale = i_tail / total
-            i_minus *= scale
-            i_plus *= scale
-        return i_minus, i_plus
-
     # -- full cycle -------------------------------------------------------------
 
     def simulate(self, op: OperatingPoint, mismatch: MismatchSample = ZERO_MISMATCH,
                  body: BodyBias | None = None) -> ComparisonResult:
-        """Run one precharge + comparison cycle and return the full result.
+        """Run one precharge + comparison cycle: row 0 of a one-row simulate_grid.
 
-        Late decisions (t_dm beyond the window) are flagged, not raised, so
-        sweeps near the common-mode limit can complete and report the stall.
+        The body voltages default to the supply. Late decisions (t_dm beyond
+        the window) are flagged, not raised, so sweeps near the common-mode
+        limit can complete and report the stall.
         """
-        cfg = self.config
         vdd = self.supply(op)
-        self.validate_op(op, vdd)
-        if body is None:
-            body = BodyBias(vdd, vdd)
-        if not (0.0 <= body.vb_plus <= vdd and 0.0 <= body.vb_minus <= vdd):
-            raise ConfigError(f"body voltages {body} outside [0, vdd={vdd}]")
-
-        nparams, pparams = self.params_at(op)
-        caps = self._caps
-        geoms = cfg.geoms
-
-        vth_minus = threshold(pparams, body.vb_minus - vdd, mismatch.delta_vth("Mp4"))
-        vth_plus = threshold(pparams, body.vb_plus - vdd, mismatch.delta_vth("Mp5"))
-        i_tail = self.tail_current(op, pparams, mismatch)
-        i_minus, i_plus = self.branch_currents(op, pparams, i_tail, vth_minus, vth_plus, mismatch)
-
-        def crossing(i_side: float, vth_sense: float) -> float:
-            if i_side <= 0.0 or vth_sense <= 0.0:
-                return math.inf
-            return vth_sense * caps.c_out / i_side
-
-        t0_minus = crossing(i_minus, threshold(nparams, 0.0, mismatch.delta_vth("Mn3")))
-        t0_plus = crossing(i_plus, threshold(nparams, 0.0, mismatch.delta_vth("Mn4")))
-
-        if t0_minus < t0_plus:
-            decision = +1
-        elif t0_plus < t0_minus:
-            decision = -1
-        else:
-            decision = cfg.tie_break
-        lead_minus = decision > 0
-
-        t0 = t0_minus if lead_minus else t0_plus
-        window = cfg.window
-        if not math.isfinite(t0) or t0 > window:
-            raise NoDecisionError(
-                f"no preamp crossing within the {window:.3e} s window (t0={t0:.3e})")
-
-        # Shutdown chain on the leading side.
-        sense = "Mni2" if lead_minus else "Mni3"
-        buf_p = "Mpi1" if lead_minus else "Mpi4"
-        i_lead = i_minus if lead_minus else i_plus
-        t1 = crossing(i_lead, threshold(nparams, 0.0, mismatch.delta_vth(sense)))
-        b_ni = beta(geoms[sense], nparams) * (1.0 + mismatch.delta_beta(sense))
-        b_pi = beta(geoms[buf_p], pparams) * (1.0 + mismatch.delta_beta(buf_p))
-        t_esd = t1 + inverter_delay(caps.c_pi, b_ni, vdd) \
-            + cfg.alpha * inverter_delay(caps.c_p3, b_pi, vdd)
-
-        latch_n = "Mn3" if lead_minus else "Mn4"
-        b_n3 = beta(geoms[latch_n], nparams) * (1.0 + mismatch.delta_beta(latch_n))
-        t_dm = t0 + inverter_delay(caps.c_latch, b_n3, vdd)
-
-        # Designed regime: the chain fires only after the latch crossing, so
-        # cutting the tail never blocks the decision. Flag the stall if a
-        # configuration ever inverts the race.
-        late = t_dm > window or t_esd < t0
-        shutdown_occurred = cfg.early_shutdown_enabled and t_esd <= window
-
-        return ComparisonResult(decision=decision, t0=t0, t1=t1, t_esd=t_esd,
-                                t_dm=t_dm, shutdown_occurred=shutdown_occurred,
-                                late=late, i_tail=i_tail,
-                                energy=self.energy_per_comparison(vdd, i_tail, t_esd,
-                                                                  shutdown_occurred))
-
-    def energy_per_comparison(self, vdd: float, i_tail: float, t_esd: float,
-                              shutdown_occurred: bool) -> EnergyBreakdown:
-        """Supply energy of one full cycle, split by subcircuit.
-
-        Without shutdown the preamp tail conducts for the whole comparison
-        window; with shutdown it stops at t_esd. The buffer-chain overhead is
-        only spent when the chain actually fires.
-        """
-        caps = self._caps
-        window = self.config.window
-        t_eff = t_esd if shutdown_occurred else window
-        e_preamp = vdd * i_tail * min(t_eff, window)
-        e_latch = caps.c_latch * vdd * vdd
-        e_ddvb = 2.0 * (caps.c_pi + caps.c_p3) * vdd * vdd if shutdown_occurred else 0.0
-        e_reset = 2.0 * caps.c_out * vdd * vdd
-        total = e_preamp + e_latch + e_ddvb + e_reset
-        return EnergyBreakdown(e_preamp=e_preamp, e_latch=e_latch, e_ddvb=e_ddvb,
-                               e_reset=e_reset, total=total)
+        body = body or BodyBias(vdd, vdd)
+        g = simulate_grid(self, [op.vid], [op.vcm], [vdd], [op.corner], [op.t_kelvin],
+                          mismatch=mismatch.deltas, vb_plus=[body.vb_plus],
+                          vb_minus=[body.vb_minus])
+        g.raise_row(0)
+        energy = (g.e_preamp, g.e_latch, g.e_ddvb, g.e_reset, g.energy)
+        return ComparisonResult(int(g.decision[0]),
+                                *(float(x[0]) for x in (g.t0, g.t1, g.t_esd, g.t_dm)),
+                                bool(g.shutdown[0]), bool(g.late[0]), float(g.i_tail[0]),
+                                EnergyBreakdown(*(float(x[0]) for x in energy)))
 
 
 def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[float],
                   vdd: Sequence[float], corner: Sequence[CornerSpec], t_kelvin: Sequence[float],
-                  widths: Mapping[str, np.ndarray] = {}) -> GridResult:
-    """``engine.simulate`` at every row of the columns in one array pass.
+                  widths: Mapping[str, np.ndarray] = {}, mismatch: Mapping[str, tuple] = {},
+                  vb_plus: Sequence[float] | None = None,
+                  vb_minus: Sequence[float] | None = None) -> GridResult:
+    """One precharge + comparison cycle at every row of the columns, in one array pass.
 
     Row k is the operating point (vid[k], vcm[k], corner[k], t_kelvin[k]) at
-    the supply vdd[k]. ``widths`` maps devices to per-row widths in place of
-    the geometry's, both of a symmetric pair alike (sizing.target_widths); a
-    row with one below MIN_WIDTH, a geometry ComparatorEngine rejects, fails
-    unchecked. Device parameters resolve once per distinct (corner, t_kelvin).
-    Raises the ConfigError simulate raises at the first other row raising one.
+    the supply vdd[k], with the body voltages vb_plus[k] and vb_minus[k]
+    (the supply by default). ``mismatch`` maps devices to their (delta_vth,
+    delta_beta), per-row columns or scalars, alike for both devices of a
+    mirrored pair; a device it omits has none. Only Mp1, Mp4/Mp5, Mn3/Mn4,
+    Mni2/Mni3 and Mpi1/Mpi4 enter the cycle.
+    ``widths`` maps devices to per-row widths in place of the geometry's,
+    both of a symmetric pair alike (sizing.target_widths); a row with one
+    below MIN_WIDTH, a geometry ComparatorEngine rejects, is UNBUILT.
+    Device parameters resolve once per distinct (corner, t_kelvin).
 
-    The arrays repeat simulate's float operations in order, at zero
-    mismatch and body voltages at the supply, so every row equals the
-    scalar result bit for bit: only + - * /, comparisons, np.where and
-    np.minimum touch them (np.power can differ from Python's pow).
+    Each row is bit for bit the scalar cycle of tests/simulate_oracle.py:
+    only + - * /, comparisons, np.where and np.sqrt (correctly rounded, as
+    math.sqrt) touch the arrays, in the scalar order of operations
+    (np.power can differ from Python's pow).
     """
     cfg, g, window = engine.config, engine.config.geoms, engine.config.window
+    # The columns as given, so that error messages quote their values unchanged.
+    given = vid, vcm, vdd, *(vdd if v is None else v for v in (vb_plus, vb_minus))
     vid, vcm, vdd = (np.asarray(x, float) for x in (vid, vcm, vdd))
-    unbuilt = np.any([w < dev.MIN_WIDTH - 1e-15 for w in widths.values()], axis=0)
-    index: dict = {}    # index into par per distinct (corner, t_kelvin)
+    vb = np.array([vdd if v is None else v for v in (vb_minus, vb_plus)], float)
+    index: dict = {}    # index into par per distinct (corner, t_kelvin), keyed by id(corner)
     par, errors, p = [], {}, []  # errors: the ConfigError params_at raises, by index into par
-    for key in zip(corner, np.asarray(t_kelvin, float).tolist()):
-        i = index.get(key)
+    for c, t in zip(corner, np.asarray(t_kelvin, float).tolist()):
+        i = index.get((id(c), t))
         if i is None:
-            index[key] = i = len(par)
+            index[id(c), t] = i = len(par)
             try:
-                nparams, pparams = engine.params_at(OperatingPoint(corner=key[0], t_kelvin=key[1]))
-                par.append((threshold(nparams), nparams.mu_cox, threshold(pparams), pparams.mu_cox,
-                            0.0))
+                nparams, pparams = engine.params_at(OperatingPoint(corner=c, t_kelvin=t))
+                par.append((threshold(nparams), nparams.mu_cox, pparams.vth0, threshold(pparams),
+                            pparams.mu_cox, 0.0))
             except ConfigError as exc:
                 errors[i] = exc
-                par.append((math.nan,) * 4 + (1.0,))
+                par.append((math.nan,) * 5 + (1.0,))
         p.append(i)
-    p = np.array(p, int)
     # Indexing copies values, so the rows' parameters are exact.
-    vth_n, mu_n, vth_p, mu_p, unresolved = np.array(par, float).reshape(-1, 5)[p].T
-    # simulate's checks in its order: vcm, then vid, at the supply, then the parameters.
-    invalid = ~((0.0 <= vcm) & (vcm <= vdd)) | (np.abs(vid) >= vdd)
-    raising = ~unbuilt & (invalid | (unresolved != 0.0))
-    if raising.any():
-        k = int(raising.argmax())
-        if invalid[k]:
-            engine.validate_op(OperatingPoint(vid=float(vid[k]), vcm=float(vcm[k])), float(vdd[k]))
-        raise errors[p[k]]
-    c_out, c_pi, c_p3, c_latch = vars(engine.node_caps(widths)).values()
+    vth_n, mu_n, vth0_p, vth_p, mu_p, unresolved = np.array(par, float).reshape(-1, 6)[p].T
+    c_out, c_pi, c_p3, c_latch = vars(engine.node_caps(widths) if widths else engine._caps).values()
     # One device per symmetric pair: ComparatorEngine checks the pairs equal.
     (w_p1, l_p1), (w_p4, l_p4), (w_n3, l_n3), (w_ni2, l_ni2), (w_pi1, l_pi1) = (
         (widths.get(name, g[name].w), g[name].l) for name in ("Mp1", "Mp4", "Mn3", "Mni2", "Mpi1"))
+    unbuilt = (np.any([w < dev.MIN_WIDTH - 1e-15 for w in widths.values()], axis=0) if widths
+               else np.zeros(vid.shape, bool))
+    zero = (0.0, 0.0)
+    delta = lambda name, i: mismatch.get(name, zero)[i]  # i = 0: delta_vth, 1: delta_beta
+
+    def sides(minus, plus, i):
+        """Delta i of a mirrored pair, one row per side."""
+        return np.array((delta(minus, i), delta(plus, i))).reshape(2, -1)
+
+    def lead_side(minus, plus, i):
+        """Delta i of the leading side's device; one value where the sides share it."""
+        a, b = delta(minus, i), delta(plus, i)
+        return a if a is b else np.where(lead, a, b)
+
+    def crossing(i_side, vth_sense):
+        return np.where((i_side <= 0.0) | (vth_sense <= 0.0), np.inf, vth_sense * c_out / i_side)
 
     with np.errstate(all="ignore"):
-        # Zero mismatch gives both sides of every pair one beta and one
-        # threshold, and the body at the supply leaves vsb = 0.
-        ov = vdd - vth_p
-        i_tail = np.where(ov <= 0.0, 0.0, 0.5 * (mu_p * w_p1 / l_p1) * ov * ov
-                          * (1.0 - cfg.tail_derating))
-        b_in = mu_p * w_p4 / l_p4
-        ov_minus = vdd - (vcm - vid / 2.0) - vth_p
-        ov_plus = vdd - (vcm + vid / 2.0) - vth_p
-        i_minus = np.where(ov_minus > 0.0, 0.5 * b_in * ov_minus * ov_minus, 0.0)
-        i_plus = np.where(ov_plus > 0.0, 0.5 * b_in * ov_plus * ov_plus, 0.0)
-        total = i_minus + i_plus
-        clamped = total > i_tail
-        scale = i_tail / total
-        i_minus = np.where(clamped, i_minus * scale, i_minus)
-        i_plus = np.where(clamped, i_plus * scale, i_plus)
-
-        def crossing(i_side):
-            return np.where((i_side > 0.0) & (vth_n > 0.0), vth_n * c_out / i_side, np.inf)
-
-        t0_minus, t0_plus = crossing(i_minus), crossing(i_plus)
-        decision = np.where(t0_minus < t0_plus, 1,
-                            np.where(t0_plus < t0_minus, -1, cfg.tie_break))
-        # The sense and latch devices share vth_n, so t1 = t0.
-        t0 = np.where(decision > 0, t0_minus, t0_plus)
-        failed = unbuilt | ~np.isfinite(t0) | (t0 > window)
-        t_esd = t0 + 1.6 * c_pi / (mu_n * w_ni2 / l_ni2 * vdd) \
-            + cfg.alpha * (1.6 * c_p3 / (mu_p * w_pi1 / l_pi1 * vdd))
-        t_dm = t0 + 1.6 * c_latch / (mu_n * w_n3 / l_n3 * vdd)
+        vth, beyond = dev.thresholds(cfg.pmos, vb - vdd, sides("Mp4", "Mp5", 0), vth0_p)
+        ov = vdd - (vth_p + delta("Mp1", 0))
+        i_tail = np.where(ov <= 0.0, 0.0, 0.5 * (mu_p * w_p1 / l_p1 * (1.0 + delta("Mp1", 1)))
+                          * ov * ov * (1.0 - cfg.tail_derating))
+        ov = vdd - (vcm - _SIGN * (vid / 2.0)) - vth
+        i = np.where(ov > 0.0, 0.5 * (mu_p * w_p4 / l_p4 * (1.0 + sides("Mp4", "Mp5", 1)))
+                     * ov * ov, 0.0)
+        # The tail clamp scales both sides by one factor; unclamped rows take 1.0, exactly.
+        total = i[0] + i[1]
+        i = i * np.where(total > i_tail, i_tail / total, 1.0)
+        t = crossing(i, vth_n + sides("Mn3", "Mn4", 0))
+        decision = np.where(t[0] < t[1], 1, np.where(t[1] < t[0], -1, cfg.tie_break))
+        lead = decision > 0     # the minus side crosses first
+        t0 = np.where(lead, t[0], t[1])
+        # The shutdown chain and the latch on the leading side.
+        t1 = crossing(np.where(lead, i[0], i[1]), vth_n + lead_side("Mni2", "Mni3", 0))
+        b_ni = mu_n * w_ni2 / l_ni2 * (1.0 + lead_side("Mni2", "Mni3", 1))
+        b_pi = mu_p * w_pi1 / l_pi1 * (1.0 + lead_side("Mpi1", "Mpi4", 1))
+        t_esd = t1 + inverter_delay(c_pi, b_ni, vdd) + cfg.alpha * inverter_delay(c_p3, b_pi, vdd)
+        b_n3 = mu_n * w_n3 / l_n3 * (1.0 + lead_side("Mn3", "Mn4", 1))
+        t_dm = t0 + inverter_delay(c_latch, b_n3, vdd)
+        # Designed regime: the chain fires only after the latch crossing, so
+        # cutting the tail never blocks the decision. Flag the stall if a
+        # configuration ever inverts the race.
         late = (t_dm > window) | (t_esd < t0)
         shutdown = cfg.early_shutdown_enabled & (t_esd <= window)
 
+        # Energy: the tail conducts until t_esd (<= window) with shutdown,
+        # else for the whole window; the buffer chain spends only when it fires.
+        e_preamp = vdd * i_tail * np.where(shutdown, t_esd, window)
         e_latch = c_latch * vdd * vdd
+        e_ddvb = np.where(shutdown, 2.0 * (c_pi + c_p3) * vdd * vdd, 0.0)
         e_reset = 2.0 * c_out * vdd * vdd
-        energy = (vdd * i_tail * np.minimum(np.where(shutdown, t_esd, window), window)
-                  + e_latch
-                  + np.where(shutdown, 2.0 * (c_pi + c_p3) * vdd * vdd, 0.0)
-                  + e_reset)
-        # The same cycle accounted with the tail on for the whole window.
+        energy = e_preamp + e_latch + e_ddvb + e_reset
         energy_noesd = vdd * i_tail * window + e_latch + e_reset
-    return GridResult(decision=decision, t_dm=t_dm, t_esd=t_esd, energy=energy,
-                      energy_noesd=energy_noesd, late=late, failed=failed)
+    # A row's code indexes the first check it fails; the last, always true, is OK.
+    fault = np.array((unbuilt, ~((0.0 <= vcm) & (vcm <= vdd)) | (np.abs(vid) >= vdd),
+                      ~((0.0 <= vb) & (vb <= vdd)).all(axis=0), unresolved != 0.0, *beyond,
+                      ~np.isfinite(t0) | (t0 > window), np.ones(vid.shape, bool))).argmax(axis=0)
+
+    def raise_row(k: int) -> None:
+        code = fault[k]
+        if code in (OK, UNBUILT):
+            return
+        vid_k, vcm_k, vdd_k, vb_plus_k, vb_minus_k = (np.asarray(x, object)[k] for x in given)
+        if code == BAD_OP:
+            engine.validate_op(OperatingPoint(vid=vid_k, vcm=vcm_k), vdd_k)
+        if code == BAD_BODY:
+            raise ConfigError(f"body voltages {BodyBias(vb_plus_k, vb_minus_k)} "
+                              f"outside [0, vdd={vdd_k}]")
+        if code == BAD_PARAMS:
+            raise errors[p[k]]
+        if code in (BODY_MINUS, BODY_PLUS):
+            threshold(cfg.pmos, (vb_minus_k if code == BODY_MINUS else vb_plus_k) - vdd_k)
+        if code == NO_DECISION:
+            raise NoDecisionError(
+                f"no preamp crossing within the {window:.3e} s window (t0={float(t0[k]):.3e})")
+
+    return GridResult(decision=decision, t0=t0, t1=t1, t_esd=t_esd, t_dm=t_dm, shutdown=shutdown,
+                      late=late, i_tail=i_tail, e_preamp=e_preamp, e_latch=e_latch, e_ddvb=e_ddvb,
+                      e_reset=e_reset, energy=energy, energy_noesd=energy_noesd, fault=fault,
+                      raise_row=raise_row)
 
 
 class DecisionKernel:
@@ -439,7 +390,6 @@ class DecisionKernel:
     """
 
     DEVICES = ("Mp1", "Mp4", "Mp5", "Mn3", "Mn4")
-    _SIGN = np.array([[1.0], [-1.0]])  # the minus side's gate is at vcm - vid/2
 
     def __init__(self, engine: ComparatorEngine, op: OperatingPoint,
                  mismatch: Mapping[str, tuple[np.ndarray, np.ndarray]]):
@@ -480,7 +430,8 @@ class DecisionKernel:
         a = vdd - vcm
         vb = np.array((vb_minus, vb_plus))
         with np.errstate(all="ignore"):
-            vth, beyond = self._thresholds(rows, vb)
+            vth, beyond = dev.thresholds(self.pparams, vb - vdd, self.dvth[:, rows])
+            beyond = beyond.any(axis=0)
             k = self.k[:, rows]
             k_ov = k * (a - vth)
             vid = 2.0 * (k_ov[1] - k_ov[0]) / (k[0] + k[1])
@@ -491,7 +442,7 @@ class DecisionKernel:
             # so simulate orders them right once |vid - vid*| > 6uS + 10uS.
             # vid* above errs by <= 14uS. The band, 256uS, is eight times the sum.
             band = 2.0 ** -45 * (vdd + abs(vcm) + np.abs(vid) + np.abs(vth).sum(axis=0))
-            ov = a + self._SIGN * (vid / 2.0) - vth
+            ov = a + _SIGN * (vid / 2.0) - vth
             # Simulate's t0 on the leading side, c_out*vth_sense/i, times
             # total/i_tail where the tail clamps, falls as vid leaves vid*.
             # At vid* both sides have i/vth_sense = (k*ov)**2/2, so t0 peaks at
@@ -505,14 +456,6 @@ class DecisionKernel:
                      & (t0 * (1.0 + band / ov.min(axis=0)) <= self.window)
                      & ((0.0 <= vb) & (vb <= vdd)).all(axis=0) & (0.0 <= vcm <= vdd))
         return vid, band, exact
-
-    def _thresholds(self, rows: np.ndarray, vb: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The input thresholds at the body voltages ``vb`` (one row per side),
-        and the trials where threshold() raises BodyBiasError instead."""
-        p = self.pparams
-        arg = p.phi2f + (vb - self.vdd)
-        vth = p.vth0 + p.gamma * (np.sqrt(arg) - math.sqrt(p.phi2f)) + self.dvth[:, rows]
-        return vth, (arg <= 0.0).any(axis=0)
 
 
 def typical_op(config: ComparatorConfig, vid: float = 50e-3, **overrides) -> OperatingPoint:

@@ -21,7 +21,7 @@ from .calibration import (OffsetStats, monte_carlo, residual_bound,
 from .config import (SWEEPS, RunConfig, build_calibration_config, build_comparator_config,
                      build_operating_point, resolved_metadata)
 from .devices import CORNERS, sample_mismatch
-from .engine import ComparatorEngine, simulate_grid
+from .engine import BAD_OP, BAD_PARAMS, OK, ComparatorEngine, simulate_grid
 from .errors import ConfigError
 
 TOOL_NAME = "dyncomp-sim"
@@ -159,11 +159,15 @@ def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
                          column("corner"), column("t_kelvin"),
                          {} if sweep.width_target is None
                          else sizing_mod.target_widths(sweep.width_target, np.array(values)))
-    e_on, e_off = grid.energy, grid.energy_noesd
+    # The first row that raises ConfigError raises it; the other faulted rows fail.
+    raising = (BAD_OP <= grid.fault) & (grid.fault <= BAD_PARAMS)
+    if raising.any():
+        grid.raise_row(int(raising.argmax()))
+    failed, e_on, e_off = grid.fault != OK, grid.energy, grid.energy_noesd
     with np.errstate(all="ignore"):
         savings = np.where(e_off > 0, 100.0 * (1.0 - e_on / e_off), math.nan)
     # A failed row takes _failed_row's cells; zip drops the compare columns unless asked.
-    rows, text = _formatted([values] + [np.where(grid.failed, fill, x).tolist() for fill, x in zip(
+    rows, text = _formatted([values] + [np.where(failed, fill, x).tolist() for fill, x in zip(
         _failed_row(None, compare)[1:], (grid.decision, grid.t_dm, grid.t_esd, e_on * cfg.freq,
                                          e_on, grid.late, e_off, savings))])
 

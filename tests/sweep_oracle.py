@@ -1,8 +1,9 @@
 """The per-point sweep loop: the oracle for run_sweep's one grid pass.
 
-One engine per width point and one scalar ``simulate`` per grid point, as
-``run_sweep`` was first written. ``run_sweep_oracle`` returns the table that
-``run_sweep`` must render byte for byte, and raises where it must raise.
+One engine per width point and one scalar ``simulate_oracle.simulate`` per
+grid point, as ``run_sweep`` was first written. ``run_sweep_oracle`` returns
+the table that ``run_sweep`` must render byte for byte, and raises where it
+must raise.
 """
 import math
 
@@ -12,6 +13,7 @@ from dyncomp.engine import ComparatorEngine
 from dyncomp.errors import ConfigError, SimulationError
 from dyncomp.harness import (Table, _check_grid_ends, _failed_row, _grid_values,
                              base_metadata, round9)
+from simulate_oracle import energy_per_comparison, simulate
 
 
 def run_sweep_oracle(cfg, compare: bool = False) -> Table:
@@ -39,7 +41,7 @@ def run_sweep_oracle(cfg, compare: bool = False) -> Table:
                 rows.append(_failed_row(value, compare))
                 continue
         try:
-            result = eng.simulate(op)
+            result = simulate(eng, op)
         except SimulationError:
             rows.append(_failed_row(value, compare))
             continue
@@ -47,8 +49,8 @@ def run_sweep_oracle(cfg, compare: bool = False) -> Table:
         row = [round9(value), result.decision, round9(result.t_dm), round9(result.t_esd),
                round9(e_on * cfg.freq), round9(e_on), int(result.late)]
         if compare:
-            e_off = eng.energy_per_comparison(eng.supply(op), result.i_tail, result.t_esd,
-                                              False).total
+            e_off = energy_per_comparison(eng, eng.supply(op), result.i_tail, result.t_esd,
+                                          False).total
             savings = 100.0 * (1.0 - e_on / e_off) if e_off > 0 else math.nan
             row += [round9(e_off), round9(savings)]
         rows.append(tuple(row))

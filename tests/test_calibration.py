@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import offset_oracle
+import simulate_oracle
 from dyncomp import calibration, devices
 from dyncomp.calibration import (CalibrationConfig, cp_step, dac_output,
                                  measure_offset, monte_carlo, residual_bound,
@@ -116,10 +117,10 @@ class TestMeasureOffset:
         # independent oracle: scan vid at 0.1 mV resolution for the flip
         mm = inject(0.010)
         flip = None
-        prev = engine.simulate(replace(OP0, vid=-50e-3), mm).decision
+        prev = simulate_oracle.simulate(engine, replace(OP0, vid=-50e-3), mm).decision
         v = -50e-3
         while v <= 50e-3:
-            d = engine.simulate(replace(OP0, vid=v), mm).decision
+            d = simulate_oracle.simulate(engine, replace(OP0, vid=v), mm).decision
             if d != prev:
                 flip = v
                 break
@@ -166,7 +167,8 @@ def straight_line_loop(config, mismatch, cal, op):
     for _ in range(cal.n_phases):
         for tn in range(1, cal.n_cycles + 1):
             cycle += 1
-            s = engine.simulate(op_cal, mismatch, BodyBias(vb_plus, vb_minus)).decision
+            s = simulate_oracle.simulate(engine, op_cal, mismatch,
+                                         BodyBias(vb_plus, vb_minus)).decision
             daco = vdd * cal.c0 / (cal.c0 + sum(cal.dac_caps[:tn]))
             ov = daco - cal.cp_vthn
             step = 0.5 * cal.cp_beta * ov * ov * t_period / cal.cb if ov > 0 else 0.0
@@ -403,6 +405,33 @@ class TestBatchedMonteCarlo:
         assert str(batched.value) == str(scalar.value)
         with pytest.raises(error):
             batched_offsets(30, seed, config, cal, calibrate)
+
+    def test_in_band_points_take_one_grid_call_per_step(self, monkeypatch):
+        # At zero mismatch every trial's flip point is 0.0, so the bisection's
+        # first midpoint and the first cycle's input are in band for every
+        # trial: each such step runs its trials in one simulate_grid call,
+        # and no step calls simulate.
+        steps = []
+        grid, plus = calibration.simulate_grid, calibration._Batch.plus
+
+        def counting_grid(engine, vid, *args, **kwargs):
+            steps[-1].append(len(vid))
+            return grid(engine, vid, *args, **kwargs)
+
+        def counting_plus(self, *args):
+            steps.append([])
+            return plus(self, *args)
+
+        monkeypatch.setattr(calibration, "simulate_grid", counting_grid)
+        monkeypatch.setattr(calibration._Batch, "plus", counting_plus)
+        simulates = []
+        monkeypatch.setattr(ComparatorEngine, "simulate", lambda *args: simulates.append(args))
+        cfg, cal = ComparatorConfig(), CalibrationConfig()
+        result = monte_carlo(6, 3, cfg, cal, calibrate=True, avt=0.0, abeta=0.0)
+        assert simulates == []
+        assert max(map(len, steps)) == 1
+        assert [6] in steps and sum(map(sum, steps)) > 6
+        assert result == scalar_monte_carlo(6, 3, cfg, cal, True, avt=0.0, abeta=0.0)
 
     def test_error_path_draws_no_sample(self, monkeypatch):
         # A raising trial runs simulate on the batch's own mismatch columns;

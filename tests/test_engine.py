@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import offset_oracle
+import simulate_oracle
 from dyncomp.calibration import measure_offset
 from dyncomp.devices import (CORNERS, MIN_LENGTH, ZERO_MISMATCH, DeviceParams, MismatchSample,
                              TransistorGeom, default_geometry, sample_mismatch)
@@ -37,14 +38,15 @@ MIRROR = (("Mp4", "Mp5"), ("Mn3", "Mn4"), ("Mni2", "Mni3"), ("Mpi1", "Mpi4"))
 
 def tail_current(engine, op, mismatch=ZERO_MISMATCH):
     """The tail current at op's corner and temperature."""
-    return engine.tail_current(op, engine.params_at(op)[1], mismatch)
+    return simulate_oracle.tail_current(engine, op, engine.params_at(op)[1], mismatch)
 
 
 def branch_currents(engine, op, vth_minus, vth_plus, mismatch=ZERO_MISMATCH):
     """The input-pair currents at op's corner and temperature, as simulate clamps them."""
     pparams = engine.params_at(op)[1]
-    return engine.branch_currents(op, pparams, engine.tail_current(op, pparams, mismatch),
-                                  vth_minus, vth_plus, mismatch)
+    i_tail = simulate_oracle.tail_current(engine, op, pparams, mismatch)
+    return simulate_oracle.branch_currents(engine, op, pparams, i_tail, vth_minus, vth_plus,
+                                           mismatch)
 
 
 class TestNodeCaps:

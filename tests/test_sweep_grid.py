@@ -1,17 +1,22 @@
-"""The one-pass sweep grid against the per-point loop and scalar simulate."""
+"""The one-pass sweep grid against the per-point loop and the scalar cycle oracle."""
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import simulate_oracle
 from dyncomp.config import SWEEPS, RunConfig
-from dyncomp.devices import CORNERS, DEFAULT_NMOS, DEFAULT_PMOS, MIN_WIDTH
-from dyncomp.engine import ComparatorConfig, ComparatorEngine, OperatingPoint, simulate_grid
-from dyncomp.errors import ConfigError, SimulationError
+from dyncomp.devices import (CORNERS, DEFAULT_NMOS, DEFAULT_PMOS, MIN_WIDTH, ZERO_MISMATCH,
+                             MismatchSample)
+from dyncomp.engine import (BAD_BODY, BAD_OP, BAD_PARAMS, BODY_MINUS, BODY_PLUS, NO_DECISION, OK,
+                            UNBUILT, BodyBias, ComparatorConfig, ComparatorEngine,
+                            ComparisonResult, EnergyBreakdown, OperatingPoint, simulate_grid)
+from dyncomp.errors import BodyBiasError, ConfigError, NoDecisionError
 from dyncomp.harness import render_csv, render_json, replace_runconfig, run_sweep
 from dyncomp.sizing import WIDTH_TARGETS, scaled_config, target_widths
 from sweep_oracle import run_sweep_oracle
+from test_calibration import outcome
 
 # (sweep.variable, RunConfig changes): every variable, on default and dense
 # grids, past the common-mode limit, below MIN_WIDTH, on a log scale, and
@@ -75,20 +80,44 @@ def test_first_config_error_row_raises(variable, changes):
     assert str(raised.value) == str(expected.value)
 
 
-def scalar_outcome(config, target, width, op):
-    """What ``simulate`` gives at one row on the configuration with ``target``
-    at ``width``: its result, the exception it raises, or None where the
-    scaled geometry is rejected."""
-    try:
-        engine = ComparatorEngine(config if target is None
-                                  else scaled_config(config, target, width))
-    except ConfigError:
-        return None
-    try:
-        return engine.simulate(op)
-    except (ConfigError, SimulationError) as exc:
-        return exc
+def hexed(result):
+    """Every field of a ComparisonResult, floats by float.hex."""
+    if not isinstance(result, ComparisonResult):
+        return result
+    floats = (result.t0, result.t1, result.t_esd, result.t_dm, result.i_tail,
+              *vars(result.energy).values())
+    return (type(result.decision), result.decision, result.shutdown_occurred, result.late,
+            *(x.hex() for x in floats))
 
+
+def grid_row(grid, k):
+    """Row k of a GridResult as the ComparisonResult simulate builds from it."""
+    return ComparisonResult(int(grid.decision[k]), float(grid.t0[k]), float(grid.t1[k]),
+                            float(grid.t_esd[k]), float(grid.t_dm[k]), bool(grid.shutdown[k]),
+                            bool(grid.late[k]), float(grid.i_tail[k]),
+                            EnergyBreakdown(float(grid.e_preamp[k]), float(grid.e_latch[k]),
+                                            float(grid.e_ddvb[k]), float(grid.e_reset[k]),
+                                            float(grid.energy[k])))
+
+
+# The fault code of each error the oracle raises, by class and message prefix.
+FAULTS = ((ConfigError, "vcm=", BAD_OP), (ConfigError, "|vid|=", BAD_OP),
+          (ConfigError, "body voltages", BAD_BODY), (ConfigError, "temp_c=", BAD_PARAMS),
+          (BodyBiasError, "", BODY_MINUS), (BodyBiasError, "", BODY_PLUS),
+          (NoDecisionError, "", NO_DECISION))
+
+
+def fault_codes(out) -> set:
+    """The fault codes a grid row may carry where the oracle gives ``out``."""
+    if out is None:
+        return {UNBUILT}
+    if isinstance(out, ComparisonResult):
+        return {OK}
+    return {code for cls, prefix, code in FAULTS if out[0] is cls and out[1].startswith(prefix)}
+
+
+# The devices whose mismatch enters the cycle, each side's in mirrored pairs.
+CYCLE_DEVICES = ("Mp1", "Mp4", "Mp5", "Mn3", "Mn4", "Mni2", "Mni3", "Mpi1", "Mpi4")
 
 # One engine's settings and device parameters, and the width target its
 # rows rescale (None: no width column).
@@ -104,8 +133,10 @@ ENGINE = st.fixed_dictionaries({
     "mu_p": st.sampled_from([1.0, 2.0]),
 })
 
-# One row: its operating point and its target width, some of them below
-# MIN_WIDTH or at the edge of its 1e-15 tolerance.
+# One row: its operating point, its target width (some below MIN_WIDTH or
+# at the edge of its 1e-15 tolerance), its mismatch and its body voltages as
+# shares of the supply (None: at the supply). Below about 0.6 of a 1.8 V
+# supply a body leaves the threshold model; above 1 simulate rejects it.
 ROW = st.fixed_dictionaries({
     "vid": st.floats(-0.2, 0.2),
     "vcm_share": st.floats(-0.02, 1.02),
@@ -114,6 +145,11 @@ ROW = st.fixed_dictionaries({
     "temp_c": st.one_of(st.sampled_from([27.0, 125.0]), st.floats(-60.0, 270.0)),
     "width": st.one_of(st.sampled_from([0.1e-6, MIN_WIDTH - 2e-15, MIN_WIDTH - 5e-16]),
                        st.floats(MIN_WIDTH, 4e-6), st.floats(0.1e-6, 4e-6)),
+    "mismatch": st.fixed_dictionaries({name: st.tuples(
+        st.one_of(st.floats(-0.05, 0.05), st.floats(-0.6, 0.6)), st.floats(-0.5, 0.5))
+        for name in CYCLE_DEVICES}),
+    "vb_plus": st.one_of(st.none(), st.floats(0.0, 1.05)),
+    "vb_minus": st.one_of(st.none(), st.floats(0.0, 1.05)),
 })
 
 
@@ -129,41 +165,84 @@ def build_config(spec) -> ComparatorConfig:
 @settings(deadline=None, max_examples=300)
 @given(spec=ENGINE, rows=st.lists(ROW, min_size=1, max_size=6))
 def test_grid_rows_are_scalar_simulate(spec, rows):
+    # Each row against the scalar oracle on the configuration with the row's
+    # width: every ComparisonResult field by float.hex and the no-shutdown
+    # energy, or the fault code of the oracle's error and raise_row's class
+    # and message. simulate, one row of the grid, must give the same.
     config, target = build_config(spec), spec["target"]
     supply = [config.vdd if row["vdd_override"] is None else row["vdd_override"] for row in rows]
     ops = [OperatingPoint(vid=row["vid"], vcm=row["vcm_share"] * vdd,
                           corner=CORNERS[row["corner"]], t_kelvin=row["temp_c"] + 273.15,
                           vdd_override=row["vdd_override"]) for row, vdd in zip(rows, supply)]
+    bodies = [BodyBias(*(vdd if row[side] is None else row[side] * vdd
+                         for side in ("vb_plus", "vb_minus"))) for row, vdd in zip(rows, supply)]
+    mismatches = [MismatchSample(row["mismatch"]) for row in rows]
     widths = [row["width"] for row in rows]
-    outcomes = [scalar_outcome(config, target, w, op) for w, op in zip(widths, ops)]
-
-    def grid():
-        return simulate_grid(
-            ComparatorEngine(config), [op.vid for op in ops], [op.vcm for op in ops], supply,
-            [op.corner for op in ops], [op.t_kelvin for op in ops],
-            {} if target is None else target_widths(target, np.array(widths)))
-
-    errors = [out for out in outcomes if isinstance(out, ConfigError)]
-    if errors:
-        with pytest.raises(ConfigError) as raised:
-            grid()
-        assert str(raised.value) == str(errors[0])
-        return
-    result = grid()
-    for k, (w, op, out) in enumerate(zip(widths, ops, outcomes)):
-        assert result.failed[k] == (out is None or isinstance(out, SimulationError))
-        if result.failed[k]:
+    engines = []
+    for w in widths:
+        try:
+            engines.append(ComparatorEngine(config if target is None
+                                            else scaled_config(config, target, w)))
+        except ConfigError:
+            engines.append(None)
+    grid = simulate_grid(
+        ComparatorEngine(config), [op.vid for op in ops], [op.vcm for op in ops], supply,
+        [op.corner for op in ops], [op.t_kelvin for op in ops],
+        {} if target is None else target_widths(target, np.array(widths)),
+        {name: tuple(np.array([row["mismatch"][name][i] for row in rows]) for i in (0, 1))
+         for name in CYCLE_DEVICES},
+        [body.vb_plus for body in bodies], [body.vb_minus for body in bodies])
+    for k, (engine, op, mm, body) in enumerate(zip(engines, ops, mismatches, bodies)):
+        out = None if engine is None else outcome(
+            lambda: simulate_oracle.simulate(engine, op, mm, body))
+        assert int(grid.fault[k]) in fault_codes(out)
+        if engine is None:
             continue
-        engine = ComparatorEngine(config if target is None else scaled_config(config, target, w))
-        e_off = engine.energy_per_comparison(engine.supply(op), out.i_tail, out.t_esd,
-                                             False).total
-        got = (int(result.decision[k]), float(result.t_dm[k]).hex(),
-               float(result.t_esd[k]).hex(), float(result.energy[k]).hex(),
-               float(result.energy_noesd[k]).hex(), bool(result.late[k]))
-        assert got == (out.decision, out.t_dm.hex(), out.t_esd.hex(), out.energy.total.hex(),
-                       e_off.hex(), out.late)
+        assert hexed(outcome(lambda: engine.simulate(op, mm, body))) == hexed(out)
+        if not isinstance(out, ComparisonResult):
+            assert outcome(lambda: grid.raise_row(k)) == out
+            continue
+        assert grid.raise_row(k) is None
+        assert hexed(grid_row(grid, k)) == hexed(out)
+        e_off = simulate_oracle.energy_per_comparison(engine, engine.supply(op), out.i_tail,
+                                                      out.t_esd, False).total
+        assert float(grid.energy_noesd[k]).hex() == e_off.hex()
+
+
+def test_every_fault_code_raises_the_oracles_error():
+    # One row per fault code, in one grid: the code, and raise_row's class
+    # and message against the scalar oracle. Rows that fault two ways take
+    # the check simulate makes first. Messages quote values as given, ints
+    # included.
+    config = ComparatorConfig()
+    vdd, tt, hot = config.vdd, CORNERS["TT"], 600.0
+    rows = {  # code: (vid, vcm, t_kelvin, width, vb_plus, vb_minus)
+        OK: (0.05, 0.9, 300.0, 1e-6, vdd, vdd),
+        UNBUILT: (0.05, 2.5, hot, 0.1e-6, vdd, vdd),
+        BAD_OP: (0.05, 3, hot, 1e-6, 2.0, 0.1),
+        BAD_BODY: (0.05, 0.9, hot, 1e-6, 2, 0.1),
+        BAD_PARAMS: (0.05, 0.9, hot, 1e-6, 0.1, 0.1),
+        BODY_MINUS: (0.05, 0.9, 300.0, 1e-6, 0.1, 0.2),
+        BODY_PLUS: (0.05, 0.9, 300.0, 1e-6, 0.2, vdd),
+        NO_DECISION: (0.0, 1.36, 300.0, 1e-6, vdd, vdd),
+    }
+    vid, vcm, t_kelvin, width, vb_plus, vb_minus = (list(column) for column in zip(*rows.values()))
+    grid = simulate_grid(ComparatorEngine(config), vid, vcm, [vdd] * len(rows), [tt] * len(rows),
+                         t_kelvin, target_widths("inv_n", np.array(width)),
+                         vb_plus=vb_plus, vb_minus=vb_minus)
+    assert grid.fault.tolist() == list(rows)
+    for k, code in enumerate(rows):
+        if code in (OK, UNBUILT):
+            assert grid.raise_row(k) is None
+            continue
+        engine = ComparatorEngine(scaled_config(config, "inv_n", width[k]))
+        op = OperatingPoint(vid=vid[k], vcm=vcm[k], corner=tt, t_kelvin=t_kelvin[k])
+        expected = outcome(lambda: simulate_oracle.simulate(engine, op, ZERO_MISMATCH,
+                                                            BodyBias(vb_plus[k], vb_minus[k])))
+        assert fault_codes(expected) >= {code}
+        assert outcome(lambda: grid.raise_row(k)) == expected
 
 
 def test_empty_grid():
     grid = simulate_grid(ComparatorEngine(ComparatorConfig()), [], [], [], [], [])
-    assert grid.failed.shape == grid.t_dm.shape == (0,)
+    assert grid.fault.shape == grid.t_dm.shape == (0,)
