@@ -186,7 +186,7 @@ _KEYS = {
     "sweep.points": (_Unset(_parse_int), (lambda x: x >= 2, "must be >= 2")),
     "sweep.scale": (_choice("linear", "log"), None),
     "seed": (_parse_int, _NONNEGATIVE),
-    "trials": (_parse_int, _AT_LEAST_1),
+    "trials": (_parse_int, (lambda x: 1 <= x <= 2**32, "must be in [1, 2**32]")),
     "calibrate": (_parse_bool, None),
     "cal.cycles": (_parse_int, _AT_LEAST_1),
     "cal.phases": (_parse_int, _AT_LEAST_1),

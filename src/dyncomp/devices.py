@@ -6,6 +6,7 @@ magnitude convention: ``vth0 > 0`` for both polarities, and a positive
 """
 from __future__ import annotations
 
+import ctypes
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -198,12 +199,12 @@ def mismatch_scales(geoms: Iterable[TransistorGeom], avt: float = AVT_DEFAULT,
 
 
 # numpy's SeedSequence hash (numpy/random/bit_generator.pyx) and the PCG64
-# multiplier, for seeding many trials' streams in one pass.
+# multiplier's 64-bit halves, for seeding many trials' streams in one pass.
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
+_PCG64_MULT_HI, _PCG64_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_MASK32, _BLOCK = 2**32 - 1, 1024
 
 
 def _pcg64_seeds(seed: int, trials: Sequence[int]) -> np.ndarray:
@@ -251,14 +252,38 @@ def _pcg64_seeds(seed: int, trials: Sequence[int]) -> np.ndarray:
     return state.view("<u8")
 
 
-def _pcg64_state(seed_words: Sequence[int]) -> dict:
-    """PCG64's ``bit_generator.state`` from its 4 seed words: ``srandom``
-    with state ``words[0:2]`` and sequence ``words[2:4]``, high word first."""
-    s_hi, s_lo, i_hi, i_lo = seed_words
-    inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-    state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _MASK128
-    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-            "has_uint32": 0, "uinteger": 0}
+def _pcg64_srandom(seed_words: np.ndarray) -> np.ndarray:
+    """PCG64's (state, inc) after ``srandom`` from each row of 4 seed words
+    (state ``words[0:2]``, sequence ``words[2:4]``, high words first) in
+    wrapping uint64 limbs, with ``lo * mult``'s high limb from 32-bit halves.
+    Rows are (state lo, hi, inc lo, hi), as numpy's struct holds __uint128_t.
+    """
+    s_hi, s_lo, q_hi, q_lo = seed_words.T
+    inc_lo, inc_hi = q_lo << 1 | 1, q_hi << 1 | q_lo >> 63
+    lo = s_lo + inc_lo
+    hi = s_hi + inc_hi + (lo < inc_lo)
+    lo0, lo1 = lo & _MASK32, lo >> 32
+    m0, m1 = _PCG64_MULT_LO & _MASK32, _PCG64_MULT_LO >> 32
+    mid = lo1 * m0 + (lo0 * m0 >> 32)
+    carry = ((mid & _MASK32) + lo0 * m1) >> 32
+    hi = lo1 * m1 + (mid >> 32) + carry + lo * _PCG64_MULT_HI + hi * _PCG64_MULT_LO
+    lo = lo * _PCG64_MULT_LO + inc_lo
+    hi += inc_hi + (lo < inc_lo)
+    return np.stack([lo, hi, inc_lo, inc_hi], axis=1)
+
+
+def _pcg64_memory(rng: np.random.Generator, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A view of ``rng``'s PCG64 (state, inc), which its state struct's first
+    field points to, and ``words`` in that view's order. ``rng`` must hold
+    ``words[0]`` low word first, or high word first as where numpy has no
+    128-bit int; else the call raises."""
+    address = ctypes.c_void_p.from_address(rng.bit_generator.ctypes.state_address).value
+    state = np.ctypeslib.as_array((ctypes.c_uint64 * 4).from_address(address))
+    for order in (slice(None), [1, 0, 3, 2]):
+        if np.array_equal(state, words[0, order]):
+            return state, words[:, order]
+    raise RuntimeError(f"numpy {np.__version__} seeds PCG64 unlike the "
+                       "SeedSequence replica in dyncomp.devices")
 
 
 def draw_mismatch(seed: int, trials: Sequence[int], scales: np.ndarray,
@@ -272,32 +297,35 @@ def draw_mismatch(seed: int, trials: Sequence[int], scales: np.ndarray,
     ``Generator.normal(0.0, scale)`` computes, overflow to inf and the sign
     of a zero included, so a row equals drawing each deviation on its own.
 
-    numpy seeds the first trial's generator. The others get their PCG64
-    states from ``_pcg64_seeds`` in one pass; the first trial's state must
-    equal numpy's, else this numpy seeds differently and the call raises.
-    A batch of more than one trial takes trial indices up to 2**32 - 1.
+    numpy seeds the call's one generator with the first trial. The others'
+    PCG64 states come from uint64 arrays (``_pcg64_srandom``) and are copied
+    into its state memory once the first equals numpy's; each fills a row of
+    a ``_BLOCK``-trial buffer. A batch takes trial indices up to 2**32 - 1.
     """
+    n = len(trials)
+    if n > 1 and not 0 <= min(trials) <= max(trials) <= _MASK32:
+        raise ConfigError("trials: a batch of trials takes indices 0 to 2**32 - 1")
     if columns is None:
         columns, width = slice(None), scales.size
     else:
         columns = np.arange(scales.size)[columns]
         width = int(columns.max(initial=-1)) + 1
     kept = scales[columns]
-    z = np.empty((len(trials), kept.size))
-    if len(trials) > 1 and not 0 <= min(trials) <= max(trials) <= _MASK32:
-        raise ConfigError("trials: a batch of trials takes indices 0 to 2**32 - 1")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(trials[0])]))
-    if len(trials) > 1:
-        seeds = _pcg64_seeds(int(seed), trials)
-        if _pcg64_state(seeds[0].tolist()) != rng.bit_generator.state:
-            raise RuntimeError(f"numpy {np.__version__} seeds PCG64 unlike the "
-                               "SeedSequence replica in dyncomp.devices")
-    z[0] = rng.standard_normal(width)[columns]
-    for row in range(1, len(trials)):
-        rng.bit_generator.state = _pcg64_state(seeds[row].tolist())
-        z[row] = rng.standard_normal(width)[columns]
+    z = np.empty((n, kept.size))
+    if n == 1:
+        z[0] = rng.standard_normal(width)[columns]
+    else:
+        state, words = _pcg64_memory(rng, _pcg64_srandom(_pcg64_seeds(int(seed), trials)))
+        block = np.empty((min(n, _BLOCK), width))
+        for start in range(0, n, _BLOCK):
+            rows = block[:n - start]
+            for row, row_words in zip(rows, words[start:]):
+                state[:] = row_words
+                rng.standard_normal(out=row)
+            z[start:start + len(rows)] = rows[:, columns]
     with np.errstate(over="ignore"):
-        return 0.0 + z * kept
+        return np.add(np.multiply(z, kept, out=z), 0.0, out=z)
 
 
 def sample_mismatch(seed: int, trial: int, geoms: Iterable[TransistorGeom],

@@ -119,6 +119,10 @@ class TestParseConfig:
             parse_config("vdd = -1")
         with pytest.raises(ConfigError, match="trials"):
             parse_config("trials = 0")
+        # A batch's trial indices stop at 2**32 - 1.
+        assert parse_config(f"trials = {2**32}").trials == 2**32
+        with pytest.raises(ConfigError, match="trials"):
+            parse_config(f"trials = {2**32 + 1}")
         with pytest.raises(ConfigError, match="alpha"):
             parse_config("alpha = 0.5")
         with pytest.raises(ConfigError, match="seed"):
@@ -510,6 +514,8 @@ class TestCli:
         (["sweep", "--set", "sweep.variable=vdd", "--set", "sweep.start=-1"], "sweep.start"),
         (["sweep", "--set", "sweep.variable=vcm", "--set", "sweep.start=-1"], "sweep.start"),
         (["sweep", "--set", "sweep.variable=vcm", "--set", "sweep.stop=2.5"], "sweep.stop"),
+        # Rejected at config load, before the draw allocates anything.
+        (["mc", "--trials", str(2**32 + 1)], "trials"),
     ])
     def test_bad_input_exits_2_naming_key(self, argv, key, capsys):
         assert main(argv) == 2

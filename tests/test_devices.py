@@ -246,10 +246,13 @@ class TestStreamSeeding:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_states_equal_pcg64_seeding(self, seed):
         words = devices._pcg64_seeds(seed, self.TRIALS)
+        states = devices._pcg64_srandom(words)
         for row, trial in enumerate(self.TRIALS):
             sequence = np.random.SeedSequence([seed, trial])
             assert words[row].tolist() == sequence.generate_state(4, np.uint64).tolist()
-            assert devices._pcg64_state(words[row].tolist()) == np.random.PCG64(sequence).state
+            state_lo, state_hi, inc_lo, inc_hi = states[row].tolist()
+            assert {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo} \
+                == np.random.PCG64(sequence).state["state"]
 
     @pytest.mark.parametrize("trials", [[0, 2**32], [2**70, 1], [-1, 0], [3, -2]])
     def test_batch_rejects_trials_past_one_word(self, trials):
@@ -266,6 +269,58 @@ class TestStreamSeeding:
         monkeypatch.setattr(devices, "_pcg64_seeds", lambda seed, trials: replica(seed + 1, trials))
         with pytest.raises(RuntimeError, match="seeds PCG64"):
             draw_mismatch(1, [0, 1], np.ones(4))
+
+    @pytest.mark.parametrize("word", range(4))
+    def test_wrong_first_state_raises_before_any_draw(self, monkeypatch, word):
+        srandom, default_rng, made = devices._pcg64_srandom, np.random.default_rng, []
+
+        def one_word_off(seed_words):
+            states = srandom(seed_words)
+            states[0, word] ^= 2
+            return states
+
+        def recording(*args):
+            made.append(default_rng(*args))
+            return made[-1]
+
+        monkeypatch.setattr(devices, "_pcg64_srandom", one_word_off)
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        with pytest.raises(RuntimeError, match="seeds PCG64"):
+            draw_mismatch(1, [0, 1, 2], np.ones(4))
+        # The generator holds numpy's seeding of trial 0: nothing was loaded or drawn.
+        assert made[0].bit_generator.state == np.random.PCG64(np.random.SeedSequence([1, 0])).state
+
+    def test_high_word_first_layout_loads_the_same_streams(self, monkeypatch):
+        # Computed words in the other 128-bit word order, as a state struct
+        # without a 128-bit integer holds them, are reordered to the memory's.
+        srandom = devices._pcg64_srandom
+        monkeypatch.setattr(devices, "_pcg64_srandom", lambda words: srandom(words)[:, [1, 0, 3, 2]])
+        rows = draw_mismatch(9001, self.TRIALS, np.ones(46))
+        for row, trial in enumerate(self.TRIALS):
+            rng = np.random.default_rng(np.random.SeedSequence([9001, trial]))
+            assert rows[row].tobytes() == rng.standard_normal(46).tobytes()
+
+    @given(seed=st.integers(0, 2**128 - 1),
+           trials=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=40),
+           columns=st.none() | st.lists(st.integers(0, 45), unique=True))
+    def test_any_batch_equals_numpy_streams(self, seed, trials, columns):
+        # Unsorted trial lists with repeats; rows are the standard normals themselves.
+        picked = slice(None) if columns is None else columns
+        rows = draw_mismatch(seed, trials, np.ones(46), columns)
+        for row, trial in enumerate(trials):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, trial]))
+            assert rows[row].tobytes() == rng.standard_normal(46)[picked].tobytes()
+
+    def test_rows_at_block_edges_equal_single_draws(self):
+        scales = mismatch_scales(TestMismatchDraw.GEOMS)[1]
+        cols = [29, 4, 5, 0, 17]
+        n = 2 * devices._BLOCK + 7
+        trials = [(2654435761 * i) % 2**32 for i in range(n)]
+        batch = draw_mismatch(1001, trials, scales, cols)
+        for edge in range(devices._BLOCK, n, devices._BLOCK):
+            for row in (edge - 1, edge):
+                single = draw_mismatch(1001, [trials[row]], scales)[0, cols]
+                assert batch[row].tobytes() == single.tobytes()
 
 
 class TestGeometry:
