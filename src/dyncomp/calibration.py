@@ -188,7 +188,7 @@ def _batched_offsets(n: int, seed: int, engine: ComparatorEngine, op: OperatingP
     """The offsets (before, after) of the trials that flip inside the span."""
     devices = DecisionKernel.DEVICES
     names, scales = mismatch_scales(engine.config.geoms.values(), avt, abeta)
-    draws = draw_mismatch(seed, range(n), scales,
+    draws = draw_mismatch(seed, np.arange(n), scales,
                           [2 * names.index(name) + k for name in devices for k in (0, 1)])
     mismatch = {name: (draws[:, 2 * i], draws[:, 2 * i + 1]) for i, name in enumerate(devices)}
     before, after, _ = _Batch(engine, op, mismatch, n, None, cal.tol_os,

@@ -207,7 +207,7 @@ _PCG64_MULT_HI, _PCG64_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 _MASK32, _BLOCK = 2**32 - 1, 1024
 
 
-def _pcg64_seeds(seed: int, trials: Sequence[int]) -> np.ndarray:
+def _pcg64_seeds(seed: int, trials: Sequence[int] | np.ndarray) -> np.ndarray:
     """``SeedSequence([seed, trial]).generate_state(4, uint64)`` of each trial.
 
     numpy's hash in uint32 arrays over the trial axis: the entropy words
@@ -219,7 +219,7 @@ def _pcg64_seeds(seed: int, trials: Sequence[int]) -> np.ndarray:
     n = len(trials)
     entropy = [np.full(n, seed >> shift & _MASK32, np.uint32)
                for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy.append(np.fromiter(trials, np.uint32, n))
+    entropy.append(np.asarray(trials, np.uint32))
     entropy += [np.zeros(n, np.uint32)] * (4 - len(entropy))
     const = _INIT_A
 
@@ -286,7 +286,7 @@ def _pcg64_memory(rng: np.random.Generator, words: np.ndarray) -> tuple[np.ndarr
                        "SeedSequence replica in dyncomp.devices")
 
 
-def draw_mismatch(seed: int, trials: Sequence[int], scales: np.ndarray,
+def draw_mismatch(seed: int, trials: Sequence[int] | np.ndarray, scales: np.ndarray,
                   columns: Sequence[int] | None = None) -> np.ndarray:
     """Deviations of each trial (seed, trial), one row per trial (at least one).
 
@@ -300,11 +300,13 @@ def draw_mismatch(seed: int, trials: Sequence[int], scales: np.ndarray,
     numpy seeds the call's one generator with the first trial. The others'
     PCG64 states come from uint64 arrays (``_pcg64_srandom``) and are copied
     into its state memory once the first equals numpy's; each fills a row of
-    a ``_BLOCK``-trial buffer. A batch takes trial indices up to 2**32 - 1.
+    a ``_BLOCK``-trial buffer. A batch takes integer trial indices 0 to 2**32 - 1.
     """
     n = len(trials)
-    if n > 1 and not 0 <= min(trials) <= max(trials) <= _MASK32:
-        raise ConfigError("trials: a batch of trials takes indices 0 to 2**32 - 1")
+    if n > 1:
+        trials = np.asarray(trials)  # an index past int64 makes an object or float array
+        if trials.dtype.kind not in "iu" or not 0 <= trials.min() <= trials.max() <= _MASK32:
+            raise ConfigError("trials: a batch of trials takes indices 0 to 2**32 - 1")
     if columns is None:
         columns, width = slice(None), scales.size
     else:

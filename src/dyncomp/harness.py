@@ -21,7 +21,8 @@ from .calibration import (OffsetStats, monte_carlo, residual_bound,
 from .config import (SWEEPS, RunConfig, build_calibration_config, build_comparator_config,
                      build_operating_point, resolved_metadata)
 from .devices import CORNERS, sample_mismatch
-from .engine import BAD_OP, BAD_PARAMS, OK, ComparatorEngine, simulate_grid
+from .engine import (BAD_OP, BAD_PARAMS, OK, ComparatorEngine, GridResult, OperatingPoint,
+                     simulate_grid)
 from .errors import ConfigError
 
 TOOL_NAME = "dyncomp-sim"
@@ -95,39 +96,6 @@ def _default_mark(cfg: RunConfig, key: str) -> str:
     return "" if getattr(cfg, key.replace(".", "_")) is not None else " (default)"
 
 
-def _op_error(engine: ComparatorEngine, op, resolve: bool) -> str | None:
-    """The ConfigError simulate raises for ``op`` before any arithmetic, if any."""
-    try:
-        engine.validate_op(op, engine.supply(op))
-        if resolve:
-            engine.params_at(op)
-    except ConfigError as exc:
-        return str(exc)
-    return None
-
-
-def _check_grid_ends(cfg: RunConfig, engine: ComparatorEngine, values: list) -> None:
-    """Name the grid bound whose point the engine rejects, before any point runs.
-
-    Only sweeps of operating-point fields qualify, and only when the
-    unswept operating point is valid, so that the sweep value is at fault.
-    Along each of them the valid points form an interval, so the two ends
-    of the grid decide for every point. Only a temperature sweep moves the
-    device parameters off the unswept point's, so only its ends resolve them.
-    """
-    sweep = SWEEPS[cfg.sweep_variable]
-    if sweep.grid is None or sweep.width_target is not None:
-        return
-    if _op_error(engine, build_operating_point(cfg), resolve=False) is not None:
-        return
-    for key, value in (("sweep.start", values[0]), ("sweep.stop", values[-1])):
-        fields = sweep.fields(cfg, value)
-        error = _op_error(engine, build_operating_point(cfg, **fields), "t_kelvin" in fields)
-        if error is not None:
-            raise ConfigError(f"{key}: {cfg.sweep_variable} point {value:g}"
-                              f"{_default_mark(cfg, key)} is out of range: {error}")
-
-
 def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
     """Evaluate the engine over the sweep grid in deterministic row order, in
     one simulate_grid pass of the configured engine: the sweep sets each
@@ -138,6 +106,10 @@ def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
     energy is the same cycle accounted with the tail on for the whole
     window, so a compare sweep needs shutdown=true. Per-point engine errors
     and widths the geometry rejects become rows flagged late with NaN metrics.
+
+    A point whose vcm, vid or device parameters are out of range raises its
+    ConfigError, which names sweep.start or sweep.stop where the grid pass's
+    fault codes put the fault on that bound's sweep value.
     """
     values = _grid_values(cfg)
     if compare and not cfg.shutdown:
@@ -148,10 +120,10 @@ def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
                "energy_noesd_J", "savings_pct")[:9 if compare else 7]
     config = build_comparator_config(cfg)
     engine = ComparatorEngine(config)
-    _check_grid_ends(cfg, engine, values)
     # Each operating-point field as a column: the swept values, else the
     # unswept point's, whose vdd_override is the supply.
-    op = vars(build_operating_point(cfg, vdd_override=config.vdd))
+    unswept = build_operating_point(cfg, vdd_override=config.vdd)
+    op = vars(unswept)
     points = [sweep.fields(cfg, value) for value in values]
     swept = dict(zip(points[0], zip(*(point.values() for point in points))))
     column = lambda name: swept.get(name, [op[name]] * len(values))
@@ -162,6 +134,8 @@ def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
     # The first row that raises ConfigError raises it; the other faulted rows fail.
     raising = (BAD_OP <= grid.fault) & (grid.fault <= BAD_PARAMS)
     if raising.any():
+        if sweep.grid is not None and sweep.width_target is None:
+            _raise_grid_bound(cfg, engine, unswept, grid, values, "t_kelvin" in swept)
         grid.raise_row(int(raising.argmax()))
     failed, e_on, e_off = grid.fault != OK, grid.energy, grid.energy_noesd
     with np.errstate(all="ignore"):
@@ -177,6 +151,26 @@ def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
     if sweep.plot_scale is not None:
         meta["plot_scale"] = sweep.plot_scale
     return Table(columns=columns, rows=rows, metadata=meta, text=text)
+
+
+def _raise_grid_bound(cfg: RunConfig, engine: ComparatorEngine, unswept: OperatingPoint,
+                      grid: GridResult, values: list, sets_temp: bool) -> None:
+    """Raise the start or stop row's ConfigError as that grid bound's where it
+    is the sweep value's fault: the unswept point is valid, and the row's vcm
+    or vid is out of range, or on a temperature sweep its device parameters.
+    Along these sweeps the valid points form an interval, so the ends decide."""
+    try:
+        engine.validate_op(unswept, engine.supply(unswept))
+    except ConfigError:
+        return
+    owned = (grid.fault == BAD_OP) | (sets_temp & (grid.fault == BAD_PARAMS))
+    for key, k in (("sweep.start", 0), ("sweep.stop", len(values) - 1)):
+        if owned[k]:
+            try:
+                grid.raise_row(k)
+            except ConfigError as exc:
+                raise ConfigError(f"{key}: {cfg.sweep_variable} point {values[k]:g}"
+                                  f"{_default_mark(cfg, key)} is out of range: {exc}") from None
 
 
 def _failed_row(value, compare: bool) -> tuple:

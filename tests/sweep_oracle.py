@@ -1,19 +1,53 @@
 """The per-point sweep loop: the oracle for run_sweep's one grid pass.
 
 One engine per width point and one scalar ``simulate_oracle.simulate`` per
-grid point, as ``run_sweep`` was first written. ``run_sweep_oracle`` returns
+grid point, as ``run_sweep`` was first written, after a scalar check of the
+grid's two ends that names the offending bound. ``run_sweep_oracle`` returns
 the table that ``run_sweep`` must render byte for byte, and raises where it
-must raise.
+must raise, with the message it must give.
 """
 import math
 
 from dyncomp import sizing
-from dyncomp.config import SWEEPS, build_comparator_config, build_operating_point
+from dyncomp.config import SWEEPS, RunConfig, build_comparator_config, build_operating_point
 from dyncomp.engine import ComparatorEngine
 from dyncomp.errors import ConfigError, SimulationError
-from dyncomp.harness import (Table, _check_grid_ends, _failed_row, _grid_values,
-                             base_metadata, round9)
+from dyncomp.harness import (Table, _default_mark, _failed_row, _grid_values, base_metadata,
+                             round9)
 from simulate_oracle import energy_per_comparison, simulate
+
+
+def _op_error(engine: ComparatorEngine, op, resolve: bool) -> str | None:
+    """The ConfigError simulate raises for ``op`` before any arithmetic, if any."""
+    try:
+        engine.validate_op(op, engine.supply(op))
+        if resolve:
+            engine.params_at(op)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+def _check_grid_ends(cfg: RunConfig, engine: ComparatorEngine, values: list) -> None:
+    """Name the grid bound whose point the engine rejects, before any point runs.
+
+    Only sweeps of operating-point fields qualify, and only when the
+    unswept operating point is valid, so that the sweep value is at fault.
+    Along each of them the valid points form an interval, so the two ends
+    of the grid decide for every point. Only a temperature sweep moves the
+    device parameters off the unswept point's, so only its ends resolve them.
+    """
+    sweep = SWEEPS[cfg.sweep_variable]
+    if sweep.grid is None or sweep.width_target is not None:
+        return
+    if _op_error(engine, build_operating_point(cfg), resolve=False) is not None:
+        return
+    for key, value in (("sweep.start", values[0]), ("sweep.stop", values[-1])):
+        fields = sweep.fields(cfg, value)
+        error = _op_error(engine, build_operating_point(cfg, **fields), "t_kelvin" in fields)
+        if error is not None:
+            raise ConfigError(f"{key}: {cfg.sweep_variable} point {value:g}"
+                              f"{_default_mark(cfg, key)} is out of range: {error}")
 
 
 def run_sweep_oracle(cfg, compare: bool = False) -> Table:

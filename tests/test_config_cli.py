@@ -317,11 +317,11 @@ class TestTables:
         assert len(calls) == 0
 
     @pytest.mark.parametrize("variable, resolves", [
-        (v, {"temp": 6, "corner": len(CORNERS)}.get(v, 1)) for v in SWEEPS])
+        (v, {"temp": 4, "corner": len(CORNERS)}.get(v, 1)) for v in SWEEPS])
     def test_one_params_at_per_compare_point(self, monkeypatch, variable, resolves):
         # The grid pass resolves the device parameters once per distinct
-        # (nmos, pmos, corner, temperature), so once for a width sweep; the
-        # grid-end check resolves them only at a temperature sweep's two ends.
+        # (nmos, pmos, corner, temperature), so once for a width sweep, and
+        # nothing else resolves them: the grid bounds are named from its faults.
         calls = count_calls(monkeypatch, "params_at")
         run_sweep(sweep_of(variable), compare=True)
         assert len(calls) == resolves
@@ -536,7 +536,7 @@ class TestCli:
          "sweep.stop: temp point 400 is out of range: temp_c=400 at corner TT: the nmos threshold"),
     ])
     def test_sweep_names_offending_bound(self, sets, message, tmp_path, capsys):
-        # Rejected before any point runs, so nothing is written.
+        # Rejected from the grid pass's fault codes, before anything is written.
         out = tmp_path / "sweep.csv"
         argv = ["sweep", "--out", str(out)] + [arg for s in sets for arg in ("--set", s)]
         assert main(argv) == 2

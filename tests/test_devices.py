@@ -254,7 +254,8 @@ class TestStreamSeeding:
             assert {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo} \
                 == np.random.PCG64(sequence).state["state"]
 
-    @pytest.mark.parametrize("trials", [[0, 2**32], [2**70, 1], [-1, 0], [3, -2]])
+    @pytest.mark.parametrize("trials", [[0, 2**32], [2**70, 1], [-1, 0], [3, -2],
+                                        [2**64 - 1, 0], range(2**32 - 2, 2**32 + 1)])
     def test_batch_rejects_trials_past_one_word(self, trials):
         with pytest.raises(ConfigError, match="trials"):
             draw_mismatch(1, trials, np.ones(4))

@@ -65,19 +65,68 @@ def test_no_shutdown_sweep_renders_the_per_point_loop(variable):
     assert render_csv(run_sweep(cfg)) == render_csv(run_sweep_oracle(cfg))
 
 
-@pytest.mark.parametrize("variable, changes", [
-    ("vid", {"vcm": 2.5}),                    # every point leaves the common-mode range
-    ("vid", {"temp_c": 300.0}),               # params_at raises at the unswept temperature
-    ("temp", {"vcm": 2.5, "sweep_start": 260.0, "sweep_stop": 300.0}),  # range check first
-    ("width_inv_n", {"sweep_start": 0.1e-6, "sweep_stop": 0.5e-6, "vid": 2.0}),
-])
-def test_first_config_error_row_raises(variable, changes):
-    cfg = replace_runconfig(RunConfig(), sweep_variable=variable, sweep_points=5, **changes)
+# (sweep.variable, RunConfig changes, the start of the message raised).
+CONFIG_ERRORS = [
+    ("vid", {"vcm": 2.5}, "vcm=2.5 outside"),  # every point leaves the common-mode range
+    ("vid", {"temp_c": 300.0}, "temp_c=300 at corner TT: "),  # the unswept temperature
+    ("temp", {"vcm": 2.5, "sweep_start": 260.0, "sweep_stop": 300.0},
+     "vcm=2.5 outside"),  # range check first
+    ("width_inv_n", {"sweep_start": 0.1e-6, "sweep_stop": 0.5e-6, "vid": 2.0}, "|vid|=2.0 "),
+    # The cases of test_config_cli's test_sweep_names_offending_bound.
+    ("temp", {"sweep_scale": "log"}, "sweep.start: -20 (default) must be > 0"),
+    ("vdd", {"sweep_start": -1.0, "sweep_points": 4},
+     "sweep.start: vdd point -1 is out of range: vcm=-0.5 outside [0, vdd=-1.0]"),
+    ("vcm", {"sweep_start": -1.0}, "sweep.start: vcm point -1 is out of range: vcm=-1.0 "),
+    ("vcm", {"sweep_stop": 2.5}, "sweep.stop: vcm point 2.5 is out of range: vcm=2.5 "),
+    ("vcm", {"vdd": 1.0}, "sweep.stop: vcm point 1.1 (default) is out of range"),
+    ("vid", {"sweep_stop": 2.0}, "sweep.stop: vid point 2 is out of range: |vid|"),
+    ("temp", {"sweep_stop": 400.0}, "sweep.stop: temp point 400 is out of range"),
+    ("temp", {"temp_c": 400.0, "sweep_stop": 400.0},
+     "sweep.stop: temp point 400 is out of range: temp_c=400 at corner TT: "),
+    # Row 0's bad parameters are the unswept temperature's, not the vid sweep's.
+    ("vid", {"temp_c": 300.0, "sweep_stop": 2.0}, "sweep.stop: vid point 2 is out of range: "),
+    # The unswept vid is out of range, so no bound is at fault.
+    ("temp", {"vid": 2.0}, "|vid|=2.0 must be below vdd=1.8"),
+    # A descending grid: its start is the bound at fault.
+    ("vcm", {"sweep_start": 2.5, "sweep_stop": 0.1}, "sweep.start: vcm point 2.5 is out of range"),
+]
+
+
+@pytest.mark.parametrize("variable, changes, message", CONFIG_ERRORS,
+                         ids=[f"{v}-changes{i}" for i, (v, _, _) in enumerate(CONFIG_ERRORS)])
+def test_first_config_error_row_raises(variable, changes, message):
+    # run_sweep names the bound from the grid's fault codes; the oracle from
+    # a scalar check of the grid's two ends.
+    cfg = replace_runconfig(RunConfig(), **{"sweep_variable": variable, "sweep_points": 5,
+                                            **changes})
     with pytest.raises(ConfigError) as expected:
         run_sweep_oracle(cfg)
     with pytest.raises(ConfigError) as raised:
         run_sweep(cfg)
     assert str(raised.value) == str(expected.value)
+    assert str(raised.value).startswith(message)
+
+
+# A vid, vcm, vdd or temp sweep of 2-6 points, bounds in and out of range
+# in either order, at an unswept point that may itself be out of range.
+OP_SWEEP = st.one_of(*(st.fixed_dictionaries({
+    "sweep_variable": st.just(variable),
+    "sweep_start": bound, "sweep_stop": bound, "sweep_points": st.integers(2, 6),
+    "vid": st.one_of(st.floats(-0.05, 0.05), st.sampled_from([1.8, -2.0])),
+    "vcm": st.one_of(st.none(), st.floats(-0.2, 2.0)),
+    "temp_c": st.one_of(st.floats(-55.0, 150.0), st.floats(150.0, 350.0)),
+    "corner": st.sampled_from(sorted(CORNERS)),
+}) for variable, bound in (("vid", st.floats(-2.2, 2.2)), ("vcm", st.floats(-0.3, 2.1)),
+                           ("vdd", st.floats(-0.5, 2.6)), ("temp", st.floats(-60.0, 400.0)))))
+
+
+@settings(deadline=None, max_examples=200)
+@given(changes=OP_SWEEP, compare=st.booleans())
+def test_op_sweep_is_the_per_point_loop(changes, compare):
+    # Either the oracle's ConfigError text or its CSV, byte for byte.
+    cfg = replace_runconfig(RunConfig(), **changes)
+    expected = outcome(lambda: render_csv(run_sweep_oracle(cfg, compare)))
+    assert outcome(lambda: render_csv(run_sweep(cfg, compare))) == expected
 
 
 def hexed(result):
