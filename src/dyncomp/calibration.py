@@ -88,8 +88,8 @@ class OffsetStats:
 
 def measure_offset(engine: ComparatorEngine, op: OperatingPoint | None = None,
                    mismatch: MismatchSample = ZERO_MISMATCH,
-                   body: BodyBias | None = None,
-                   tol: float = 10e-6, span: float = 100e-3) -> float:
+                   body: BodyBias | None = None, tol: float = CalibrationConfig.tol_os,
+                   span: float = CalibrationConfig.span) -> float:
     """Input-referred offset: the vid where the decision flips, by bisection.
 
     The returned value is the differential input needed to balance the
@@ -226,8 +226,7 @@ class _Batch:
     def __init__(self, engine: ComparatorEngine, op: OperatingPoint, mismatch: dict, n: int,
                  body: BodyBias | None, tol: float, span: float):
         self.engine, self.op, self.mismatch, self.tol, self.span = engine, op, mismatch, tol, span
-        vdd = engine.supply(op)
-        self.body = body or BodyBias(vdd, vdd)
+        self.body = body or BodyBias(engine.config.vdd, engine.config.vdd)
         self.live, self.fault = np.ones(n, dtype=bool), None
         try:
             self.kernel = DecisionKernel(engine, op, mismatch)

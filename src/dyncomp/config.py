@@ -71,8 +71,8 @@ class RunConfig:
 class Sweep:
     """One sweep.variable: its CSV value column, its default (start, stop,
     points) grid (None: the corner names in CORNERS order), and what one value
-    sets, either OperatingPoint fields or the width of a sizing.WIDTH_TARGETS
-    target; run_sweep makes them per-row columns of one engine's grid."""
+    sets, OperatingPoint fields and the supply ``vdd`` or a sizing.WIDTH_TARGETS
+    target's width; run_sweep makes them per-row columns of one engine's grid."""
 
     column: str
     grid: tuple[float, float, int] | None
@@ -86,7 +86,7 @@ SWEEPS = {
     "vid": Sweep("vid_V", (1e-3, 50e-3, 20), lambda cfg, v: {"vid": v}),
     "vcm": Sweep("vcm_V", (0.1, 1.1, 21), lambda cfg, v: {"vcm": v}, plot_scale="log"),
     "vdd": Sweep("vdd_V", (1.4, 2.0, 13),
-                 lambda cfg, v: {"vdd_override": v, "vcm": resolve_vcm(cfg, v)}),
+                 lambda cfg, v: {"vdd": v, "vcm": resolve_vcm(cfg, v)}),
     "temp": Sweep("temp_C", (-20.0, 100.0, 13), lambda cfg, v: {"t_kelvin": v + 273.15}),
     "corner": Sweep("corner", None, lambda cfg, v: {"corner": CORNERS[v]}),
     "width_preamp": Sweep("w_m", (0.6e-6, 3.6e-6, 16), width_target="preamp"),
@@ -312,7 +312,6 @@ def build_operating_point(cfg: RunConfig, **overrides) -> OperatingPoint:
         vcm=resolve_vcm(cfg),
         corner=CORNERS[cfg.corner],
         t_kelvin=cfg.temp_c + 273.15,
-        vdd_override=None,
     )
     fields.update(overrides)
     return OperatingPoint(**fields)

@@ -163,7 +163,11 @@ def apply_corner(params: DeviceParams, corner: CornerSpec) -> DeviceParams:
         factor, shift = corner.mu_factor_n, corner.vth_shift_n
     else:
         factor, shift = corner.mu_factor_p, corner.vth_shift_p
-    return DeviceParams(params.polarity, params.mu_cox * factor, params.vth0 + shift,
+    vth0 = params.vth0 + shift
+    if vth0 <= 0:
+        raise ConfigError(f"the {params.polarity} threshold, {params.vth0:g} V, falls to "
+                          f"{vth0:.3g} V at corner {corner.name}; it must stay > 0")
+    return DeviceParams(params.polarity, params.mu_cox * factor, vth0,
                         params.gamma, params.phi2f, params.cox_area)
 
 

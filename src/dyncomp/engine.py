@@ -82,7 +82,6 @@ class OperatingPoint:
     vcm: float = 0.9                    # common-mode input, V
     corner: CornerSpec = CORNERS["TT"]
     t_kelvin: float = 300.15
-    vdd_override: float | None = None
 
 
 @dataclass(frozen=True)
@@ -203,9 +202,6 @@ class ComparatorEngine:
 
     # -- operating-point resolution ------------------------------------------
 
-    def supply(self, op: OperatingPoint) -> float:
-        return self.config.vdd if op.vdd_override is None else op.vdd_override
-
     def params_at(self, op: OperatingPoint) -> tuple[DeviceParams, DeviceParams]:
         """(nmos, pmos) parameters after corner and temperature adjustment."""
         n = dev.apply_corner(self.config.nmos, op.corner)
@@ -229,11 +225,11 @@ class ComparatorEngine:
                  body: BodyBias | None = None) -> ComparisonResult:
         """Run one precharge + comparison cycle: row 0 of a one-row simulate_grid.
 
-        The body voltages default to the supply. Late decisions (t_dm beyond
-        the window) are flagged, not raised, so sweeps near the common-mode
-        limit can complete and report the stall.
+        The body voltages default to the configured supply. Late decisions
+        (t_dm beyond the window) are flagged, not raised, so sweeps near the
+        common-mode limit can complete and report the stall.
         """
-        vdd = self.supply(op)
+        vdd = self.config.vdd
         body = body or BodyBias(vdd, vdd)
         g = simulate_grid(self, [op.vid], [op.vcm], [vdd], [op.corner], [op.t_kelvin],
                           mismatch=mismatch.deltas, vb_plus=[body.vb_plus],
@@ -282,14 +278,13 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
             index[id(c), t] = i = len(par)
             try:
                 nparams, pparams = engine.params_at(OperatingPoint(corner=c, t_kelvin=t))
-                par.append((threshold(nparams), nparams.mu_cox, pparams.vth0, threshold(pparams),
-                            pparams.mu_cox, 0.0))
+                par.append((nparams.vth0, nparams.mu_cox, pparams.vth0, pparams.mu_cox))
             except ConfigError as exc:
                 errors[i] = exc
-                par.append((math.nan,) * 5 + (1.0,))
+                par.append((math.nan,) * 4)
         p.append(i)
-    # Indexing copies values, so the rows' parameters are exact.
-    vth_n, mu_n, vth0_p, vth_p, mu_p, unresolved = np.array(par, float).reshape(-1, 6)[p].T
+    # Indexing copies values, so the rows' parameters (zero-bias thresholds: vth0) are exact.
+    vth_n, mu_n, vth_p, mu_p = np.array(par, float).reshape(-1, 4)[p].T
     c_out, c_pi, c_p3, c_latch = vars(engine.node_caps(widths) if widths else engine._caps).values()
     # One device per symmetric pair: ComparatorEngine checks the pairs equal.
     (w_p1, l_p1), (w_p4, l_p4), (w_n3, l_n3), (w_ni2, l_ni2), (w_pi1, l_pi1) = (
@@ -312,7 +307,7 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
         return np.where((i_side <= 0.0) | (vth_sense <= 0.0), np.inf, vth_sense * c_out / i_side)
 
     with np.errstate(all="ignore"):
-        vth, beyond = dev.thresholds(cfg.pmos, vb - vdd, sides("Mp4", "Mp5", 0), vth0_p)
+        vth, beyond = dev.thresholds(cfg.pmos, vb - vdd, sides("Mp4", "Mp5", 0), vth_p)
         ov = vdd - (vth_p + delta("Mp1", 0))
         i_tail = np.where(ov <= 0.0, 0.0, 0.5 * (mu_p * w_p1 / l_p1 * (1.0 + delta("Mp1", 1)))
                           * ov * ov * (1.0 - cfg.tail_derating))
@@ -349,7 +344,7 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
         energy_noesd = vdd * i_tail * window + e_latch + e_reset
     # A row's code indexes the first check it fails; the last, always true, is OK.
     fault = np.array((unbuilt, ~((0.0 <= vcm) & (vcm <= vdd)) | (np.abs(vid) >= vdd),
-                      ~((0.0 <= vb) & (vb <= vdd)).all(axis=0), unresolved != 0.0, *beyond,
+                      ~((0.0 <= vb) & (vb <= vdd)).all(axis=0), np.isin(p, list(errors)), *beyond,
                       ~np.isfinite(t0) | (t0 > window), np.ones(vid.shape, bool))).argmax(axis=0)
 
     def raise_row(k: int) -> None:
@@ -380,7 +375,7 @@ class DecisionKernel:
     """The vid where ``simulate(op, mismatch, body).decision`` flips, over a
     batch of trials.
 
-    The engine and the operating point's corner, temperature and supply are
+    The engine, its supply and the operating point's corner and temperature are
     shared; each trial (row) has its own mismatch, given per device as a
     (delta_vth, delta_beta) pair of arrays over the rows. Only the devices in
     ``DEVICES`` enter the decision. Raises ConfigError, as every simulate
@@ -395,7 +390,7 @@ class DecisionKernel:
                  mismatch: Mapping[str, tuple[np.ndarray, np.ndarray]]):
         cfg = engine.config
         nparams, pparams = engine.params_at(op)
-        self.vdd = vdd = engine.supply(op)
+        self.vdd = vdd = cfg.vdd
         self.pparams = pparams
         self.window = cfg.window
         self.c_out = c_out = engine.node_caps().c_out
@@ -404,10 +399,10 @@ class DecisionKernel:
             return beta(cfg.geoms[name], pparams) * (1.0 + mismatch[name][1])
 
         with np.errstate(all="ignore"):
-            ov = vdd - (threshold(pparams) + mismatch["Mp1"][0])
+            ov = vdd - (pparams.vth0 + mismatch["Mp1"][0])
             i_tail = 0.5 * mismatched_beta("Mp1") * ov * ov * (1.0 - cfg.tail_derating)
             b = np.stack((mismatched_beta("Mp4"), mismatched_beta("Mp5")))
-            vth_sense = threshold(nparams) + np.stack((mismatch["Mn3"][0], mismatch["Mn4"][0]))
+            vth_sense = nparams.vth0 + np.stack((mismatch["Mn3"][0], mismatch["Mn4"][0]))
             # flip_point's k = sqrt(beta / vth_sense); NaN where it is not real.
             self.k = np.where((b > 0.0) & (vth_sense > 0.0), np.sqrt(b / vth_sense), np.nan)
             # The clamped t0 at vid*; inf where the tail conducts nothing.

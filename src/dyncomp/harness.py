@@ -9,7 +9,7 @@ from __future__ import annotations
 import copy
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ from .calibration import (OffsetStats, monte_carlo, residual_bound,
                           run_calibration)
 from .config import (SWEEPS, RunConfig, build_calibration_config, build_comparator_config,
                      build_operating_point, resolved_metadata)
-from .devices import CORNERS, sample_mismatch
+from .devices import CORNERS, T_REF, sample_mismatch
 from .engine import (BAD_OP, BAD_PARAMS, OK, ComparatorEngine, GridResult, OperatingPoint,
                      simulate_grid)
 from .errors import ConfigError
@@ -120,14 +120,14 @@ def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
                "energy_noesd_J", "savings_pct")[:9 if compare else 7]
     config = build_comparator_config(cfg)
     engine = ComparatorEngine(config)
-    # Each operating-point field as a column: the swept values, else the
-    # unswept point's, whose vdd_override is the supply.
-    unswept = build_operating_point(cfg, vdd_override=config.vdd)
-    op = vars(unswept)
+    # Each operating-point field and the supply as a column: the swept
+    # values, else the unswept point's and the configured supply.
+    unswept = build_operating_point(cfg)
+    op = {**vars(unswept), "vdd": config.vdd}
     points = [sweep.fields(cfg, value) for value in values]
     swept = dict(zip(points[0], zip(*(point.values() for point in points))))
     column = lambda name: swept.get(name, [op[name]] * len(values))
-    grid = simulate_grid(engine, column("vid"), column("vcm"), column("vdd_override"),
+    grid = simulate_grid(engine, column("vid"), column("vcm"), column("vdd"),
                          column("corner"), column("t_kelvin"),
                          {} if sweep.width_target is None
                          else sizing_mod.target_widths(sweep.width_target, np.array(values)))
@@ -155,12 +155,14 @@ def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
 
 def _raise_grid_bound(cfg: RunConfig, engine: ComparatorEngine, unswept: OperatingPoint,
                       grid: GridResult, values: list, sets_temp: bool) -> None:
-    """Raise the start or stop row's ConfigError as that grid bound's where it
-    is the sweep value's fault: the unswept point is valid, and the row's vcm
-    or vid is out of range, or on a temperature sweep its device parameters.
-    Along these sweeps the valid points form an interval, so the ends decide."""
+    """Raise the start or stop row's ConfigError as that grid bound's where the
+    sweep value is at fault: the unswept point is valid (a temperature sweep's
+    at T_REF too), and the row's vcm or vid, or a temperature sweep's device
+    parameters, are out of range. The valid points form an interval: the ends decide."""
     try:
-        engine.validate_op(unswept, engine.supply(unswept))
+        engine.validate_op(unswept, engine.config.vdd)
+        if sets_temp:
+            engine.params_at(replace(unswept, t_kelvin=T_REF))
     except ConfigError:
         return
     owned = (grid.fault == BAD_OP) | (sets_temp & (grid.fault == BAD_PARAMS))

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .devices import beta
-from .engine import (ComparatorConfig, ComparatorEngine, NodeCaps, OperatingPoint)
+from .engine import ComparatorConfig, ComparatorEngine, NodeCaps, OperatingPoint, typical_op
 from .errors import ConfigError, SimulationError
 
 
@@ -61,7 +61,7 @@ def general_balance_residual(caps: NodeCaps, beta_ni: float, beta_pi: float,
 def balance_residual_for(config: ComparatorConfig, op: OperatingPoint | None = None) -> float:
     """General balance residual evaluated on a comparator configuration."""
     engine = ComparatorEngine(config)
-    op = op or OperatingPoint(vcm=config.vdd / 2.0)
+    op = op or typical_op(config)
     nparams, pparams = engine.params_at(op)
     return general_balance_residual(
         engine.node_caps(),

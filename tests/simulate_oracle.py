@@ -20,9 +20,10 @@ def inverter_delay(c_load: float, beta_eff: float, vdd: float) -> float:
 
 
 def tail_current(engine: ComparatorEngine, op: OperatingPoint, pparams: DeviceParams,
-                 mismatch: MismatchSample = ZERO_MISMATCH) -> float:
-    """Tail current before shutdown at the PMOS parameters ``pparams``, derating included."""
-    vdd = engine.supply(op)
+                 mismatch: MismatchSample = ZERO_MISMATCH, vdd: float | None = None) -> float:
+    """Tail current before shutdown at the PMOS parameters ``pparams`` and the
+    supply ``vdd`` (the engine's by default), derating included."""
+    vdd = engine.config.vdd if vdd is None else vdd
     b = beta(engine.config.geoms["Mp1"], pparams) * (1.0 + mismatch.delta_beta("Mp1"))
     vth = threshold(pparams, 0.0, mismatch.delta_vth("Mp1"))
     ov = vdd - vth
@@ -33,13 +34,15 @@ def tail_current(engine: ComparatorEngine, op: OperatingPoint, pparams: DevicePa
 
 def branch_currents(engine: ComparatorEngine, op: OperatingPoint, pparams: DeviceParams,
                     i_tail: float, vth_minus: float, vth_plus: float,
-                    mismatch: MismatchSample = ZERO_MISMATCH) -> tuple[float, float]:
+                    mismatch: MismatchSample = ZERO_MISMATCH,
+                    vdd: float | None = None) -> tuple[float, float]:
     """(I_minus, I_plus) of the input pair, clamped by the tail current ``i_tail``.
 
     ``vth_minus``/``vth_plus`` are the per-side input-device thresholds
-    already including mismatch and body shift.
+    already including mismatch and body shift; ``vdd`` is the supply, the
+    engine's by default.
     """
-    vdd = engine.supply(op)
+    vdd = engine.config.vdd if vdd is None else vdd
     b4 = beta(engine.config.geoms["Mp4"], pparams) * (1.0 + mismatch.delta_beta("Mp4"))
     b5 = beta(engine.config.geoms["Mp5"], pparams) * (1.0 + mismatch.delta_beta("Mp5"))
     ov_minus = vdd - (op.vcm - op.vid / 2.0) - vth_minus
@@ -56,14 +59,15 @@ def branch_currents(engine: ComparatorEngine, op: OperatingPoint, pparams: Devic
 
 def simulate(engine: ComparatorEngine, op: OperatingPoint,
              mismatch: MismatchSample = ZERO_MISMATCH,
-             body: BodyBias | None = None) -> ComparisonResult:
-    """Run one precharge + comparison cycle and return the full result.
+             body: BodyBias | None = None, vdd: float | None = None) -> ComparisonResult:
+    """Run one precharge + comparison cycle at the supply ``vdd`` (the
+    engine's by default) and return the full result.
 
     Late decisions (t_dm beyond the window) are flagged, not raised, so
     sweeps near the common-mode limit can complete and report the stall.
     """
     cfg = engine.config
-    vdd = engine.supply(op)
+    vdd = cfg.vdd if vdd is None else vdd
     engine.validate_op(op, vdd)
     if body is None:
         body = BodyBias(vdd, vdd)
@@ -76,8 +80,9 @@ def simulate(engine: ComparatorEngine, op: OperatingPoint,
 
     vth_minus = threshold(pparams, body.vb_minus - vdd, mismatch.delta_vth("Mp4"))
     vth_plus = threshold(pparams, body.vb_plus - vdd, mismatch.delta_vth("Mp5"))
-    i_tail = tail_current(engine, op, pparams, mismatch)
-    i_minus, i_plus = branch_currents(engine, op, pparams, i_tail, vth_minus, vth_plus, mismatch)
+    i_tail = tail_current(engine, op, pparams, mismatch, vdd)
+    i_minus, i_plus = branch_currents(engine, op, pparams, i_tail, vth_minus, vth_plus, mismatch,
+                                      vdd)
 
     def crossing(i_side: float, vth_sense: float) -> float:
         if i_side <= 0.0 or vth_sense <= 0.0:

@@ -2,14 +2,16 @@
 
 One engine per width point and one scalar ``simulate_oracle.simulate`` per
 grid point, as ``run_sweep`` was first written, after a scalar check of the
-grid's two ends that names the offending bound. ``run_sweep_oracle`` returns
-the table that ``run_sweep`` must render byte for byte, and raises where it
-must raise, with the message it must give.
+grid's two ends that names the offending bound. A ``vdd`` sweep runs each
+point at its supply; every other point runs at the configured one.
+``run_sweep_oracle`` returns the table that ``run_sweep`` must render byte
+for byte, and raises where it must raise, with the message it must give.
 """
 import math
 
 from dyncomp import sizing
 from dyncomp.config import SWEEPS, RunConfig, build_comparator_config, build_operating_point
+from dyncomp.devices import T_REF
 from dyncomp.engine import ComparatorEngine
 from dyncomp.errors import ConfigError, SimulationError
 from dyncomp.harness import (Table, _default_mark, _failed_row, _grid_values, base_metadata,
@@ -17,10 +19,11 @@ from dyncomp.harness import (Table, _default_mark, _failed_row, _grid_values, ba
 from simulate_oracle import energy_per_comparison, simulate
 
 
-def _op_error(engine: ComparatorEngine, op, resolve: bool) -> str | None:
-    """The ConfigError simulate raises for ``op`` before any arithmetic, if any."""
+def _op_error(engine: ComparatorEngine, op, vdd: float, resolve: bool) -> str | None:
+    """The ConfigError simulate raises for ``op`` at the supply ``vdd`` before
+    any arithmetic, if any."""
     try:
-        engine.validate_op(op, engine.supply(op))
+        engine.validate_op(op, vdd)
         if resolve:
             engine.params_at(op)
     except ConfigError as exc:
@@ -35,16 +38,24 @@ def _check_grid_ends(cfg: RunConfig, engine: ComparatorEngine, values: list) -> 
     unswept operating point is valid, so that the sweep value is at fault.
     Along each of them the valid points form an interval, so the two ends
     of the grid decide for every point. Only a temperature sweep moves the
-    device parameters off the unswept point's, so only its ends resolve them.
+    device parameters off the unswept point's, so only its ends resolve them,
+    and only where the unswept corner's resolve at T_REF, where temperature
+    is the identity.
     """
     sweep = SWEEPS[cfg.sweep_variable]
     if sweep.grid is None or sweep.width_target is not None:
         return
-    if _op_error(engine, build_operating_point(cfg), resolve=False) is not None:
+    vdd = engine.config.vdd
+    if _op_error(engine, build_operating_point(cfg), vdd, resolve=False) is not None:
+        return
+    sets_temp = "t_kelvin" in sweep.fields(cfg, values[0])
+    at_ref = build_operating_point(cfg, t_kelvin=T_REF)
+    if sets_temp and _op_error(engine, at_ref, vdd, resolve=True) is not None:
         return
     for key, value in (("sweep.start", values[0]), ("sweep.stop", values[-1])):
         fields = sweep.fields(cfg, value)
-        error = _op_error(engine, build_operating_point(cfg, **fields), "t_kelvin" in fields)
+        supply = fields.pop("vdd", vdd)
+        error = _op_error(engine, build_operating_point(cfg, **fields), supply, sets_temp)
         if error is not None:
             raise ConfigError(f"{key}: {cfg.sweep_variable} point {value:g}"
                               f"{_default_mark(cfg, key)} is out of range: {error}")
@@ -66,7 +77,9 @@ def run_sweep_oracle(cfg, compare: bool = False) -> Table:
 
     rows = []
     for value in values:
-        op = build_operating_point(cfg, **sweep.fields(cfg, value))
+        fields = sweep.fields(cfg, value)
+        vdd = fields.pop("vdd", config.vdd)
+        op = build_operating_point(cfg, **fields)
         eng = engine
         if sweep.width_target is not None:
             try:
@@ -75,7 +88,7 @@ def run_sweep_oracle(cfg, compare: bool = False) -> Table:
                 rows.append(_failed_row(value, compare))
                 continue
         try:
-            result = simulate(eng, op)
+            result = simulate(eng, op, vdd=vdd)
         except SimulationError:
             rows.append(_failed_row(value, compare))
             continue
@@ -83,8 +96,7 @@ def run_sweep_oracle(cfg, compare: bool = False) -> Table:
         row = [round9(value), result.decision, round9(result.t_dm), round9(result.t_esd),
                round9(e_on * cfg.freq), round9(e_on), int(result.late)]
         if compare:
-            e_off = energy_per_comparison(eng, eng.supply(op), result.i_tail, result.t_esd,
-                                          False).total
+            e_off = energy_per_comparison(eng, vdd, result.i_tail, result.t_esd, False).total
             savings = 100.0 * (1.0 - e_on / e_off) if e_off > 0 else math.nan
             row += [round9(e_off), round9(savings)]
         rows.append(tuple(row))

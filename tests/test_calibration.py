@@ -212,15 +212,16 @@ class TestRunCalibration:
         assert vb[+1] < cfg.vdd and vb[-1] < cfg.vdd  # both sides were touched
 
     def test_history_matches_recurrence_oracle(self):
-        cfg = ComparatorConfig()
         cal = CalibrationConfig()
-        for offset in (0.0, 0.004, -0.017, 0.031):
-            mm = inject(offset)
-            result = run_calibration(cfg, mm, cal, OP0)
-            history, vb_plus, vb_minus = straight_line_loop(cfg, mm, cal, OP0)
-            assert list(result.state.history) == history
-            assert result.state.vb_plus == vb_plus
-            assert result.state.vb_minus == vb_minus
+        for cfg, op in ((ComparatorConfig(), OP0),
+                        (ComparatorConfig(vdd=2.0), replace(OP0, vcm=1.0))):
+            for offset in (0.0, 0.004, -0.017, 0.031):
+                mm = inject(offset)
+                result = run_calibration(cfg, mm, cal, op)
+                history, vb_plus, vb_minus = straight_line_loop(cfg, mm, cal, op)
+                assert list(result.state.history) == history
+                assert result.state.vb_plus == vb_plus
+                assert result.state.vb_minus == vb_minus
 
     def test_zero_mismatch_dithers_within_one_lsb(self):
         cfg = ComparatorConfig()
@@ -363,8 +364,7 @@ class TestBatchedMonteCarlo:
         (500, 1, CalibrationConfig(n_phases=2, cb=2e-12)),
         (300, 3, CalibrationConfig(span=0.03)),
     ])
-    def test_equals_scalar_loop(self, n, seed, cal):
-        cfg = ComparatorConfig()
+    def test_equals_scalar_loop(self, n, seed, cal, cfg=ComparatorConfig()):
         before, after = scalar_monte_carlo(n, seed, cfg, cal, calibrate=True)
         assert monte_carlo(n, seed, cfg, cal, calibrate=True) == (before, after)
         assert monte_carlo(n, seed, cfg, cal, calibrate=False) == (before, None)
@@ -373,6 +373,10 @@ class TestBatchedMonteCarlo:
         assert calibration._offset_stats(n, kernel_after) == after
         if cal.span == 0.03:
             assert before.span_errors == after.span_errors == 36
+
+    def test_equals_scalar_loop_at_another_supply(self):
+        # At vdd = 2.0 V the operating point's vcm is vdd/2 = 1.0 V.
+        self.test_equals_scalar_loop(200, 1, CalibrationConfig(), ComparatorConfig(vdd=2.0))
 
     def test_saturated_bodies_equal_scalar_loop(self):
         # phi2f = 2 V keeps the threshold model valid down to vb = 0, so with
@@ -463,7 +467,7 @@ def flip_point(engine, op, mismatch, body):
     k-(A + vid/2 - vth-) = k+(A - vid/2 - vth+), so
     vid* = 2 (k+ (A - vth+) - k- (A - vth-)) / (k- + k+). The tail clamp
     scales both currents alike and leaves the tie in place."""
-    vdd = engine.supply(op)
+    vdd = engine.config.vdd
     nparams, pparams = engine.params_at(op)
     geoms = engine.config.geoms
 

@@ -555,6 +555,18 @@ class TestCli:
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error: ConfigError: {message}")
 
+    @pytest.mark.parametrize("argv", [
+        ["sim"], ["mc"], ["size"], ["calibrate"],
+        ["sweep", "--set", "sweep.variable=vid"], ["sweep", "--set", "sweep.variable=corner"],
+        # Every temperature fails at this corner, so no grid bound is at fault.
+        ["sweep", "--set", "sweep.variable=temp"],
+    ])
+    def test_threshold_below_zero_names_corner(self, argv, capsys):
+        # FF shifts the threshold by -30 mV, below zero from 0.02 V.
+        assert main([*argv, "--set", "nmos.vth0=0.02", "--set", "corner=FF"]) == 2
+        assert capsys.readouterr().err == ("error: ConfigError: the nmos threshold, 0.02 V, "
+                                           "falls to -0.01 V at corner FF; it must stay > 0\n")
+
     def test_sweep_bound_check_spares_an_invalid_unswept_point(self, capsys):
         # vcm=5 is out of range, but the vcm sweep replaces it at every point.
         assert main(["sweep", "--set", "sweep.variable=vcm", "--set", "vcm=5"]) == 0

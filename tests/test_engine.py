@@ -99,9 +99,9 @@ class TestCurrents:
         base = tail_current(ComparatorEngine(ComparatorConfig(tail_derating=0.0)), OP0)
         assert tail_current(engine, OP0) == base * 0.98
 
-    def test_cutoff_when_supply_below_threshold(self, engine):
-        op = OperatingPoint(vid=0.0, vcm=0.2, t_kelvin=300.0, vdd_override=0.4)
-        assert tail_current(engine, op) == 0.0
+    def test_cutoff_when_supply_below_threshold(self):
+        op = OperatingPoint(vid=0.0, vcm=0.2, t_kelvin=300.0)
+        assert tail_current(ComparatorEngine(ComparatorConfig(vdd=0.4)), op) == 0.0
 
     def test_shutdown_flag_does_not_change_tail(self, engine):
         other = ComparatorEngine(ComparatorConfig(early_shutdown_enabled=False))
@@ -201,7 +201,7 @@ class TestTimingOps:
 def ramp_oracle(config, op, mismatch, body=None):
     """Straight-line re-evaluation of the two ramps; returns the decision."""
     from dyncomp.devices import beta, threshold
-    vdd = config.vdd if op.vdd_override is None else op.vdd_override
+    vdd = config.vdd
     body = body or BodyBias(vdd, vdd)
     pp = config.pmos
     np_ = config.nmos
@@ -487,11 +487,11 @@ class TestEnergy:
         e_large = engine.simulate(replace(OP0, vid=50e-3)).energy.total
         assert e_large < e_small
 
-    def test_supply_scaling(self, engine):
-        lo = engine.simulate(OperatingPoint(vid=50e-3, vcm=0.8, t_kelvin=300.0,
-                                            vdd_override=1.6))
-        hi = engine.simulate(OperatingPoint(vid=50e-3, vcm=1.0, t_kelvin=300.0,
-                                            vdd_override=2.0))
+    def test_supply_scaling(self):
+        lo = ComparatorEngine(ComparatorConfig(vdd=1.6)).simulate(
+            OperatingPoint(vid=50e-3, vcm=0.8, t_kelvin=300.0))
+        hi = ComparatorEngine(ComparatorConfig(vdd=2.0)).simulate(
+            OperatingPoint(vid=50e-3, vcm=1.0, t_kelvin=300.0))
         assert hi.t_dm < lo.t_dm
         assert hi.energy.total > lo.energy.total
 

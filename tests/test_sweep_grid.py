@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import simulate_oracle
 from dyncomp.config import SWEEPS, RunConfig
@@ -89,6 +89,9 @@ CONFIG_ERRORS = [
     ("temp", {"vid": 2.0}, "|vid|=2.0 must be below vdd=1.8"),
     # A descending grid: its start is the bound at fault.
     ("vcm", {"sweep_start": 2.5, "sweep_stop": 0.1}, "sweep.start: vcm point 2.5 is out of range"),
+    # The corner's threshold is below zero at 300 K, so no temperature is at fault.
+    ("temp", {"nmos_vth0": 0.02, "corner": "FF"},
+     "the nmos threshold, 0.02 V, falls to -0.01 V at corner FF; it must stay > 0"),
 ]
 
 
@@ -122,6 +125,9 @@ OP_SWEEP = st.one_of(*(st.fixed_dictionaries({
 
 @settings(deadline=None, max_examples=200)
 @given(changes=OP_SWEEP, compare=st.booleans())
+# A supply of zero: the range check, not the ComparatorConfig, rejects the point.
+@example(changes={"sweep_variable": "vdd", "sweep_start": 0.0, "sweep_stop": 0.0,
+                  "sweep_points": 2, "vid": 1.8}, compare=False)
 def test_op_sweep_is_the_per_point_loop(changes, compare):
     # Either the oracle's ConfigError text or its CSV, byte for byte.
     cfg = replace_runconfig(RunConfig(), **changes)
@@ -182,14 +188,15 @@ ENGINE = st.fixed_dictionaries({
     "mu_p": st.sampled_from([1.0, 2.0]),
 })
 
-# One row: its operating point, its target width (some below MIN_WIDTH or
-# at the edge of its 1e-15 tolerance), its mismatch and its body voltages as
-# shares of the supply (None: at the supply). Below about 0.6 of a 1.8 V
-# supply a body leaves the threshold model; above 1 simulate rejects it.
+# One row: its operating point, its supply (None: the engine's), its target
+# width (some below MIN_WIDTH or at the edge of its 1e-15 tolerance), its
+# mismatch and its body voltages as shares of the supply (None: at the
+# supply). Below about 0.6 of a 1.8 V supply a body leaves the threshold
+# model; above 1 simulate rejects it.
 ROW = st.fixed_dictionaries({
     "vid": st.floats(-0.2, 0.2),
     "vcm_share": st.floats(-0.02, 1.02),
-    "vdd_override": st.one_of(st.none(), st.floats(1.0, 2.4)),
+    "vdd": st.one_of(st.none(), st.floats(1.0, 2.4)),
     "corner": st.sampled_from(sorted(CORNERS)),
     "temp_c": st.one_of(st.sampled_from([27.0, 125.0]), st.floats(-60.0, 270.0)),
     "width": st.one_of(st.sampled_from([0.1e-6, MIN_WIDTH - 2e-15, MIN_WIDTH - 5e-16]),
@@ -214,15 +221,16 @@ def build_config(spec) -> ComparatorConfig:
 @settings(deadline=None, max_examples=300)
 @given(spec=ENGINE, rows=st.lists(ROW, min_size=1, max_size=6))
 def test_grid_rows_are_scalar_simulate(spec, rows):
-    # Each row against the scalar oracle on the configuration with the row's
-    # width: every ComparisonResult field by float.hex and the no-shutdown
-    # energy, or the fault code of the oracle's error and raise_row's class
-    # and message. simulate, one row of the grid, must give the same.
+    # Each row against the scalar oracle at the row's supply on the
+    # configuration with the row's width: every ComparisonResult field by
+    # float.hex and the no-shutdown energy, or the fault code of the oracle's
+    # error and raise_row's class and message. simulate, one row of the grid
+    # on an engine at the row's supply, must give the same.
     config, target = build_config(spec), spec["target"]
-    supply = [config.vdd if row["vdd_override"] is None else row["vdd_override"] for row in rows]
+    supply = [config.vdd if row["vdd"] is None else row["vdd"] for row in rows]
     ops = [OperatingPoint(vid=row["vid"], vcm=row["vcm_share"] * vdd,
-                          corner=CORNERS[row["corner"]], t_kelvin=row["temp_c"] + 273.15,
-                          vdd_override=row["vdd_override"]) for row, vdd in zip(rows, supply)]
+                          corner=CORNERS[row["corner"]], t_kelvin=row["temp_c"] + 273.15)
+           for row, vdd in zip(rows, supply)]
     bodies = [BodyBias(*(vdd if row[side] is None else row[side] * vdd
                          for side in ("vb_plus", "vb_minus"))) for row, vdd in zip(rows, supply)]
     mismatches = [MismatchSample(row["mismatch"]) for row in rows]
@@ -241,20 +249,21 @@ def test_grid_rows_are_scalar_simulate(spec, rows):
         {name: tuple(np.array([row["mismatch"][name][i] for row in rows]) for i in (0, 1))
          for name in CYCLE_DEVICES},
         [body.vb_plus for body in bodies], [body.vb_minus for body in bodies])
-    for k, (engine, op, mm, body) in enumerate(zip(engines, ops, mismatches, bodies)):
+    for k, (engine, op, mm, body, vdd) in enumerate(zip(engines, ops, mismatches, bodies, supply)):
         out = None if engine is None else outcome(
-            lambda: simulate_oracle.simulate(engine, op, mm, body))
+            lambda: simulate_oracle.simulate(engine, op, mm, body, vdd))
         assert int(grid.fault[k]) in fault_codes(out)
         if engine is None:
             continue
-        assert hexed(outcome(lambda: engine.simulate(op, mm, body))) == hexed(out)
+        at_supply = ComparatorEngine(replace(engine.config, vdd=vdd))
+        assert hexed(outcome(lambda: at_supply.simulate(op, mm, body))) == hexed(out)
         if not isinstance(out, ComparisonResult):
             assert outcome(lambda: grid.raise_row(k)) == out
             continue
         assert grid.raise_row(k) is None
         assert hexed(grid_row(grid, k)) == hexed(out)
-        e_off = simulate_oracle.energy_per_comparison(engine, engine.supply(op), out.i_tail,
-                                                      out.t_esd, False).total
+        e_off = simulate_oracle.energy_per_comparison(engine, vdd, out.i_tail, out.t_esd,
+                                                      False).total
         assert float(grid.energy_noesd[k]).hex() == e_off.hex()
 
 
