@@ -70,9 +70,10 @@ class RunConfig:
 @dataclass(frozen=True)
 class Sweep:
     """One sweep.variable: its CSV value column, its default (start, stop,
-    points) grid (None: the corner names in CORNERS order), and what one value
-    sets, OperatingPoint fields and the supply ``vdd`` or a sizing.WIDTH_TARGETS
-    target's width; run_sweep makes them per-row columns of one engine's grid."""
+    points) grid (None: the corner names in CORNERS order), and what an array
+    of values sets, OperatingPoint fields and the supply ``vdd``, each a column
+    or one value for all, or a sizing.WIDTH_TARGETS target's width; run_sweep
+    makes them per-row columns of one engine's grid."""
 
     column: str
     grid: tuple[float, float, int] | None
@@ -88,7 +89,7 @@ SWEEPS = {
     "vdd": Sweep("vdd_V", (1.4, 2.0, 13),
                  lambda cfg, v: {"vdd": v, "vcm": resolve_vcm(cfg, v)}),
     "temp": Sweep("temp_C", (-20.0, 100.0, 13), lambda cfg, v: {"t_kelvin": v + 273.15}),
-    "corner": Sweep("corner", None, lambda cfg, v: {"corner": CORNERS[v]}),
+    "corner": Sweep("corner", None, lambda cfg, v: {"corner": [CORNERS[c] for c in v]}),
     "width_preamp": Sweep("w_m", (0.6e-6, 3.6e-6, 16), width_target="preamp"),
     "width_inv_n": Sweep("w_m", (0.22e-6, 0.88e-6, 12), width_target="inv_n"),
     "width_inv_both": Sweep("w_m", (0.22e-6, 0.88e-6, 12), width_target="inv_both"),

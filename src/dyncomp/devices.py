@@ -173,7 +173,7 @@ def apply_corner(params: DeviceParams, corner: CornerSpec) -> DeviceParams:
 
 def apply_temperature(params: DeviceParams, t_kelvin: float) -> DeviceParams:
     """First-order temperature adjustment; 300 K is the identity."""
-    if t_kelvin <= 0:
+    if not t_kelvin > 0:
         raise ConfigError("t_kelvin must be > 0")
     factor = (t_kelvin / T_REF) ** MU_TEMP_EXPONENT
     vth0 = params.vth0 - VTH_TEMP_COEFF * (t_kelvin - T_REF)
@@ -182,6 +182,35 @@ def apply_temperature(params: DeviceParams, t_kelvin: float) -> DeviceParams:
                           f"falls to {vth0:.3g} V at {t_kelvin:g} K; it must stay > 0")
     return DeviceParams(params.polarity, params.mu_cox * factor, vth0,
                         params.gamma, params.phi2f, params.cox_area)
+
+
+def params_columns(nmos: DeviceParams, pmos: DeviceParams, corner: Sequence[CornerSpec],
+                   t_kelvin: Sequence[float]) -> tuple[np.ndarray, ...]:
+    """apply_corner, then apply_temperature, at every row (corner[k], t_kelvin[k]):
+    the nmos vth0 and mu_cox, the pmos vth0 and mu_cox, and where either raises.
+
+    Columns repeat the scalar operations in their order, so entries are bit
+    for bit the scalar ones: the mobility's temperature factor is Python's
+    pow, once per distinct temperature (np.power can differ). Rows group
+    by id(corner).
+    """
+    t = np.asarray(t_kelvin, float)
+    ids = list(map(id, corner))
+    specs = dict(zip(ids, corner))      # the distinct corners, in order of first use
+    index = dict(zip(specs, range(len(specs))))
+    table = np.array([((c.mu_factor_n, c.mu_factor_p), (c.vth_shift_n, c.vth_shift_p))
+                      for c in specs.values()], float).reshape(-1, 2, 2)
+    # Each row's mobility factors and threshold shifts, nmos in row 0 and pmos in row 1.
+    factor, shift = table[np.fromiter(map(index.get, ids), np.intp, len(ids))].transpose(1, 2, 0)
+    temps = np.where(t > 0, t, T_REF).tolist()  # a row at t <= 0 raises: any factor will do
+    mu_t = {x: (x / T_REF) ** MU_TEMP_EXPONENT for x in set(temps)}
+    vth0, mu_cox = np.array([[nmos.vth0, pmos.vth0], [nmos.mu_cox, pmos.mu_cox]])[:, :, None]
+    vth0, mu_cox = vth0 + shift, mu_cox * factor                        # apply_corner
+    vth, mu = (vth0 - VTH_TEMP_COEFF * (t - T_REF),                     # apply_temperature
+               mu_cox * np.fromiter(map(mu_t.get, temps), float, len(temps)))
+    # Every check is "<= 0", false for NaN as in the scalar code: fmin skips NaN.
+    bad = ~(t > 0) | (np.fmin.reduce(np.concatenate((vth0, mu_cox, vth, mu))) <= 0)
+    return vth[0], mu[0], vth[1], mu[1], bad
 
 
 def mismatch_scales(geoms: Iterable[TransistorGeom], avt: float = AVT_DEFAULT,
@@ -359,7 +388,11 @@ _GEOM_TABLE = (
 )
 
 
+_DEFAULT_GEOMETRY = {name: TransistorGeom(name, w * 1e-6, MIN_LENGTH, pol)
+                     for name, w, pol in _GEOM_TABLE}
+
+
 def default_geometry() -> dict[str, TransistorGeom]:
-    """Default geometry set, every device at minimum length."""
-    return {name: TransistorGeom(name, w * 1e-6, MIN_LENGTH, pol)
-            for name, w, pol in _GEOM_TABLE}
+    """Default geometry set, every device at minimum length (a new dict of
+    the shared frozen geometries)."""
+    return dict(_DEFAULT_GEOMETRY)

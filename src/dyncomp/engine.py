@@ -15,7 +15,6 @@ that device and speeds its side up.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -258,7 +257,7 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
     ``widths`` maps devices to per-row widths in place of the geometry's,
     both of a symmetric pair alike (sizing.target_widths); a row with one
     below MIN_WIDTH, a geometry ComparatorEngine rejects, is UNBUILT.
-    Device parameters resolve once per distinct (corner, t_kelvin).
+    Device parameters are columns (devices.params_columns).
 
     Each row is bit for bit the scalar cycle of tests/simulate_oracle.py:
     only + - * /, comparisons, np.where and np.sqrt (correctly rounded, as
@@ -270,21 +269,10 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
     given = vid, vcm, vdd, *(vdd if v is None else v for v in (vb_plus, vb_minus))
     vid, vcm, vdd = (np.asarray(x, float) for x in (vid, vcm, vdd))
     vb = np.array([vdd if v is None else v for v in (vb_minus, vb_plus)], float)
-    index: dict = {}    # index into par per distinct (corner, t_kelvin), keyed by id(corner)
-    par, errors, p = [], {}, []  # errors: the ConfigError params_at raises, by index into par
-    for c, t in zip(corner, np.asarray(t_kelvin, float).tolist()):
-        i = index.get((id(c), t))
-        if i is None:
-            index[id(c), t] = i = len(par)
-            try:
-                nparams, pparams = engine.params_at(OperatingPoint(corner=c, t_kelvin=t))
-                par.append((nparams.vth0, nparams.mu_cox, pparams.vth0, pparams.mu_cox))
-            except ConfigError as exc:
-                errors[i] = exc
-                par.append((math.nan,) * 4)
-        p.append(i)
-    # Indexing copies values, so the rows' parameters (zero-bias thresholds: vth0) are exact.
-    vth_n, mu_n, vth_p, mu_p = np.array(par, float).reshape(-1, 4)[p].T
+    t_kelvin = np.asarray(t_kelvin, float)
+    # The rows' parameters (zero-bias thresholds: vth0), where params_at would not raise.
+    vth_n, mu_n, vth_p, mu_p, bad_params = dev.params_columns(cfg.nmos, cfg.pmos, corner,
+                                                               t_kelvin)
     c_out, c_pi, c_p3, c_latch = vars(engine.node_caps(widths) if widths else engine._caps).values()
     # One device per symmetric pair: ComparatorEngine checks the pairs equal.
     (w_p1, l_p1), (w_p4, l_p4), (w_n3, l_n3), (w_ni2, l_ni2), (w_pi1, l_pi1) = (
@@ -295,13 +283,19 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
     delta = lambda name, i: mismatch.get(name, zero)[i]  # i = 0: delta_vth, 1: delta_beta
 
     def sides(minus, plus, i):
-        """Delta i of a mirrored pair, one row per side."""
-        return np.array((delta(minus, i), delta(plus, i))).reshape(2, -1)
+        """Delta i of a mirrored pair, one row per side; one value where the sides share it."""
+        a, b = delta(minus, i), delta(plus, i)
+        return a if a is b else np.array((a, b)).reshape(2, -1)
 
     def lead_side(minus, plus, i):
         """Delta i of the leading side's device; one value where the sides share it."""
         a, b = delta(minus, i), delta(plus, i)
         return a if a is b else np.where(lead, a, b)
+
+    def mismatched_beta(mu, w, l, d):
+        """mu * w / l * (1 + d); unscaled where d is the shared zero, as x * 1.0 == x."""
+        b = mu * w / l
+        return b if d is zero[1] else b * (1.0 + d)
 
     def crossing(i_side, vth_sense):
         return np.where((i_side <= 0.0) | (vth_sense <= 0.0), np.inf, vth_sense * c_out / i_side)
@@ -309,10 +303,10 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
     with np.errstate(all="ignore"):
         vth, beyond = dev.thresholds(cfg.pmos, vb - vdd, sides("Mp4", "Mp5", 0), vth_p)
         ov = vdd - (vth_p + delta("Mp1", 0))
-        i_tail = np.where(ov <= 0.0, 0.0, 0.5 * (mu_p * w_p1 / l_p1 * (1.0 + delta("Mp1", 1)))
+        i_tail = np.where(ov <= 0.0, 0.0, 0.5 * mismatched_beta(mu_p, w_p1, l_p1, delta("Mp1", 1))
                           * ov * ov * (1.0 - cfg.tail_derating))
         ov = vdd - (vcm - _SIGN * (vid / 2.0)) - vth
-        i = np.where(ov > 0.0, 0.5 * (mu_p * w_p4 / l_p4 * (1.0 + sides("Mp4", "Mp5", 1)))
+        i = np.where(ov > 0.0, 0.5 * mismatched_beta(mu_p, w_p4, l_p4, sides("Mp4", "Mp5", 1))
                      * ov * ov, 0.0)
         # The tail clamp scales both sides by one factor; unclamped rows take 1.0, exactly.
         total = i[0] + i[1]
@@ -321,12 +315,14 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
         decision = np.where(t[0] < t[1], 1, np.where(t[1] < t[0], -1, cfg.tie_break))
         lead = decision > 0     # the minus side crosses first
         t0 = np.where(lead, t[0], t[1])
-        # The shutdown chain and the latch on the leading side.
-        t1 = crossing(np.where(lead, i[0], i[1]), vth_n + lead_side("Mni2", "Mni3", 0))
-        b_ni = mu_n * w_ni2 / l_ni2 * (1.0 + lead_side("Mni2", "Mni3", 1))
-        b_pi = mu_p * w_pi1 / l_pi1 * (1.0 + lead_side("Mpi1", "Mpi4", 1))
+        # The shutdown chain and the latch on the leading side; the buffer
+        # crossing is t0 where its devices share the sense devices' deltas.
+        t1 = (t0 if all(delta(a, 0) is delta(b, 0) for a, b in (("Mni2", "Mn3"), ("Mni3", "Mn4")))
+              else crossing(np.where(lead, i[0], i[1]), vth_n + lead_side("Mni2", "Mni3", 0)))
+        b_ni = mismatched_beta(mu_n, w_ni2, l_ni2, lead_side("Mni2", "Mni3", 1))
+        b_pi = mismatched_beta(mu_p, w_pi1, l_pi1, lead_side("Mpi1", "Mpi4", 1))
         t_esd = t1 + inverter_delay(c_pi, b_ni, vdd) + cfg.alpha * inverter_delay(c_p3, b_pi, vdd)
-        b_n3 = mu_n * w_n3 / l_n3 * (1.0 + lead_side("Mn3", "Mn4", 1))
+        b_n3 = mismatched_beta(mu_n, w_n3, l_n3, lead_side("Mn3", "Mn4", 1))
         t_dm = t0 + inverter_delay(c_latch, b_n3, vdd)
         # Designed regime: the chain fires only after the latch crossing, so
         # cutting the tail never blocks the decision. Flag the stall if a
@@ -344,7 +340,7 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
         energy_noesd = vdd * i_tail * window + e_latch + e_reset
     # A row's code indexes the first check it fails; the last, always true, is OK.
     fault = np.array((unbuilt, ~((0.0 <= vcm) & (vcm <= vdd)) | (np.abs(vid) >= vdd),
-                      ~((0.0 <= vb) & (vb <= vdd)).all(axis=0), np.isin(p, list(errors)), *beyond,
+                      ~((0.0 <= vb) & (vb <= vdd)).all(axis=0), bad_params, *beyond,
                       ~np.isfinite(t0) | (t0 > window), np.ones(vid.shape, bool))).argmax(axis=0)
 
     def raise_row(k: int) -> None:
@@ -358,7 +354,7 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
             raise ConfigError(f"body voltages {BodyBias(vb_plus_k, vb_minus_k)} "
                               f"outside [0, vdd={vdd_k}]")
         if code == BAD_PARAMS:
-            raise errors[p[k]]
+            engine.params_at(OperatingPoint(corner=corner[k], t_kelvin=float(t_kelvin[k])))
         if code in (BODY_MINUS, BODY_PLUS):
             threshold(cfg.pmos, (vb_minus_k if code == BODY_MINUS else vb_plus_k) - vdd_k)
         if code == NO_DECISION:

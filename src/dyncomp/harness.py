@@ -1,15 +1,17 @@
 """Batch runners: sweeps, Monte Carlo, CSV/JSON emission and the report.
 
 Output files are deterministic byte-for-byte for a fixed config and seed:
-floats take their 9-significant-digit CSV value when rows are built (a sweep
-reads it back from each row's one formatting), so a loaded table equals the live one.
+floats take their 9-significant-digit CSV value when rows are built (a sweep's
+rows are parsed from each row's one formatting when first read), so a loaded
+table equals the live one.
 """
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -45,14 +47,30 @@ def fmt_cell(x) -> str:
     return str(x)
 
 
-@dataclass
 class Table:
-    """One emitted result table: metadata lines, a header and rows."""
+    """One emitted result table: metadata lines, a header and rows.
 
-    columns: tuple[str, ...]
-    rows: list[tuple]
-    metadata: dict[str, str] = field(default_factory=dict)
-    text: list[str] | None = None   # the rows' CSV lines, where formatted with them
+    A sweep's table is built from its rows' CSV lines, ``text``, and the type
+    of each column's cells, ``types``: the rows are parsed from the text the
+    first time ``rows`` is read, so writing the CSV parses no cell.
+    """
+
+    def __init__(self, columns: tuple[str, ...], rows: list[tuple] | None = None,
+                 metadata: dict[str, str] | None = None, text: list[str] | None = None,
+                 types: tuple[type, ...] = ()):
+        self.columns, self.text, self.types = columns, text, types
+        self.metadata = {} if metadata is None else metadata
+        if rows is not None:
+            self.rows = rows
+
+    @functools.cached_property
+    def rows(self) -> list[tuple]:
+        return _parse_text(self.text, self.types)
+
+
+def _parse_text(text: list[str], types: tuple[type, ...]) -> list[tuple]:
+    """The rows of the CSV lines ``text``, each cell by its column's type."""
+    return list(zip(*map(map, types, zip(*(line.split(",") for line in text)))))
 
 
 def base_metadata(cfg: RunConfig, subcommand: str) -> dict[str, str]:
@@ -88,7 +106,7 @@ def _grid_values(cfg: RunConfig) -> list:
         values = np.geomspace(start, stop, points)
     else:
         values = np.linspace(start, stop, points)
-    return [float(v) for v in values]
+    return values.tolist()
 
 
 def _default_mark(cfg: RunConfig, key: str) -> str:
@@ -124,13 +142,13 @@ def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
     # values, else the unswept point's and the configured supply.
     unswept = build_operating_point(cfg)
     op = {**vars(unswept), "vdd": config.vdd}
-    points = [sweep.fields(cfg, value) for value in values]
-    swept = dict(zip(points[0], zip(*(point.values() for point in points))))
-    column = lambda name: swept.get(name, [op[name]] * len(values))
+    points = np.array(values)
+    swept = sweep.fields(cfg, points)
+    column = lambda name: np.full(len(values), swept.get(name, op[name]))
     grid = simulate_grid(engine, column("vid"), column("vcm"), column("vdd"),
                          column("corner"), column("t_kelvin"),
                          {} if sweep.width_target is None
-                         else sizing_mod.target_widths(sweep.width_target, np.array(values)))
+                         else sizing_mod.target_widths(sweep.width_target, points))
     # The first row that raises ConfigError raises it; the other faulted rows fail.
     raising = (BAD_OP <= grid.fault) & (grid.fault <= BAD_PARAMS)
     if raising.any():
@@ -141,16 +159,17 @@ def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
     with np.errstate(all="ignore"):
         savings = np.where(e_off > 0, 100.0 * (1.0 - e_on / e_off), math.nan)
     # A failed row takes _failed_row's cells; zip drops the compare columns unless asked.
-    rows, text = _formatted([values] + [np.where(failed, fill, x).tolist() for fill, x in zip(
+    cells = [values] + [np.where(failed, fill, x).tolist() for fill, x in zip(
         _failed_row(None, compare)[1:], (grid.decision, grid.t_dm, grid.t_esd, e_on * cfg.freq,
-                                         e_on, grid.late, e_off, savings))])
+                                         e_on, grid.late, e_off, savings))]
 
     meta = base_metadata(cfg, "sweep")
     if compare:
         meta["compare"] = "true"
     if sweep.plot_scale is not None:
         meta["plot_scale"] = sweep.plot_scale
-    return Table(columns=columns, rows=rows, metadata=meta, text=text)
+    return Table(columns, metadata=meta, text=_formatted(cells),
+                 types=tuple(type(column[0]) for column in cells))
 
 
 def _raise_grid_bound(cfg: RunConfig, engine: ComparatorEngine, unswept: OperatingPoint,
@@ -180,16 +199,12 @@ def _failed_row(value, compare: bool) -> tuple:
     return (round9(value), 0) + (math.nan,) * 4 + (1,) + (math.nan,) * 2 * compare
 
 
-def _formatted(cells: list[list]) -> tuple[list[tuple], list[str]]:
-    """The rows of the nonempty value columns ``cells`` and their CSV lines,
-    each row formatted once. A float column's values are read back from its
-    text, so they are round9's and load back equal."""
-    floats = [isinstance(column[0], float) for column in cells]
-    fmt = ",".join("%.9g" if f else "%s" for f in floats)
-    text = [fmt % row for row in zip(*cells)]
-    parsed = zip(*(line.split(",") for line in text))
-    return list(zip(*(list(map(float, texts)) if f else column
-                      for f, column, texts in zip(floats, cells, parsed)))), text
+def _formatted(cells: list[list]) -> list[str]:
+    """The CSV lines of the rows of the nonempty value columns ``cells``, each
+    row formatted once. Parsed back by column type, a float cell is round9's
+    value, so it loads back equal."""
+    fmt = ",".join("%.9g" if isinstance(column[0], float) else "%s" for column in cells)
+    return [fmt % row for row in zip(*cells)]
 
 
 def run_single(cfg: RunConfig, subcommand: str = "sim") -> Table:

@@ -9,6 +9,8 @@ for byte, and raises where it must raise, with the message it must give.
 """
 import math
 
+import numpy as np
+
 from dyncomp import sizing
 from dyncomp.config import SWEEPS, RunConfig, build_comparator_config, build_operating_point
 from dyncomp.devices import T_REF
@@ -17,6 +19,12 @@ from dyncomp.errors import ConfigError, SimulationError
 from dyncomp.harness import (Table, _default_mark, _failed_row, _grid_values, base_metadata,
                              round9)
 from simulate_oracle import energy_per_comparison, simulate
+
+
+def _point_fields(cfg: RunConfig, value) -> dict:
+    """What the one sweep value sets: row 0 of the sweep's fields on a one-value grid."""
+    fields = SWEEPS[cfg.sweep_variable].fields(cfg, np.array([value]))
+    return {name: np.broadcast_to(x, 1).tolist()[0] for name, x in fields.items()}
 
 
 def _op_error(engine: ComparatorEngine, op, vdd: float, resolve: bool) -> str | None:
@@ -48,12 +56,12 @@ def _check_grid_ends(cfg: RunConfig, engine: ComparatorEngine, values: list) -> 
     vdd = engine.config.vdd
     if _op_error(engine, build_operating_point(cfg), vdd, resolve=False) is not None:
         return
-    sets_temp = "t_kelvin" in sweep.fields(cfg, values[0])
+    sets_temp = "t_kelvin" in _point_fields(cfg, values[0])
     at_ref = build_operating_point(cfg, t_kelvin=T_REF)
     if sets_temp and _op_error(engine, at_ref, vdd, resolve=True) is not None:
         return
     for key, value in (("sweep.start", values[0]), ("sweep.stop", values[-1])):
-        fields = sweep.fields(cfg, value)
+        fields = _point_fields(cfg, value)
         supply = fields.pop("vdd", vdd)
         error = _op_error(engine, build_operating_point(cfg, **fields), supply, sets_temp)
         if error is not None:
@@ -77,7 +85,7 @@ def run_sweep_oracle(cfg, compare: bool = False) -> Table:
 
     rows = []
     for value in values:
-        fields = sweep.fields(cfg, value)
+        fields = _point_fields(cfg, value)
         vdd = fields.pop("vdd", config.vdd)
         op = build_operating_point(cfg, **fields)
         eng = engine

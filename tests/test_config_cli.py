@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from dyncomp import harness, sizing
 from dyncomp.calibration import CalibrationConfig
 from offset_oracle import scalar_offsets
+from sweep_oracle import run_sweep_oracle
 from dyncomp.cli import build_parser, main
 from dyncomp.config import (SWEEPS, RunConfig, apply_overrides,
                             build_calibration_config, build_comparator_config,
@@ -316,15 +317,42 @@ class TestTables:
         run_sweep(sweep_of(variable), compare=True)
         assert len(calls) == 0
 
-    @pytest.mark.parametrize("variable, resolves", [
+    @pytest.mark.parametrize("variable, groups", [
         (v, {"temp": 4, "corner": len(CORNERS)}.get(v, 1)) for v in SWEEPS])
-    def test_one_params_at_per_compare_point(self, monkeypatch, variable, resolves):
-        # The grid pass resolves the device parameters once per distinct
-        # (nmos, pmos, corner, temperature), so once for a width sweep, and
-        # nothing else resolves them: the grid bounds are named from its faults.
+    def test_one_params_at_per_compare_point(self, monkeypatch, variable, groups):
+        # The grid spans ``groups`` distinct (corner, temperature) pairs and
+        # computes their device parameters as columns: a valid sweep resolves
+        # none through params_at, which only builds error text.
         calls = count_calls(monkeypatch, "params_at")
+        pairs = []
+        simulate_grid = harness.simulate_grid
+
+        def spy(engine, vid, vcm, vdd, corner, t_kelvin, *args):
+            pairs.append(set(zip(map(id, corner), t_kelvin)))
+            return simulate_grid(engine, vid, vcm, vdd, corner, t_kelvin, *args)
+
+        monkeypatch.setattr(harness, "simulate_grid", spy)
         run_sweep(sweep_of(variable), compare=True)
-        assert len(calls) == resolves
+        assert (len(calls), [len(p) for p in pairs]) == (0, [groups])
+
+    @pytest.mark.parametrize("variable", list(SWEEPS))
+    def test_sweep_rows_parsed_only_when_read(self, monkeypatch, variable):
+        # Writing a sweep's CSV parses no cell of its formatted lines; reading
+        # rows parses them once, each cell of the type and value the per-point
+        # loop builds (2.0 stays a float, NaN cells included).
+        parses = []
+        parse = harness._parse_text
+        monkeypatch.setattr(harness, "_parse_text",
+                            lambda *args: parses.append(args) or parse(*args))
+        cfg = sweep_of(variable)
+        if variable == "vcm":
+            cfg.sweep_stop = 1.45  # past the common-mode limit: failed rows, NaN cells
+        table = run_sweep(cfg, compare=True)
+        render_csv(table)
+        assert parses == []
+        typed = lambda rows: [[(type(x), repr(x)) for x in row] for row in rows]
+        assert typed(table.rows) == typed(run_sweep_oracle(cfg, compare=True).rows)
+        assert table.rows is table.rows and len(parses) == 1
 
     @pytest.mark.parametrize("calibrate, per_trial", [(False, 1), (True, 8)])
     def test_simulates_per_mc_trial(self, monkeypatch, calibrate, per_trial):

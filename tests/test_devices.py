@@ -120,6 +120,12 @@ class TestTemperature:
         mus = [apply_temperature(DEFAULT_NMOS, t).mu_cox for t in temps]
         assert all(a > b for a, b in zip(mus, mus[1:]))
 
+    @pytest.mark.parametrize("t_kelvin", [0.0, -1.0, math.nan])
+    def test_temperature_must_be_positive(self, t_kelvin):
+        # NaN fails every comparison, so the check asks for t > 0.
+        with pytest.raises(ConfigError, match=r"^t_kelvin must be > 0$"):
+            apply_temperature(DEFAULT_NMOS, t_kelvin)
+
 
 class TestMismatch:
     def test_zero_coefficients(self):

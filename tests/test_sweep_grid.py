@@ -1,4 +1,5 @@
 """The one-pass sweep grid against the per-point loop and the scalar cycle oracle."""
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import simulate_oracle
 from dyncomp.config import SWEEPS, RunConfig
 from dyncomp.devices import (CORNERS, DEFAULT_NMOS, DEFAULT_PMOS, MIN_WIDTH, ZERO_MISMATCH,
-                             MismatchSample)
+                             CornerSpec, MismatchSample, params_columns)
 from dyncomp.engine import (BAD_BODY, BAD_OP, BAD_PARAMS, BODY_MINUS, BODY_PLUS, NO_DECISION, OK,
                             UNBUILT, BodyBias, ComparatorConfig, ComparatorEngine,
                             ComparisonResult, EnergyBreakdown, OperatingPoint, simulate_grid)
@@ -304,3 +305,58 @@ def test_every_fault_code_raises_the_oracles_error():
 def test_empty_grid():
     grid = simulate_grid(ComparatorEngine(ComparatorConfig()), [], [], [], [], [])
     assert grid.fault.shape == grid.t_dm.shape == (0,)
+
+
+def test_nan_temperature_raises():
+    # A NaN temperature is a ConfigError naming it, in simulate and in a grid
+    # row, not a failed row.
+    engine, tt = ComparatorEngine(ComparatorConfig()), CORNERS["TT"]
+    message = "temp_c=nan at corner TT: t_kelvin must be > 0"
+    with pytest.raises(ConfigError) as raised:
+        engine.simulate(OperatingPoint(t_kelvin=math.nan))
+    assert str(raised.value) == message
+    grid = simulate_grid(engine, [0.05] * 2, [0.9] * 2, [1.8] * 2, [tt] * 2, [300.0, math.nan])
+    assert grid.fault.tolist() == [OK, BAD_PARAMS]
+    assert outcome(lambda: grid.raise_row(1)) == (ConfigError, message)
+
+
+# Corners whose shifts may take either threshold to zero or below, and
+# temperatures at or below 0 K, NaN, or past the 525 K where a 0.45 V
+# threshold reaches zero.
+SHIFT = st.one_of(st.floats(-0.1, 0.1), st.floats(-0.7, -0.3), st.sampled_from([-0.45, -0.3]))
+CORNER = st.builds(CornerSpec, st.just("X"), st.floats(0.5, 1.5), st.floats(0.5, 1.5),
+                   SHIFT, SHIFT)
+TEMP = st.one_of(st.floats(200.0, 500.0), st.floats(500.0, 900.0), st.floats(-50.0, 0.0),
+                 st.sampled_from([math.nan, 0.0, -0.0, 300.0, 525.0, 675.0]))
+
+
+@settings(deadline=None, max_examples=300)
+@given(corners=st.lists(st.one_of(st.sampled_from(list(CORNERS.values())), CORNER),
+                        min_size=1, max_size=3),
+       rows=st.lists(st.tuples(st.integers(0, 2), TEMP), min_size=1, max_size=8),
+       vth0=st.sampled_from([(0.45, 0.45), (0.3, 0.6)]))
+@example(corners=[CornerSpec("X", vth_shift_n=-0.45)], rows=[(0, 300.0), (0, math.nan)],
+         vth0=(0.45, 0.45))
+def test_params_columns_are_params_at(corners, rows, vth0):
+    # Each row's nmos and pmos vth0 and mu_cox, by float.hex, are params_at's
+    # at the row's corner and temperature; where params_at raises the row is
+    # BAD_PARAMS and raise_row raises its error. Rows that draw the same
+    # corner share one CornerSpec object.
+    config = ComparatorConfig(nmos=replace(DEFAULT_NMOS, vth0=vth0[0]),
+                              pmos=replace(DEFAULT_PMOS, vth0=vth0[1]))
+    engine = ComparatorEngine(config)
+    corner = [corners[i % len(corners)] for i, _ in rows]
+    t_kelvin = [t for _, t in rows]
+    *columns, bad = params_columns(config.nmos, config.pmos, corner, t_kelvin)
+    n = len(rows)
+    grid = simulate_grid(engine, [0.05] * n, [0.9] * n, [1.8] * n, corner, t_kelvin)
+    for k in range(n):
+        expected = outcome(lambda: engine.params_at(OperatingPoint(corner=corner[k],
+                                                                    t_kelvin=t_kelvin[k])))
+        raises = expected[0] is ConfigError
+        assert bool(bad[k]) == (int(grid.fault[k]) == BAD_PARAMS) == raises
+        if raises:
+            assert outcome(lambda: grid.raise_row(k)) == expected
+        else:
+            assert [float(c[k]).hex() for c in columns] == [
+                x.hex() for params in expected for x in (params.vth0, params.mu_cox)]
