@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -212,22 +213,44 @@ def _offset(walk: tuple, span: float) -> float:
     return float(offset)
 
 
+# A trial's stages in the order its points run: the bisection at the batch's
+# bodies, the cancellation cycles and the bisection after them. Stage s of
+# trial t is the row keyed 3*t + s.
+_BEFORE, _CYCLES, _AFTER = range(3)
+
+
+class _Walk(NamedTuple):
+    """One bisection's rows with their end points probed: each row's fault key
+    (3*trial + stage), bodies, guard (lo, hi), decisions at -span and +span,
+    and whether it runs (no point of it has raised)."""
+
+    keys: np.ndarray
+    vb: np.ndarray
+    guard: tuple
+    plus_lo: np.ndarray
+    plus_hi: np.ndarray
+    live: np.ndarray
+
+
 class _Batch:
     """measure_offset and the cancellation cycles over a batch of trials.
 
     Every decision is simulate's. Where a trial's flip point is exact, the
     decision is +1 exactly at the vids above the flip point's guard band and
     -1 below it; the other points of a step run in one simulate_grid call on
-    their trials' mismatch. Body voltages are (2, trials) arrays, the minus
-    side in row 0. A trial stops at the first point of its sequence where
-    simulate raises; ``fault`` is (trial, error) of the lowest such trial.
+    their trials' mismatch. Body voltages are (2, rows) arrays, the minus
+    side in row 0. Each stage of a trial is a keyed row (_BEFORE). A row
+    stops at its first point where simulate raises; ``fault`` is (key,
+    error) of the lowest such key: the lowest raising trial, at its first
+    raising point in the order before, cycles, after.
     """
 
     def __init__(self, engine: ComparatorEngine, op: OperatingPoint, mismatch: dict, n: int,
                  body: BodyBias | None, tol: float, span: float):
-        self.engine, self.op, self.mismatch, self.tol, self.span = engine, op, mismatch, tol, span
+        self.engine, self.op, self.mismatch, self.n = engine, op, mismatch, n
+        self.tol, self.span = tol, span
         self.body = body or BodyBias(engine.config.vdd, engine.config.vdd)
-        self.live, self.fault = np.ones(n, dtype=bool), None
+        self.fault = None
         try:
             self.kernel = DecisionKernel(engine, op, mismatch)
         except ConfigError:  # simulate raises at every point, before it reads any mismatch
@@ -245,20 +268,27 @@ class _Batch:
 
     def run(self, cal: CalibrationConfig | None = None) -> tuple:
         """(before, after, (cycles, vb, saturated)): the bisection of every
-        trial and, given ``cal``, the cancellation cycles and the bisection
-        again on the trials that flip inside the span. Raises the error of
-        the lowest trial that raises."""
-        rows = np.arange(self.live.size)
-        body = np.array([[self.body.vb_minus], [self.body.vb_plus]])
-        before = self.offsets(rows, body.repeat(rows.size, axis=1))
-        after = state = None
+        trial, each an (offset, plus at -span, plus at +span) tuple, and, given
+        ``cal``, the cancellation cycles and the bisection again on the
+        trials that flip inside the span. The end points come first, then
+        the cycles, then both bisections in one loop. Raises ``fault``'s
+        error."""
+        rows = np.arange(self.n)
+        vb = np.array([[self.body.vb_minus], [self.body.vb_plus]]).repeat(rows.size, axis=1)
+        walks = [self.ends(rows, _BEFORE, vb, np.ones(rows.size, dtype=bool))]
+        state = None
         if cal is not None:
-            rows = rows[_flips(before) & self.live]
-            state = self.calibrate(rows, cal)
-            after = self.offsets(rows, state[1])
+            before = walks[0]
+            rows = rows[~before.plus_lo & before.plus_hi & before.live]
+            live = np.ones(rows.size, dtype=bool)
+            state = self.calibrate(rows, cal, live)
+            walks.append(self.ends(rows, _AFTER, state[1], live))
+        walk = _Walk(*(np.concatenate(field, axis=-1) for field in zip(*walks)))
+        offsets = np.split(self.bisect(walk), [walks[0].keys.size])
         if self.fault is not None:
             raise self.fault[1]
-        return before, after, state
+        before, *after = [(offset, w.plus_lo, w.plus_hi) for offset, w in zip(offsets, walks)]
+        return before, (after[0] if after else None), state
 
     def guard(self, rows: np.ndarray, vcm: float, vb: np.ndarray, reach: float) -> tuple:
         """(lo, hi): simulate decides -1 at a vid <= lo and +1 at a vid >= hi,
@@ -268,21 +298,22 @@ class _Batch:
         exact &= reach < self.kernel.vdd
         return np.where(exact, flip - band, -np.inf), np.where(exact, flip + band, np.inf)
 
-    def plus(self, rows, vid, vcm, vb, guard, active) -> np.ndarray:
-        """Where simulate decides +1 at the trials' vid, given their guard. The
-        ``active`` trials inside the guard interval run one simulate_grid call,
+    def plus(self, keys, vid, vcm, vb, guard, active) -> np.ndarray:
+        """Where simulate decides +1 at the rows' vid, given their guard. The
+        ``active`` rows inside the guard interval run one simulate_grid call,
         on the kernel's devices: the others enter only t1, t_esd, t_dm and the
-        energy. The lowest trial whose row faults stops there, leaving
-        ``active``. Above the fault's trial none runs: its error would not be
-        the one raised."""
+        energy. Where none is inside, no call runs. The lowest key whose row
+        faults stops there, leaving ``active``. No row keyed above the fault
+        runs: its error would not be the one raised."""
         lo, hi = guard
         plus = vid >= hi
-        run = (active & (vid > lo) & (vid < hi)).nonzero()[0]
+        run = active & (vid > lo) & (vid < hi)
         if self.fault is not None:
-            run = run[rows[run] <= self.fault[0]]
-        if run.size == 0:
+            run &= keys < self.fault[0]
+        if not np.count_nonzero(run):
             return plus
-        n, trials, op = run.size, rows[run], self.op
+        run = run.nonzero()[0]
+        n, trials, op = run.size, keys[run] // 3, self.op
         grid = simulate_grid(self.engine, vid[run], np.full(n, vcm), np.full(n, self.kernel.vdd),
                              [op.corner] * n, [op.t_kelvin] * n,
                              mismatch={name: (dvth[trials], dbeta[trials])
@@ -291,35 +322,60 @@ class _Batch:
         plus[run] = grid.decision > 0
         faulted = (grid.fault != OK).nonzero()[0]
         if faulted.size:
-            k = run[faulted[0]]
-            active[k] = self.live[rows[k]] = False
+            j = faulted[keys[run[faulted]].argmin()]
+            active[run[j]] = False
             try:
-                grid.raise_row(int(faulted[0]))
+                grid.raise_row(int(j))
             except (ConfigError, SimulationError) as exc:
-                self.fault = (int(rows[k]), exc)
+                self.fault = (int(keys[run[j]]), exc)
         return plus
 
-    def offsets(self, rows: np.ndarray, vb: np.ndarray) -> tuple:
-        """measure_offset's bisection on the trials: (offset, plus at -span,
-        plus at +span)."""
-        vcm, tol, span = self.op.vcm, self.tol, self.span
+    def ends(self, rows: np.ndarray, stage: int, vb: np.ndarray, live: np.ndarray) -> _Walk:
+        """The trials' bisection at bodies ``vb`` with its end points probed
+        on the ``live`` trials; a trial whose probe raises leaves ``live``."""
+        keys, span, vcm = 3 * rows + stage, self.span, self.op.vcm
         guard = self.guard(rows, vcm, vb, span)
-        lo, hi = np.full(rows.size, -span), np.full(rows.size, span)
-        live = self.live[rows]
-        plus_lo = self.plus(rows, lo, vcm, vb, guard, live)
-        plus_hi = self.plus(rows, hi, vcm, vb, guard, live)
-        active = ~plus_lo & plus_hi & live & (hi - lo > tol)
+        plus_lo = self.plus(keys, np.full(rows.size, -span), vcm, vb, guard, live)
+        plus_hi = self.plus(keys, np.full(rows.size, span), vcm, vb, guard, live)
+        return _Walk(keys, vb, guard, plus_lo, plus_hi, live)
+
+    def bisect(self, walk: _Walk) -> np.ndarray:
+        """measure_offset's bisection from +/- span on the rows that flip: the offsets.
+
+        A first walk decides ``mid >= hi`` of each row's guard and runs no
+        simulate. That is simulate's decision until a row's walk meets a
+        point inside its guard band. There the walk goes down, so the point,
+        above the band's lower edge and above -span, becomes lo, and lo never
+        falls. Only rows that end with such a lo (with every row that is not
+        exact and took a step) walk again, on ``plus``."""
+        glo, ghi = walk.guard
+        lo, hi = self.walk(walk, lambda mid, active: mid >= ghi)
+        again = (lo > np.maximum(glo, -self.span)).nonzero()[0]
+        if again.size:
+            rows = _Walk(walk.keys[again], walk.vb[:, again], (glo[again], ghi[again]),
+                         walk.plus_lo[again], walk.plus_hi[again], walk.live[again])
+            lo[again], hi[again] = self.walk(rows, lambda mid, active: self.plus(
+                rows.keys, mid, self.op.vcm, rows.vb, rows.guard, active))
+        return 0.5 * (lo + hi)
+
+    def walk(self, walk: _Walk, decide) -> tuple:
+        """(lo, hi) of the bisection from +/- span on the rows that flip, each
+        step going up where ``decide(mid, active)``."""
+        tol, span = self.tol, self.span
+        lo, hi = np.full(walk.keys.size, -span), np.full(walk.keys.size, span)
+        active = ~walk.plus_lo & walk.plus_hi & walk.live & (hi - lo > tol)
         while np.count_nonzero(active):
             mid = 0.5 * (lo + hi)
-            up = self.plus(rows, mid, vcm, vb, guard, active) & active
-            np.copyto(hi, mid, where=up)
-            np.copyto(lo, mid, where=active ^ up)
+            up = decide(mid, active) & active
+            np.putmask(hi, up, mid)
+            np.putmask(lo, active ^ up, mid)
             active &= hi - lo > tol
-        return 0.5 * (lo + hi), plus_lo, plus_hi
+        return lo, hi
 
-    def calibrate(self, rows: np.ndarray, cal: CalibrationConfig) -> tuple:
-        """The cancellation cycles on the trials from vb = vdd: (cycles, vb,
-        saturated), with (daco, step, where the decision is +1) per cycle.
+    def calibrate(self, rows: np.ndarray, cal: CalibrationConfig, live: np.ndarray) -> tuple:
+        """The cancellation cycles on the ``live`` trials from vb = vdd: (cycles,
+        vb, saturated), with (daco, step, where the decision is +1) per cycle.
+        A trial whose cycle raises leaves ``live``.
 
         Decision +1 at zero input discharges ``vb_plus`` (speeding the
         lagging plus side), -1 discharges ``vb_minus``. Body voltages clamp
@@ -329,18 +385,18 @@ class _Batch:
         vdd = config.vdd
         vcm = cal.v_ref_input if cal.v_ref_input is not None else vdd / 2.0
         t_period = _resolve_period(cal, config)
-        vb, zero = np.full((2, rows.size), vdd), np.zeros(rows.size)
-        live, saturated = np.ones(rows.size, dtype=bool), np.zeros(rows.size, dtype=bool)
+        keys, vb, zero = 3 * rows + _CYCLES, np.full((2, rows.size), vdd), np.zeros(rows.size)
+        saturated = np.zeros(rows.size, dtype=bool)
         cycles = []
         for _ in range(cal.n_phases):
             for tn in range(1, cal.n_cycles + 1):
-                plus = self.plus(rows, zero, vcm, vb, self.guard(rows, vcm, vb, 0.0), live)
+                plus = self.plus(keys, zero, vcm, vb, self.guard(rows, vcm, vb, 0.0), live)
                 daco = dac_output(tn, cal, vdd)
                 step = cp_step(daco, cal, t_period)
-                vb = np.where(np.array((~plus, plus)), vb - step, vb)
+                np.subtract(vb, step, out=vb, where=np.array((~plus, plus)))
                 below = vb < 0.0
-                saturated |= below.any(axis=0)
-                vb = np.where(below, 0.0, vb)
+                saturated |= below[0] | below[1]
+                np.putmask(vb, below, 0.0)
                 cycles.append((daco, step, plus))
         return cycles, vb, saturated
 
@@ -356,6 +412,5 @@ def _offset_stats(n: int, offsets: list[float]) -> OffsetStats:
         lo, hi = lo - 1e-6, hi + 1e-6
     counts, edges = np.histogram(arr, bins=40, range=(lo, hi))
     return OffsetStats(n=n, mean=mean, sigma=sigma,
-                       bin_edges=tuple(float(e) for e in edges),
-                       counts=tuple(int(c) for c in counts),
+                       bin_edges=tuple(edges.tolist()), counts=tuple(counts.tolist()),
                        span_errors=n - arr.size)

@@ -171,11 +171,23 @@ def apply_corner(params: DeviceParams, corner: CornerSpec) -> DeviceParams:
                         params.gamma, params.phi2f, params.cox_area)
 
 
+def mobility_factor(t_kelvin: float) -> float:
+    """The mobility's temperature factor (t_kelvin / T_REF) ** MU_TEMP_EXPONENT,
+    by Python's pow; inf where t_kelvin > 0 is too small for a float result."""
+    try:
+        return (t_kelvin / T_REF) ** MU_TEMP_EXPONENT
+    except (OverflowError, ZeroDivisionError):  # the base underflows to 0.0
+        return math.inf
+
+
 def apply_temperature(params: DeviceParams, t_kelvin: float) -> DeviceParams:
     """First-order temperature adjustment; 300 K is the identity."""
     if not t_kelvin > 0:
         raise ConfigError("t_kelvin must be > 0")
-    factor = (t_kelvin / T_REF) ** MU_TEMP_EXPONENT
+    factor = mobility_factor(t_kelvin)
+    if factor == math.inf:
+        raise ConfigError(f"the mobility factor (T/{T_REF:g} K)**{MU_TEMP_EXPONENT:g} "
+                          f"overflows at {t_kelvin:g} K")
     vth0 = params.vth0 - VTH_TEMP_COEFF * (t_kelvin - T_REF)
     if vth0 <= 0:
         raise ConfigError(f"the {params.polarity} threshold, {params.vth0:g} V at {T_REF:g} K, "
@@ -203,13 +215,14 @@ def params_columns(nmos: DeviceParams, pmos: DeviceParams, corner: Sequence[Corn
     # Each row's mobility factors and threshold shifts, nmos in row 0 and pmos in row 1.
     factor, shift = table[np.fromiter(map(index.get, ids), np.intp, len(ids))].transpose(1, 2, 0)
     temps = np.where(t > 0, t, T_REF).tolist()  # a row at t <= 0 raises: any factor will do
-    mu_t = {x: (x / T_REF) ** MU_TEMP_EXPONENT for x in set(temps)}
+    factors = {x: mobility_factor(x) for x in set(temps)}
+    mu_t = np.fromiter(map(factors.get, temps), float, len(temps))
     vth0, mu_cox = np.array([[nmos.vth0, pmos.vth0], [nmos.mu_cox, pmos.mu_cox]])[:, :, None]
     vth0, mu_cox = vth0 + shift, mu_cox * factor                        # apply_corner
-    vth, mu = (vth0 - VTH_TEMP_COEFF * (t - T_REF),                     # apply_temperature
-               mu_cox * np.fromiter(map(mu_t.get, temps), float, len(temps)))
+    vth, mu = vth0 - VTH_TEMP_COEFF * (t - T_REF), mu_cox * mu_t        # apply_temperature
     # Every check is "<= 0", false for NaN as in the scalar code: fmin skips NaN.
-    bad = ~(t > 0) | (np.fmin.reduce(np.concatenate((vth0, mu_cox, vth, mu))) <= 0)
+    bad = (~(t > 0) | (mu_t == math.inf)
+           | (np.fmin.reduce(np.concatenate((vth0, mu_cox, vth, mu))) <= 0))
     return vth[0], mu[0], vth[1], mu[1], bad
 
 
@@ -240,6 +253,17 @@ _PCG64_MULT_HI, _PCG64_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
 _MASK32, _BLOCK = 2**32 - 1, 1024
 
 
+def _hash_constants(init: int, mult: int, calls: int) -> tuple[np.ndarray, np.ndarray]:
+    """numpy's hash constants for ``calls`` successive hashmix calls from ``init``:
+    each call XORs with one constant and multiplies by the next. Column
+    vectors, one row per call."""
+    consts = [init]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _MASK32)
+    consts = np.array(consts, np.uint32)[:, None]
+    return consts[:-1], consts[1:]
+
+
 def _pcg64_seeds(seed: int, trials: Sequence[int] | np.ndarray) -> np.ndarray:
     """``SeedSequence([seed, trial]).generate_state(4, uint64)`` of each trial.
 
@@ -247,41 +271,37 @@ def _pcg64_seeds(seed: int, trials: Sequence[int] | np.ndarray) -> np.ndarray:
     (seed's 32-bit words, then the trial's single word) are mixed into a
     4-word pool, which is hashed out into 8 words read as 4 little-endian
     uint64. The hash constants do not depend on the data, so every trial
-    runs the same sequence of them.
+    runs the same sequence of them, and the hashmix calls that read the same
+    word at once run as one (calls, trials) array operation.
     """
     n = len(trials)
     entropy = [np.full(n, seed >> shift & _MASK32, np.uint32)
                for shift in range(0, max(seed.bit_length(), 1), 32)]
     entropy.append(np.asarray(trials, np.uint32))
     entropy += [np.zeros(n, np.uint32)] * (4 - len(entropy))
-    const = _INIT_A
+    xor, mult = _hash_constants(_INIT_A, _MULT_A, 4 * len(entropy))
+    used = 0
 
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        value = value * const
+    def hashmix(value, calls):
+        nonlocal used
+        value = (value ^ xor[used:used + calls]) * mult[used:used + calls]
+        used += calls
         return value ^ value >> 16
 
     def mix(x, y):
         value = x * _MIX_MULT_L - y * _MIX_MULT_R
         return value ^ value >> 16
 
-    pool = [hashmix(word) for word in entropy[:4]]
+    pool = hashmix(np.array(entropy[:4]), 4)
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        dst = [k for k in range(4) if k != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 3))
     for extra in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(extra))
-    const = _INIT_B
+        pool = mix(pool, hashmix(extra, 4))
+    xor, mult = _hash_constants(_INIT_B, _MULT_B, 8)
+    value = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ xor) * mult
     state = np.empty((n, 8), "<u4")
-    for i in range(8):
-        value = pool[i % 4] ^ const
-        const = const * _MULT_B & _MASK32
-        value = value * const
-        state[:, i] = value ^ value >> 16
+    state[:] = (value ^ value >> 16).T
     return state.view("<u8")
 
 
@@ -352,11 +372,13 @@ def draw_mismatch(seed: int, trials: Sequence[int] | np.ndarray, scales: np.ndar
         z[0] = rng.standard_normal(width)[columns]
     else:
         state, words = _pcg64_memory(rng, _pcg64_srandom(_pcg64_seeds(int(seed), trials)))
+        # Each trial's 32 state bytes go in through memoryviews, cheaper than ndarray slices.
+        memory, words = memoryview(state).cast("B"), memoryview(words.tobytes())
         block = np.empty((min(n, _BLOCK), width))
         for start in range(0, n, _BLOCK):
             rows = block[:n - start]
-            for row, row_words in zip(rows, words[start:]):
-                state[:] = row_words
+            for row, at in zip(rows, range(32 * start, 32 * n, 32)):
+                memory[:] = words[at:at + 32]
                 rng.standard_normal(out=row)
             z[start:start + len(rows)] = rows[:, columns]
     with np.errstate(over="ignore"):

@@ -376,8 +376,8 @@ class DecisionKernel:
     (delta_vth, delta_beta) pair of arrays over the rows. Only the devices in
     ``DEVICES`` enter the decision. Raises ConfigError, as every simulate
     would, when the corner and temperature leave invalid device parameters.
-    Overflow to inf passes silently, as in Python floats. Per-side arrays
-    hold the minus side (Mp4, Mn3) in row 0 and the plus side in row 1.
+    Overflow to inf passes silently, as in Python floats. Per-side pairs of
+    1-D arrays hold the minus side (Mp4, Mn3) first and the plus side second.
     """
 
     DEVICES = ("Mp1", "Mp4", "Mp5", "Mn3", "Mn4")
@@ -389,7 +389,7 @@ class DecisionKernel:
         self.vdd = vdd = cfg.vdd
         self.pparams = pparams
         self.window = cfg.window
-        self.c_out = c_out = engine.node_caps().c_out
+        self.c_out = c_out = engine._caps.c_out
 
         def mismatched_beta(name: str) -> np.ndarray:
             return beta(cfg.geoms[name], pparams) * (1.0 + mismatch[name][1])
@@ -399,12 +399,12 @@ class DecisionKernel:
             i_tail = 0.5 * mismatched_beta("Mp1") * ov * ov * (1.0 - cfg.tail_derating)
             b = np.stack((mismatched_beta("Mp4"), mismatched_beta("Mp5")))
             vth_sense = nparams.vth0 + np.stack((mismatch["Mn3"][0], mismatch["Mn4"][0]))
-            # flip_point's k = sqrt(beta / vth_sense); NaN where it is not real.
-            self.k = np.where((b > 0.0) & (vth_sense > 0.0), np.sqrt(b / vth_sense), np.nan)
+            # flip_point's k = sqrt(beta / vth_sense) per side; NaN where it is not real.
+            self.k = tuple(np.where((b > 0.0) & (vth_sense > 0.0), np.sqrt(b / vth_sense), np.nan))
             # The clamped t0 at vid*; inf where the tail conducts nothing.
             self.t_clamp = np.where((ov > 0.0) & (i_tail > 0.0),
                                     c_out * vth_sense.sum(axis=0) / i_tail, np.inf)
-        self.dvth = np.stack((mismatch["Mp4"][0], mismatch["Mp5"][0]))
+        self.dvth = (mismatch["Mp4"][0], mismatch["Mp5"][0])
 
     def flip_point(self, rows: np.ndarray, vcm: float, vb_plus: np.ndarray,
                    vb_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -419,21 +419,23 @@ class DecisionKernel:
         """
         vdd = self.vdd
         a = vdd - vcm
-        vb = np.array((vb_minus, vb_plus))
         with np.errstate(all="ignore"):
-            vth, beyond = dev.thresholds(self.pparams, vb - vdd, self.dvth[:, rows])
-            beyond = beyond.any(axis=0)
-            k = self.k[:, rows]
-            k_ov = k * (a - vth)
-            vid = 2.0 * (k_ov[1] - k_ov[0]) / (k[0] + k[1])
+            (vth_m, beyond_m), (vth_p, beyond_p) = (
+                dev.thresholds(self.pparams, vb - vdd, dvth[rows])
+                for vb, dvth in ((vb_minus, self.dvth[0]), (vb_plus, self.dvth[1])))
+            k_m, k_p = self.k[0][rows], self.k[1][rows]
+            vid = 2.0 * (k_p * (a - vth_p) - k_m * (a - vth_m)) / (k_m + k_p)
             # Guard band, u = 2**-53, S = vdd + |vcm| + |vid*| + |vth-| + |vth+|:
             # simulate forms each overdrive in three roundings (error <= 3uS),
             # and each crossing time with a relative error <= 2*3uS/ov + 5u.
             # The two times differ by the relative (k- + k+)*|vid - vid*|/(k*ov),
             # so simulate orders them right once |vid - vid*| > 6uS + 10uS.
             # vid* above errs by <= 14uS. The band, 256uS, is eight times the sum.
-            band = 2.0 ** -45 * (vdd + abs(vcm) + np.abs(vid) + np.abs(vth).sum(axis=0))
-            ov = a + _SIGN * (vid / 2.0) - vth
+            band = 2.0 ** -45 * (vdd + abs(vcm) + np.abs(vid) + (np.abs(vth_m) + np.abs(vth_p)))
+            # simulate's overdrives, vdd - (vcm -+ vid/2) - vth, as a +- vid/2 - vth.
+            half = vid / 2.0
+            ov_m, ov_p = a + half - vth_m, a - half - vth_p
+            ov = np.minimum(ov_m, ov_p)
             # Simulate's t0 on the leading side, c_out*vth_sense/i, times
             # total/i_tail where the tail clamps, falls as vid leaves vid*.
             # At vid* both sides have i/vth_sense = (k*ov)**2/2, so t0 peaks at
@@ -442,10 +444,12 @@ class DecisionKernel:
             # at any vid exceeds the peak by a relative <= 12uS/ov + 10u, ov
             # the smaller overdrive at vid*, and this bound errs by <= 6uS/ov
             # + 8u: together less than band/ov, as ov <= S.
-            t0 = np.maximum(2.0 * self.c_out / (k * ov).min(axis=0) ** 2, self.t_clamp[rows])
-            exact = ((ov > band).all(axis=0) & ~beyond
-                     & (t0 * (1.0 + band / ov.min(axis=0)) <= self.window)
-                     & ((0.0 <= vb) & (vb <= vdd)).all(axis=0) & (0.0 <= vcm <= vdd))
+            t0 = np.maximum(2.0 * self.c_out / np.minimum(k_m * ov_m, k_p * ov_p) ** 2,
+                            self.t_clamp[rows])
+            # Each comparison is false for NaN, as np.minimum and np.maximum pass NaN on.
+            exact = ((ov > band) & ~(beyond_m | beyond_p) & (t0 * (1.0 + band / ov) <= self.window)
+                     & (np.minimum(vb_minus, vb_plus) >= 0.0)
+                     & (np.maximum(vb_minus, vb_plus) <= vdd) & (0.0 <= vcm <= vdd))
         return vid, band, exact
 
 

@@ -50,9 +50,10 @@ def fmt_cell(x) -> str:
 class Table:
     """One emitted result table: metadata lines, a header and rows.
 
-    A sweep's table is built from its rows' CSV lines, ``text``, and the type
-    of each column's cells, ``types``: the rows are parsed from the text the
-    first time ``rows`` is read, so writing the CSV parses no cell.
+    A sweep's, a Monte Carlo run's or a loaded table is built from its rows'
+    CSV lines, ``text``, and the parser of each column's cells, ``types``:
+    the rows are parsed from the text the first time ``rows`` is read, so
+    writing the CSV parses no cell, and reading a column parses only it.
     """
 
     def __init__(self, columns: tuple[str, ...], rows: list[tuple] | None = None,
@@ -60,12 +61,27 @@ class Table:
                  types: tuple[type, ...] = ()):
         self.columns, self.text, self.types = columns, text, types
         self.metadata = {} if metadata is None else metadata
+        self._parsed_columns: dict[int, list] = {}
         if rows is not None:
             self.rows = rows
 
     @functools.cached_property
     def rows(self) -> list[tuple]:
         return _parse_text(self.text, self.types)
+
+    @property
+    def unread(self) -> bool:
+        """Whether ``rows`` is unparsed, so that ``text`` holds the rows as they are."""
+        return "rows" not in vars(self)
+
+    def column(self, k: int) -> list:
+        """The cells of column k: from ``rows`` once read, else parsed from ``text`` once."""
+        if not self.unread:
+            return [row[k] for row in self.rows]
+        if k not in self._parsed_columns:
+            self._parsed_columns[k] = list(map(self.types[k],
+                                               (line.split(",")[k] for line in self.text)))
+        return self._parsed_columns[k]
 
 
 def _parse_text(text: list[str], types: tuple[type, ...]) -> list[tuple]:
@@ -237,13 +253,13 @@ def run_montecarlo(cfg: RunConfig) -> tuple[OffsetStats, OffsetStats | None, Tab
         if stats is None:
             continue
         edges = stats.bin_edges
-        rows += [(phase, round9(lo), round9(hi), int(count))
-                 for lo, hi, count in zip(edges, edges[1:], stats.counts)]
+        rows += [(phase, lo, hi, count) for lo, hi, count in zip(edges, edges[1:], stats.counts)]
         meta[f"result.{phase}_n"] = str(stats.n)
         meta[f"result.{phase}_mean_V"] = fmt_cell(round9(stats.mean))
         meta[f"result.{phase}_sigma_V"] = fmt_cell(round9(stats.sigma))
         meta[f"result.{phase}_span_errors"] = str(stats.span_errors)
-    return before, after, Table(columns=columns, rows=rows, metadata=meta)
+    return before, after, Table(columns, metadata=meta, text=_formatted(list(zip(*rows))),
+                                types=(str, float, float, int))
 
 
 def run_calibrate_once(cfg: RunConfig, trial: int = 0) -> tuple:
@@ -283,7 +299,7 @@ def run_sizing(cfg: RunConfig) -> Table:
 def render_csv(table: Table) -> str:
     lines = [f"# {k}={v}" for k, v in table.metadata.items()]
     lines.append(",".join(table.columns))
-    lines += (table.text if table.text is not None
+    lines += (table.text if table.unread
               else [",".join(map(fmt_cell, row)) for row in table.rows])
     return "\n".join(lines) + "\n"
 
@@ -329,7 +345,8 @@ def read_text(path) -> str:
 
 
 def load_csv(path) -> Table:
-    """Parse a table emitted by emit_csv back into an equal Table."""
+    """Parse a table emitted by emit_csv back into an equal Table. Each data
+    line's cell count is checked here; its cells are parsed when read."""
     lines = read_text(path).splitlines()
     metadata: dict[str, str] = {}
     i = 0
@@ -341,16 +358,16 @@ def load_csv(path) -> Table:
     if i >= len(lines):
         raise ConfigError(f"{path}: missing header row")
     columns = tuple(lines[i].split(","))
-    rows = []
+    text = []
     for lineno, line in enumerate(lines[i + 1:], start=i + 2):
         if not line:
             continue
-        cells = line.split(",")
-        if len(cells) != len(columns):
-            raise ConfigError(f"{path}: line {lineno} has {len(cells)} cells; "
+        cells = line.count(",") + 1
+        if cells != len(columns):
+            raise ConfigError(f"{path}: line {lineno} has {cells} cells; "
                               f"the header has {len(columns)}")
-        rows.append(tuple(_parse_cell(cell) for cell in cells))
-    return Table(columns=columns, rows=rows, metadata=metadata)
+        text.append(line)
+    return Table(columns, metadata=metadata, text=text, types=(_parse_cell,) * len(columns))
 
 
 # -- report -----------------------------------------------------------------------
@@ -387,8 +404,7 @@ def replace_runconfig(cfg: RunConfig, **changes) -> RunConfig:
 
 
 def _column(table: Table, name: str) -> list:
-    idx = table.columns.index(name)
-    return [row[idx] for row in table.rows]
+    return table.column(table.columns.index(name))
 
 
 def report_text(tables: dict[str, Table]) -> str:

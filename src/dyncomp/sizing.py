@@ -8,9 +8,10 @@ condition reads x/2 + alpha*y/x = 2 with x, y >= 1.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .devices import beta
 from .engine import ComparatorConfig, ComparatorEngine, NodeCaps, OperatingPoint, typical_op
@@ -85,10 +86,12 @@ def _grid(lo: float, hi: float, step: float) -> list[float]:
 
 def solve_sizing(alpha: float, x_max: float = 4.0, y_max: float = 4.0,
                  grid_step: float = 0.01) -> SizingVars:
-    """Grid-search the (x, y) minimizing |normalized_balance_residual|.
+    """Grid-search the (x, y) minimizing |normalized_balance_residual|, in one array pass.
 
-    Ties go to the smallest x, then y (smaller devices cost less power). The
-    residual rises with y: only the two grid y around x*(2 - x/2)/alpha can win.
+    The residual rises with y: at each grid x only the two grid y around
+    x*(2 - x/2)/alpha can win, the last below it and the first at or above it
+    (``searchsorted``, left side). Ties go to the smallest x, then y (smaller
+    devices cost less power): the first minimum in (x, y) order wins.
     """
     if x_max < 1.0 or y_max < 1.0:
         raise ConfigError("bounds must be >= 1")
@@ -96,17 +99,15 @@ def solve_sizing(alpha: float, x_max: float = 4.0, y_max: float = 4.0,
         raise ConfigError("grid_step must be > 0")
     if not alpha >= 1.0:
         raise ConfigError("alpha must be >= 1")
-    ys = _grid(1.0, y_max, grid_step)
-    best = None
-    best_err = math.inf
-    for x in _grid(1.0, x_max, grid_step):
-        i = bisect.bisect_left(ys, x * (2.0 - x / 2.0) / alpha)
-        for y in ys[max(i - 1, 0):i + 1]:
-            err = abs(x / 2.0 + alpha * y / x - 2.0)
-            if err < best_err:
-                best_err = err
-                best = (x, y)
-    return SizingVars(x=best[0], y=best[1], alpha=alpha)
+    if alpha == math.inf:
+        raise ConfigError("alpha must be finite")
+    xs, ys = np.array(_grid(1.0, x_max, grid_step)), np.array(_grid(1.0, y_max, grid_step))
+    i = np.searchsorted(ys, xs * (2.0 - xs / 2.0) / alpha, side="left")
+    # Each x's two candidates: the same y twice where the target lies outside the y grid.
+    x, y = xs[:, None], ys[np.stack((np.maximum(i - 1, 0), np.minimum(i, ys.size - 1)), axis=1)]
+    err = np.abs(x / 2.0 + alpha * y / x - 2.0)
+    best = np.unravel_index(err.argmin(), err.shape)
+    return SizingVars(x=float(xs[best[0]]), y=float(y[best]), alpha=alpha)
 
 
 # Each width target's devices, with the factor on the swept width w of each:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import offset_oracle
 import simulate_oracle
@@ -458,6 +458,79 @@ class TestBatchedMonteCarlo:
             scalar_monte_carlo(20, 2, ComparatorConfig(), cal, calibrate=False)
         with pytest.raises(OffsetSpanError, match="every trial"):
             monte_carlo(20, 2, ComparatorConfig(), cal, calibrate=False)
+
+    def test_lowest_trial_raising_after_calibration_wins(self):
+        # At 50 GHz trial 1's slow latch sense devices leave no decision
+        # near its flip point: its first bisection raises. Trial 0 measures
+        # its offset, but one charge-pump step of about 0.9 V pushes a body
+        # past the threshold model, so only its second bisection raises.
+        # The batch finds trial 1's error first and must raise trial 0's.
+        config = ComparatorConfig(freq=5e10)
+        cal = CalibrationConfig(n_cycles=1, t_period=3e-9, cb=1e-13)
+        engine, op = ComparatorEngine(config), typical_op(config, vid=0.0)
+        trials = [MismatchSample({"Mp4": (5e-3, 0.0)}),
+                  MismatchSample({"Mn3": (0.1, 0.0), "Mn4": (0.1, 0.0)})]
+        measure = lambda trial: offset_oracle.measure_offset(engine, op, trial, tol=cal.tol_os,
+                                                            span=cal.span)
+        assert abs(measure(trials[0]) - 5e-3) <= cal.tol_os
+        with pytest.raises(NoDecisionError):
+            measure(trials[1])
+        with pytest.raises(BodyBiasError) as scalar:
+            offset_oracle.run_calibration(config, trials[0], cal, op)
+        columns = {name: (np.array([t.delta_vth(name) for t in trials]),
+                          np.array([t.delta_beta(name) for t in trials]))
+                   for name in DecisionKernel.DEVICES}
+        batch = calibration._Batch(engine, op, columns, 2, None, cal.tol_os, cal.span)
+        with pytest.raises(BodyBiasError) as batched:
+            batch.run(cal)
+        assert str(batched.value) == str(scalar.value)
+
+
+    def test_grid_call_keeps_the_lowest_key(self):
+        # Rows are keyed 3*trial + stage (0 before, 1 cycles, 2 after). In one
+        # grid call the second row, trial 2 after calibration, has the lower
+        # key: its error is kept and only its row stops. Then a row keyed
+        # above that fault does not run, and one keyed below replaces it.
+        engine = ComparatorEngine(ComparatorConfig())
+        columns = {name: (np.zeros(6), np.zeros(6)) for name in DecisionKernel.DEVICES}
+        batch = calibration._Batch(engine, OP0, columns, 6, None, 1e-5, 0.1)
+        whole_line = (np.full(2, -np.inf), np.full(2, np.inf))
+
+        def probe(keys, vb_minus, vb_plus):
+            active = np.ones(2, dtype=bool)
+            batch.plus(np.array(keys), np.zeros(2), OP0.vcm, np.array([vb_minus, vb_plus]),
+                       whole_line, active)
+            return active.tolist(), batch.fault[0], str(batch.fault[1])
+
+        def message(vb_minus, vb_plus):
+            return str(outcome(lambda: engine.simulate(OP0, body=BodyBias(vb_plus, vb_minus)))[1])
+
+        assert probe([15, 8], [1.9, 1.8], [1.8, 2.0]) == ([True, False], 8, message(1.8, 2.0))
+        assert probe([15, 9], [1.9, 1.7], [1.8, 1.8]) == ([True, True], 8, message(1.8, 2.0))
+        assert probe([15, 7], [1.9, 1.8], [1.8, 2.1]) == ([True, False], 7, message(1.8, 2.1))
+
+
+# Settings where trials raise: near 56 GHz t0 and the window cross per trial,
+# so a bisection or a cycle runs out of time near the flip point; small body
+# capacitors (with the 333 MHz clock's period for the charge pump) make
+# steps that push a body past the threshold model during or after the cycles.
+# A cycle common mode other than the operating point's lets a trial raise in
+# its cycles and later, elsewhere, in its bisection before calibration.
+@settings(deadline=None, max_examples=80)
+@given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+       freq=st.one_of(st.just(ComparatorConfig.freq), st.floats(5.55e10, 5.7e10)),
+       cb=st.sampled_from([1e-12, 2e-13, 1e-13, 5e-14]), t_period=st.sampled_from([None, 3e-9]),
+       v_ref_input=st.sampled_from([None, 0.85, 0.95]), calibrate=st.booleans())
+@example(n=8, seed=288847593, freq=56996750934.31044, cb=5e-14, t_period=3e-9,
+         v_ref_input=0.95, calibrate=True)
+def test_fault_order_equals_scalar_loop(n, seed, freq, cb, t_period, v_ref_input, calibrate):
+    # The merged bisection raises the scalar loop's error: that of the lowest
+    # raising trial, at its first raising point in the order before, cycles,
+    # after; or both give the same statistics.
+    config = ComparatorConfig(freq=freq)
+    cal = CalibrationConfig(cb=cb, t_period=t_period, v_ref_input=v_ref_input)
+    expected = outcome(lambda: scalar_monte_carlo(n, seed, config, cal, calibrate))
+    assert outcome(lambda: monte_carlo(n, seed, config, cal, calibrate)) == expected
 
 
 def flip_point(engine, op, mismatch, body):

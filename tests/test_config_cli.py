@@ -699,6 +699,33 @@ class TestReport:
         regenerated = capsys.readouterr().out
         assert regenerated == (bundle / "report.txt").read_text()
 
+    def test_from_dir_parses_only_what_it_reads(self, bundle, monkeypatch, capsys):
+        # Each loaded table's cell parsers record what they parse, by file.
+        # The report reads mc_offset.csv's metadata only, every sweep's
+        # savings_pct column, and the one row of the other tables.
+        parsed = {}
+        load = harness.load_csv
+
+        def spying_load(path):
+            table = load(path)
+
+            def spy(name, parse):
+                return lambda text: parsed.setdefault(Path(path).stem, []).append(name) \
+                    or parse(text)
+
+            table.types = tuple(map(spy, table.columns, table.types))
+            return table
+
+        monkeypatch.setattr(harness, "load_csv", spying_load)
+        assert main(["report", "--from-dir", str(bundle)]) == 0
+        assert capsys.readouterr().out == (bundle / "report.txt").read_text()
+        assert "mc_offset" not in parsed
+        for stem in ("typical", "fast", "size"):
+            assert sorted(parsed[stem]) == sorted(load(bundle / f"{stem}.csv").columns)
+        for variable in REPORT_SWEEP_VARIABLES:
+            rows = len(load(bundle / f"sweep_{variable}.csv").text)
+            assert parsed[f"sweep_{variable}"] == ["savings_pct"] * rows
+
     def test_non_utf8_bundle_csv(self, bundle, tmp_path, capsys):
         copy = tmp_path / "bundle"
         shutil.copytree(bundle, copy)

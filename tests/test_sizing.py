@@ -1,4 +1,5 @@
 """Balance-condition solver and width-sweep characterization."""
+import bisect
 import math
 from dataclasses import replace
 
@@ -101,6 +102,20 @@ def brute_force_solve_loop(alpha, x_max, y_max, step):
     return best, best_err
 
 
+def bisect_loop_solve(alpha, x_max, y_max, grid_step):
+    """solve_sizing as a Python loop: at each grid x, the grid y on both sides
+    of x*(2 - x/2)/alpha by bisect_left, with the strict-< tie-break."""
+    best, best_err = None, math.inf
+    ys = _grid(1.0, y_max, grid_step)
+    for x in _grid(1.0, x_max, grid_step):
+        i = bisect.bisect_left(ys, x * (2.0 - x / 2.0) / alpha)
+        for y in ys[max(i - 1, 0):i + 1]:
+            err = abs(x / 2.0 + alpha * y / x - 2.0)
+            if err < best_err:
+                best, best_err = (x, y), err
+    return best
+
+
 def full_scan_solve(alpha, x_max, y_max, grid_step):
     """Every (x, y) of the solver's grid with its strict-< tie-break: the exact oracle."""
     best, best_err = None, math.inf
@@ -162,6 +177,27 @@ class TestSolver:
     def test_equals_full_scan(self, alpha, y_max, grid_step):
         v = solve_sizing(alpha, y_max=y_max, grid_step=grid_step)
         assert (v.x, v.y) == full_scan_solve(alpha, 4.0, y_max, grid_step)
+
+    @pytest.mark.parametrize("x_max, y_max, grid_step, alphas", [
+        (4.0, 4.0, 0.01, np.concatenate((np.linspace(1.0, 4.0, 2401), np.geomspace(4.0, 1e300, 700),
+                                         [1.5, 2.0, 2.5, 1.7976931348623157e308]))),
+        (4.0, 1.0, 0.01, np.linspace(1.0, 8.0, 200)),
+        (3.0, 2.5, 0.03, np.linspace(1.0, 8.0, 200)),
+        (4.0, 4.0, 0.007, np.linspace(1.0, 8.0, 200)),
+    ])
+    def test_equals_bisect_loop(self, x_max, y_max, grid_step, alphas):
+        # The array pass picks the loop's (x, y) bit for bit.
+        for alpha in alphas.tolist():
+            v = solve_sizing(alpha, x_max=x_max, y_max=y_max, grid_step=grid_step)
+            expected = bisect_loop_solve(alpha, x_max, y_max, grid_step)
+            assert (v.x.hex(), v.y.hex()) == tuple(map(float.hex, expected)), alpha
+
+    @pytest.mark.parametrize("alpha, message", [(math.inf, "alpha must be finite"),
+                                                (math.nan, "alpha must be >= 1"),
+                                                (-math.inf, "alpha must be >= 1")])
+    def test_rejects_non_finite_alpha(self, alpha, message):
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            solve_sizing(alpha)
 
     def test_bounds_respected(self):
         for alpha in (1.0, 1.7, 2.9):

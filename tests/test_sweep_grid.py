@@ -320,14 +320,31 @@ def test_nan_temperature_raises():
     assert outcome(lambda: grid.raise_row(1)) == (ConfigError, message)
 
 
+@pytest.mark.parametrize("t_kelvin", [1e-300, 5e-324])
+def test_tiny_temperature_raises(t_kelvin):
+    # The mobility factor (t/300 K)**-1.5 overflows a float, or its base
+    # underflows to 0: a ConfigError naming the temperature and the corner,
+    # in simulate and in a grid row, not a bare OverflowError.
+    engine, tt = ComparatorEngine(ComparatorConfig()), CORNERS["TT"]
+    message = (f"temp_c=-273.15 at corner TT: the mobility factor (T/300 K)**-1.5 "
+               f"overflows at {t_kelvin:g} K")
+    with pytest.raises(ConfigError) as raised:
+        engine.simulate(OperatingPoint(t_kelvin=t_kelvin))
+    assert str(raised.value) == message
+    grid = simulate_grid(engine, [0.05] * 2, [0.9] * 2, [1.8] * 2, [tt] * 2, [300.0, t_kelvin])
+    assert grid.fault.tolist() == [OK, BAD_PARAMS]
+    assert outcome(lambda: grid.raise_row(1)) == (ConfigError, message)
+
+
 # Corners whose shifts may take either threshold to zero or below, and
-# temperatures at or below 0 K, NaN, or past the 525 K where a 0.45 V
-# threshold reaches zero.
+# temperatures at or below 0 K, NaN, too close to 0 K for the mobility
+# factor, or past the 525 K where a 0.45 V threshold reaches zero.
 SHIFT = st.one_of(st.floats(-0.1, 0.1), st.floats(-0.7, -0.3), st.sampled_from([-0.45, -0.3]))
 CORNER = st.builds(CornerSpec, st.just("X"), st.floats(0.5, 1.5), st.floats(0.5, 1.5),
                    SHIFT, SHIFT)
 TEMP = st.one_of(st.floats(200.0, 500.0), st.floats(500.0, 900.0), st.floats(-50.0, 0.0),
-                 st.sampled_from([math.nan, 0.0, -0.0, 300.0, 525.0, 675.0]))
+                 st.floats(1e-300, 1e-200),
+                 st.sampled_from([math.nan, 0.0, -0.0, 300.0, 525.0, 675.0, 5e-324, 1e-322]))
 
 
 @settings(deadline=None, max_examples=300)
