@@ -10,7 +10,7 @@ steps shrink toward the final value like a successive approximation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -95,9 +95,9 @@ def measure_offset(engine: ComparatorEngine, op: OperatingPoint | None = None,
 
     The returned value is the differential input needed to balance the
     comparator (decision +1 for vid above it, -1 below): the midpoint of the
-    bisection interval from +/- span once it is no wider than ``tol``. Raises
-    OffsetSpanError when no flip exists inside +/- span, and simulate's
-    error where a point of the bisection would raise.
+    bisection interval from +/- span once it is no wider than ``tol`` (or
+    the midpoint rounds onto an end). Raises OffsetSpanError when no flip
+    exists inside +/- span, and simulate's error where a point would raise.
     """
     op = op or typical_op(engine.config, vid=0.0)
     return _offset(_Batch.one(engine, op, mismatch, body, tol, span).run()[0], span)
@@ -198,13 +198,15 @@ def _batched_offsets(n: int, seed: int, engine: ComparatorEngine, op: OperatingP
 
 
 def _flips(walk: tuple) -> np.ndarray:
-    """Where an (offset, plus at -span, plus at +span) bisection flips inside the span."""
-    return ~walk[1] & walk[2]
+    """Where a bisection whose fields end (plus at -span, plus at +span, live)
+    flips inside the span with no point of it raised."""
+    plus_lo, plus_hi, live = walk[-3:]
+    return ~plus_lo & plus_hi & live
 
 
 def _offset(walk: tuple, span: float) -> float:
     """The offset of a one-trial bisection, or its OffsetSpanError."""
-    offset, plus_lo, plus_hi = (x[0] for x in walk)
+    offset, plus_lo, plus_hi, _ = (x[0] for x in walk)
     if plus_lo == plus_hi:
         raise OffsetSpanError(f"decision does not flip within +/-{span} V "
                               f"(sign {1 if plus_lo else -1})")
@@ -251,11 +253,7 @@ class _Batch:
         self.tol, self.span = tol, span
         self.body = body or BodyBias(engine.config.vdd, engine.config.vdd)
         self.fault = None
-        try:
-            self.kernel = DecisionKernel(engine, op, mismatch)
-        except ConfigError:  # simulate raises at every point, before it reads any mismatch
-            engine.simulate(replace(op, vid=-span), body=self.body)
-            raise AssertionError("simulate accepts a point the kernel rejects")
+        self.kernel = DecisionKernel(engine, op, mismatch)
 
     @classmethod
     def one(cls, engine: ComparatorEngine, op: OperatingPoint, mismatch: MismatchSample,
@@ -268,7 +266,7 @@ class _Batch:
 
     def run(self, cal: CalibrationConfig | None = None) -> tuple:
         """(before, after, (cycles, vb, saturated)): the bisection of every
-        trial, each an (offset, plus at -span, plus at +span) tuple, and, given
+        trial, each an (offset, plus at -span, plus at +span, live) tuple, and, given
         ``cal``, the cancellation cycles and the bisection again on the
         trials that flip inside the span. The end points come first, then
         the cycles, then both bisections in one loop. Raises ``fault``'s
@@ -278,8 +276,7 @@ class _Batch:
         walks = [self.ends(rows, _BEFORE, vb, np.ones(rows.size, dtype=bool))]
         state = None
         if cal is not None:
-            before = walks[0]
-            rows = rows[~before.plus_lo & before.plus_hi & before.live]
+            rows = rows[_flips(walks[0])]
             live = np.ones(rows.size, dtype=bool)
             state = self.calibrate(rows, cal, live)
             walks.append(self.ends(rows, _AFTER, state[1], live))
@@ -287,14 +284,14 @@ class _Batch:
         offsets = np.split(self.bisect(walk), [walks[0].keys.size])
         if self.fault is not None:
             raise self.fault[1]
-        before, *after = [(offset, w.plus_lo, w.plus_hi) for offset, w in zip(offsets, walks)]
+        before, *after = [(offset, *w[-3:]) for offset, w in zip(offsets, walks)]
         return before, (after[0] if after else None), state
 
     def guard(self, rows: np.ndarray, vcm: float, vb: np.ndarray, reach: float) -> tuple:
         """(lo, hi): simulate decides -1 at a vid <= lo and +1 at a vid >= hi,
         for |vid| <= reach. The interval is the flip point's guard band where
         it is exact and reach < vdd, else the whole line."""
-        flip, band, exact = self.kernel.flip_point(rows, vcm, vb[1], vb[0])
+        flip, band, exact = self.kernel.flip_point(rows, vcm, vb)
         exact &= reach < self.kernel.vdd
         return np.where(exact, flip - band, -np.inf), np.where(exact, flip + band, np.inf)
 
@@ -360,16 +357,17 @@ class _Batch:
 
     def walk(self, walk: _Walk, decide) -> tuple:
         """(lo, hi) of the bisection from +/- span on the rows that flip, each
-        step going up where ``decide(mid, active)``."""
+        step going up where ``decide(mid, active)``, to tol or a midpoint on an end."""
         tol, span = self.tol, self.span
         lo, hi = np.full(walk.keys.size, -span), np.full(walk.keys.size, span)
-        active = ~walk.plus_lo & walk.plus_hi & walk.live & (hi - lo > tol)
+        mid = 0.5 * (lo + hi)
+        active = _flips(walk) & (hi - lo > tol)
         while np.count_nonzero(active):
-            mid = 0.5 * (lo + hi)
             up = decide(mid, active) & active
             np.putmask(hi, up, mid)
             np.putmask(lo, active ^ up, mid)
-            active &= hi - lo > tol
+            mid = 0.5 * (lo + hi)
+            active &= (hi - lo > tol) & (lo < mid) & (mid < hi)
         return lo, hi
 
     def calibrate(self, rows: np.ndarray, cal: CalibrationConfig, live: np.ndarray) -> tuple:

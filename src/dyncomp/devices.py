@@ -148,12 +148,11 @@ def threshold(params: DeviceParams, vsb: float = 0.0, delta_vth: float = 0.0) ->
     return params.vth0 + params.gamma * (math.sqrt(arg) - math.sqrt(params.phi2f)) + delta_vth
 
 
-def thresholds(params: DeviceParams, vsb, delta_vth, vth0=None) -> tuple[np.ndarray, np.ndarray]:
-    """threshold() over arrays, from the zero-bias thresholds ``vth0``
-    (params.vth0 by default), and where threshold() raises BodyBiasError
-    instead. np.sqrt is correctly rounded, as math.sqrt, so entries are exact."""
+def thresholds(params: DeviceParams, vsb, delta_vth, vth0) -> tuple[np.ndarray, np.ndarray]:
+    """threshold() over arrays, from the zero-bias thresholds ``vth0`` in
+    place of params.vth0, and where threshold() raises BodyBiasError instead.
+    np.sqrt is correctly rounded, as math.sqrt, so entries are exact."""
     arg = params.phi2f + vsb
-    vth0 = params.vth0 if vth0 is None else vth0
     return vth0 + params.gamma * (np.sqrt(arg) - math.sqrt(params.phi2f)) + delta_vth, arg <= 0.0
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import devices as dev
 from .devices import (DeviceParams, MismatchSample, TransistorGeom, ZERO_MISMATCH,
-                      CORNERS, CornerSpec, beta, gate_cap, threshold)
+                      CORNERS, CornerSpec, gate_cap, threshold)
 from .errors import ConfigError, NoDecisionError
 
 # Geometry pairs that must stay symmetric for the two half-circuits.
@@ -164,6 +164,31 @@ def inverter_delay(c_load: float, beta_eff: float, vdd: float) -> float:
     return 1.6 * c_load / (beta_eff * vdd)
 
 
+# The (delta_vth, delta_beta) of every device without mismatch: one shared pair.
+_ZERO = (0.0, 0.0)
+
+
+def _sides(mismatch: Mapping[str, tuple], minus: str, plus: str, i: int):
+    """Delta i (0: delta_vth, 1: delta_beta) of a mirrored pair, one row per
+    side; one value where the sides share it."""
+    a, b = mismatch.get(minus, _ZERO)[i], mismatch.get(plus, _ZERO)[i]
+    return a if a is b else np.array((a, b)).reshape(2, -1)
+
+
+def mismatched_beta(mu, w, l, d):
+    """mu * w / l * (1 + d); unscaled where d is the shared zero, as x * 1.0 == x."""
+    b = mu * w / l
+    return b if d is _ZERO[1] else b * (1.0 + d)
+
+
+def tail_current(cfg: ComparatorConfig, vdd, vth_p, mu_p, mismatch: Mapping[str, tuple], w=None):
+    """Mp1's current less the switch derating, 0 where Mp1 is off, at widths ``w`` if given."""
+    (dvth, dbeta), g = mismatch.get("Mp1", _ZERO), cfg.geoms["Mp1"]
+    ov = vdd - (vth_p + dvth)
+    b = mismatched_beta(mu_p, g.w if w is None else w, g.l, dbeta)
+    return np.where(ov <= 0.0, 0.0, 0.5 * b * ov * ov * (1.0 - cfg.tail_derating))
+
+
 class ComparatorEngine:
     """Immutable evaluation engine for one ComparatorConfig.
 
@@ -275,43 +300,30 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
                                                                t_kelvin)
     c_out, c_pi, c_p3, c_latch = vars(engine.node_caps(widths) if widths else engine._caps).values()
     # One device per symmetric pair: ComparatorEngine checks the pairs equal.
-    (w_p1, l_p1), (w_p4, l_p4), (w_n3, l_n3), (w_ni2, l_ni2), (w_pi1, l_pi1) = (
-        (widths.get(name, g[name].w), g[name].l) for name in ("Mp1", "Mp4", "Mn3", "Mni2", "Mpi1"))
+    (w_p4, l_p4), (w_n3, l_n3), (w_ni2, l_ni2), (w_pi1, l_pi1) = (
+        (widths.get(name, g[name].w), g[name].l) for name in ("Mp4", "Mn3", "Mni2", "Mpi1"))
     unbuilt = (np.any([w < dev.MIN_WIDTH - 1e-15 for w in widths.values()], axis=0) if widths
                else np.zeros(vid.shape, bool))
-    zero = (0.0, 0.0)
-    delta = lambda name, i: mismatch.get(name, zero)[i]  # i = 0: delta_vth, 1: delta_beta
-
-    def sides(minus, plus, i):
-        """Delta i of a mirrored pair, one row per side; one value where the sides share it."""
-        a, b = delta(minus, i), delta(plus, i)
-        return a if a is b else np.array((a, b)).reshape(2, -1)
+    delta = lambda name, i: mismatch.get(name, _ZERO)[i]  # i = 0: delta_vth, 1: delta_beta
 
     def lead_side(minus, plus, i):
         """Delta i of the leading side's device; one value where the sides share it."""
         a, b = delta(minus, i), delta(plus, i)
         return a if a is b else np.where(lead, a, b)
 
-    def mismatched_beta(mu, w, l, d):
-        """mu * w / l * (1 + d); unscaled where d is the shared zero, as x * 1.0 == x."""
-        b = mu * w / l
-        return b if d is zero[1] else b * (1.0 + d)
-
     def crossing(i_side, vth_sense):
         return np.where((i_side <= 0.0) | (vth_sense <= 0.0), np.inf, vth_sense * c_out / i_side)
 
     with np.errstate(all="ignore"):
-        vth, beyond = dev.thresholds(cfg.pmos, vb - vdd, sides("Mp4", "Mp5", 0), vth_p)
-        ov = vdd - (vth_p + delta("Mp1", 0))
-        i_tail = np.where(ov <= 0.0, 0.0, 0.5 * mismatched_beta(mu_p, w_p1, l_p1, delta("Mp1", 1))
-                          * ov * ov * (1.0 - cfg.tail_derating))
+        vth, beyond = dev.thresholds(cfg.pmos, vb - vdd, _sides(mismatch, "Mp4", "Mp5", 0), vth_p)
+        i_tail = tail_current(cfg, vdd, vth_p, mu_p, mismatch, widths.get("Mp1"))
         ov = vdd - (vcm - _SIGN * (vid / 2.0)) - vth
-        i = np.where(ov > 0.0, 0.5 * mismatched_beta(mu_p, w_p4, l_p4, sides("Mp4", "Mp5", 1))
-                     * ov * ov, 0.0)
+        b = mismatched_beta(mu_p, w_p4, l_p4, _sides(mismatch, "Mp4", "Mp5", 1))
+        i = np.where(ov > 0.0, 0.5 * b * ov * ov, 0.0)
         # The tail clamp scales both sides by one factor; unclamped rows take 1.0, exactly.
         total = i[0] + i[1]
         i = i * np.where(total > i_tail, i_tail / total, 1.0)
-        t = crossing(i, vth_n + sides("Mn3", "Mn4", 0))
+        t = crossing(i, vth_n + _sides(mismatch, "Mn3", "Mn4", 0))
         decision = np.where(t[0] < t[1], 1, np.where(t[1] < t[0], -1, cfg.tie_break))
         lead = decision > 0     # the minus side crosses first
         t0 = np.where(lead, t[0], t[1])
@@ -369,46 +381,38 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
 
 class DecisionKernel:
     """The vid where ``simulate(op, mismatch, body).decision`` flips, over a
-    batch of trials.
+    batch of trials, from simulate_grid's parameter row and helpers.
 
     The engine, its supply and the operating point's corner and temperature are
-    shared; each trial (row) has its own mismatch, given per device as a
+    shared; each trial (row) has its own mismatch, given per device as its own
     (delta_vth, delta_beta) pair of arrays over the rows. Only the devices in
-    ``DEVICES`` enter the decision. Raises ConfigError, as every simulate
-    would, when the corner and temperature leave invalid device parameters.
-    Overflow to inf passes silently, as in Python floats. Per-side pairs of
-    1-D arrays hold the minus side (Mp4, Mn3) first and the plus side second.
+    ``DEVICES`` enter the decision. Where the corner and temperature leave
+    invalid parameters, no trial is exact. Overflow to inf passes silently.
     """
 
     DEVICES = ("Mp1", "Mp4", "Mp5", "Mn3", "Mn4")
 
     def __init__(self, engine: ComparatorEngine, op: OperatingPoint,
                  mismatch: Mapping[str, tuple[np.ndarray, np.ndarray]]):
-        cfg = engine.config
-        nparams, pparams = engine.params_at(op)
-        self.vdd = vdd = cfg.vdd
-        self.pparams = pparams
-        self.window = cfg.window
-        self.c_out = c_out = engine._caps.c_out
-
-        def mismatched_beta(name: str) -> np.ndarray:
-            return beta(cfg.geoms[name], pparams) * (1.0 + mismatch[name][1])
-
+        cfg, c_out = engine.config, engine._caps.c_out
+        self.pmos, self.vdd, self.window, self.c_out = cfg.pmos, cfg.vdd, cfg.window, c_out
+        vth_n, _, self.vth_p, mu_p, bad = dev.params_columns(cfg.nmos, cfg.pmos, [op.corner],
+                                                             [op.t_kelvin])
+        g = cfg.geoms["Mp4"]
         with np.errstate(all="ignore"):
-            ov = vdd - (pparams.vth0 + mismatch["Mp1"][0])
-            i_tail = 0.5 * mismatched_beta("Mp1") * ov * ov * (1.0 - cfg.tail_derating)
-            b = np.stack((mismatched_beta("Mp4"), mismatched_beta("Mp5")))
-            vth_sense = nparams.vth0 + np.stack((mismatch["Mn3"][0], mismatch["Mn4"][0]))
+            i_tail = tail_current(cfg, cfg.vdd, self.vth_p, mu_p, mismatch)
+            b = mismatched_beta(mu_p, g.w, g.l, _sides(mismatch, "Mp4", "Mp5", 1))
+            vth_sense = vth_n + _sides(mismatch, "Mn3", "Mn4", 0)
             # flip_point's k = sqrt(beta / vth_sense) per side; NaN where it is not real.
-            self.k = tuple(np.where((b > 0.0) & (vth_sense > 0.0), np.sqrt(b / vth_sense), np.nan))
+            self.k = np.where((b > 0.0) & (vth_sense > 0.0) & ~bad, np.sqrt(b / vth_sense), np.nan)
             # The clamped t0 at vid*; inf where the tail conducts nothing.
-            self.t_clamp = np.where((ov > 0.0) & (i_tail > 0.0),
-                                    c_out * vth_sense.sum(axis=0) / i_tail, np.inf)
-        self.dvth = (mismatch["Mp4"][0], mismatch["Mp5"][0])
+            self.t_clamp = np.where(i_tail > 0.0, c_out * vth_sense.sum(axis=0) / i_tail, np.inf)
+        self.dvth = _sides(mismatch, "Mp4", "Mp5", 0)
 
-    def flip_point(self, rows: np.ndarray, vcm: float, vb_plus: np.ndarray,
-                   vb_minus: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(vid*, band, exact) of the trials ``rows`` at their body voltages.
+    def flip_point(self, rows: np.ndarray, vcm: float, vb: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(vid*, band, exact) of the trials ``rows`` at their body voltages
+        ``vb``, a (2, rows) array with the minus side's in row 0.
 
         The tail clamp scales both branch currents alike, so the minus side
         crosses first (+1) exactly where k-*ov- > k+*ov+, k = sqrt(b/vth_sense):
@@ -420,10 +424,9 @@ class DecisionKernel:
         vdd = self.vdd
         a = vdd - vcm
         with np.errstate(all="ignore"):
-            (vth_m, beyond_m), (vth_p, beyond_p) = (
-                dev.thresholds(self.pparams, vb - vdd, dvth[rows])
-                for vb, dvth in ((vb_minus, self.dvth[0]), (vb_plus, self.dvth[1])))
-            k_m, k_p = self.k[0][rows], self.k[1][rows]
+            (vth_m, vth_p), beyond = dev.thresholds(self.pmos, vb - vdd,
+                                                    self.dvth.take(rows, axis=1), self.vth_p)
+            k_m, k_p = self.k.take(rows, axis=1)
             vid = 2.0 * (k_p * (a - vth_p) - k_m * (a - vth_m)) / (k_m + k_p)
             # Guard band, u = 2**-53, S = vdd + |vcm| + |vid*| + |vth-| + |vth+|:
             # simulate forms each overdrive in three roundings (error <= 3uS),
@@ -447,9 +450,9 @@ class DecisionKernel:
             t0 = np.maximum(2.0 * self.c_out / np.minimum(k_m * ov_m, k_p * ov_p) ** 2,
                             self.t_clamp[rows])
             # Each comparison is false for NaN, as np.minimum and np.maximum pass NaN on.
-            exact = ((ov > band) & ~(beyond_m | beyond_p) & (t0 * (1.0 + band / ov) <= self.window)
-                     & (np.minimum(vb_minus, vb_plus) >= 0.0)
-                     & (np.maximum(vb_minus, vb_plus) <= vdd) & (0.0 <= vcm <= vdd))
+            exact = ((ov > band) & ~(beyond[0] | beyond[1])
+                     & (t0 * (1.0 + band / ov) <= self.window)
+                     & ((0.0 <= vb) & (vb <= vdd)).all(axis=0) & (0.0 <= vcm <= vdd))
         return vid, band, exact
 
 

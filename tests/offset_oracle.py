@@ -30,13 +30,14 @@ def measure_offset(engine, op=None, mismatch=ZERO_MISMATCH, body=None, tol=10e-6
         raise OffsetSpanError(f"decision does not flip within +/-{span} V (sign {d_lo})")
     if d_lo > 0:  # decision is monotone nondecreasing in vid; this cannot happen
         raise OffsetSpanError("inverted decision polarity over the search span")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
+    mid = 0.5 * (lo + hi)
+    while hi - lo > tol and lo < mid < hi:  # the midpoint may round onto an end
         if decide(mid) > 0:
             hi = mid
         else:
             lo = mid
-    return 0.5 * (lo + hi)
+        mid = 0.5 * (lo + hi)
+    return mid
 
 
 def calibrate_from(engine: ComparatorEngine, op: OperatingPoint, mismatch: MismatchSample,

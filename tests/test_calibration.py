@@ -12,9 +12,9 @@ from dyncomp import calibration, devices
 from dyncomp.calibration import (CalibrationConfig, cp_step, dac_output,
                                  measure_offset, monte_carlo, residual_bound,
                                  run_calibration)
-from dyncomp.devices import (ABETA_DEFAULT, AVT_DEFAULT, CORNERS, DEFAULT_PMOS, ZERO_MISMATCH,
-                             DeviceParams, MismatchSample, beta, default_geometry,
-                             sample_mismatch, threshold)
+from dyncomp.devices import (ABETA_DEFAULT, AVT_DEFAULT, CORNERS, DEFAULT_NMOS, DEFAULT_PMOS,
+                             ZERO_MISMATCH, DeviceParams, MismatchSample, beta,
+                             default_geometry, sample_mismatch, threshold)
 from dyncomp.engine import (BodyBias, ComparatorConfig, ComparatorEngine, DecisionKernel,
                             OperatingPoint, typical_op)
 from dyncomp.errors import (BodyBiasError, ConfigError, NoDecisionError, OffsetSpanError,
@@ -399,6 +399,14 @@ class TestBatchedMonteCarlo:
         (ComparatorConfig(freq=5.62e10), CalibrationConfig(), True, 4, NoDecisionError),
         # steps of about 0.9 V push a body voltage past phi2f
         (ComparatorConfig(), CalibrationConfig(cb=1e-13), True, 2, BodyBiasError),
+        # the -2 mV/K drift takes an nmos vth0 of 0.2 mV below 0 at 27 C: no
+        # trial is exact and the first probe raises the parameters' error
+        (ComparatorConfig(nmos=replace(DEFAULT_NMOS, vth0=2e-4)), CalibrationConfig(), True, 1,
+         ConfigError),
+        # the same with the operating point out of range, |vid| = span >= vdd:
+        # simulate's vid message comes first
+        (ComparatorConfig(nmos=replace(DEFAULT_NMOS, vth0=2e-4)), CalibrationConfig(span=2.0),
+         True, 1, ConfigError),
     ])
     def test_errors_match_scalar_loop(self, config, cal, calibrate, seed, error):
         with pytest.raises(error) as scalar:
@@ -660,9 +668,8 @@ def test_exact_tie_takes_the_kernel(tie_break):
     assert result.state.history[0][3] == tie_break
     assert (result.offset_before, result.offset_after) == \
         (oracle.offset_before, oracle.offset_after)
-    vdd = np.full(1, config.vdd)
+    vb = np.full((2, 1), config.vdd)
     columns = {name: (np.zeros(1), np.zeros(1)) for name in DecisionKernel.DEVICES}
-    flip, band, exact = DecisionKernel(engine, OP0, columns).flip_point(np.arange(1), OP0.vcm,
-                                                                        vdd, vdd)
+    flip, band, exact = DecisionKernel(engine, OP0, columns).flip_point(np.arange(1), OP0.vcm, vb)
     assert (flip[0], bool(exact[0])) == (0.0, True) and band[0] > 0.0
     assert 0.5 * (-cal.span + cal.span) == 0.0

@@ -2,8 +2,11 @@
 import argparse
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -457,6 +460,18 @@ class TestCli:
         assert main(argv + ["--out", str(out1)]) == 0
         assert main(argv + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("argv", [["calibrate"], ["mc", "--calibrate", "--trials", "20"]])
+    def test_tolerance_below_one_ulp_returns(self, tmp_path, argv):
+        # Below one ulp of the offset the bisection's midpoint rounds onto an
+        # end of its interval, and the walk stops there. A separate process,
+        # so that a walk that never stops fails on the timeout.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        script = "import sys\nfrom dyncomp.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+        subprocess.run([sys.executable, "-c", script, *argv, "--set", "cal.tol=1e-20"],
+                       cwd=tmp_path, env={**os.environ, "PYTHONPATH": path}, check=True,
+                       capture_output=True, timeout=60)
 
     def test_json_flag(self, tmp_path):
         out = tmp_path / "sim.csv"

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import offset_oracle
 import simulate_oracle
-from dyncomp.calibration import measure_offset
+from dyncomp.calibration import CalibrationConfig, measure_offset, monte_carlo, run_calibration
 from dyncomp.devices import (CORNERS, MIN_LENGTH, ZERO_MISMATCH, DeviceParams, MismatchSample,
                              TransistorGeom, default_geometry, sample_mismatch)
 from dyncomp.engine import (BodyBias, ComparatorConfig, ComparatorEngine, DecisionKernel,
@@ -361,7 +361,7 @@ def kernel_flip_point(engine, op, mismatch, body):
     columns = {name: (np.array([mismatch.delta_vth(name)]), np.array([mismatch.delta_beta(name)]))
                for name in DecisionKernel.DEVICES}
     flip, band, exact = DecisionKernel(engine, op, columns).flip_point(
-        np.array([0]), op.vcm, np.array([body.vb_plus]), np.array([body.vb_minus]))
+        np.array([0]), op.vcm, np.array([[body.vb_minus], [body.vb_plus]]))
     return float(flip[0]), float(band[0]), bool(exact[0])
 
 
@@ -440,22 +440,32 @@ class TestDecisionKernel:
                           np.array([s.delta_beta(name) for s in samples]))
                    for name in DecisionKernel.DEVICES}
         rows = np.array([5, 1, 3])
-        vdd = np.full(3, 1.8)
-        flip, band, exact = DecisionKernel(engine, OP0, columns).flip_point(rows, OP0.vcm,
-                                                                            vdd, vdd)
+        vb = np.full((2, 3), 1.8)
+        flip, band, exact = DecisionKernel(engine, OP0, columns).flip_point(rows, OP0.vcm, vb)
         body = BodyBias(1.8, 1.8)
         expected = [kernel_flip_point(engine, OP0, samples[r], body) for r in rows]
         assert list(zip(flip.tolist(), band.tolist(), exact.tolist())) == expected
         assert len(set(flip.tolist())) == 3
 
     def test_invalid_corner_parameters_raise_like_simulate(self):
+        # At 600 K the thresholds drift below zero. The kernel marks no trial
+        # exact, so the offset paths probe simulate_grid and raise simulate's
+        # error; with vcm out of range too, its vcm message comes first.
         engine = ComparatorEngine(ComparatorConfig())
-        op = replace(OP0, t_kelvin=600.0)
-        with pytest.raises(ConfigError, match="temp_c=326.85 at corner TT"):
-            engine.simulate(op)
-        with pytest.raises(ConfigError, match="temp_c=326.85 at corner TT"):
-            DecisionKernel(engine, op, {name: (np.zeros(1), np.zeros(1))
-                                        for name in DecisionKernel.DEVICES})
+        cal = CalibrationConfig()
+        for vcm, message in ((0.9, "temp_c=326.85 at corner TT"), (2.0, "vcm=2.0 outside")):
+            op = OperatingPoint(vid=0.0, vcm=vcm, t_kelvin=600.0)
+            with pytest.raises(ConfigError, match=message) as expected:
+                engine.simulate(op)
+            columns = {name: (np.zeros(3), np.zeros(3)) for name in DecisionKernel.DEVICES}
+            kernel = DecisionKernel(engine, op, columns)
+            assert not kernel.flip_point(np.arange(3), op.vcm, np.full((2, 3), 1.8))[2].any()
+            for call in (lambda: measure_offset(engine, op),
+                         lambda: run_calibration(engine.config, ZERO_MISMATCH, cal, op),
+                         lambda: monte_carlo(20, 1, engine.config, cal, True, op)):
+                with pytest.raises(ConfigError) as raised:
+                    call()
+                assert str(raised.value) == str(expected.value)
 
 
 class TestEnergy:
