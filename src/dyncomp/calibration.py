@@ -45,15 +45,16 @@ class CalibrationConfig:
     span: float = 100e-3        # offset search half-span, V
 
     def __post_init__(self):
-        if self.n_cycles < 1 or self.n_phases < 1:
+        # Every check fails for NaN: "not x > 0" rather than "x <= 0".
+        if not (self.n_cycles >= 1 and self.n_phases >= 1):
             raise ConfigError("n_cycles and n_phases must be >= 1")
-        if self.cb <= 0 or self.c0 <= 0 or any(c <= 0 for c in self.dac_caps):
+        if not all(c > 0 for c in (self.cb, self.c0, *self.dac_caps)):
             raise ConfigError("all capacitances must be > 0")
-        if self.cp_beta <= 0:
+        if not self.cp_beta > 0:
             raise ConfigError("cp_beta must be > 0")
-        if self.t_period is not None and self.t_period <= 0:
+        if self.t_period is not None and not self.t_period > 0:
             raise ConfigError("t_period must be > 0")
-        if self.tol_os <= 0 or self.span <= 0:
+        if not (self.tol_os > 0 and self.span > 0):
             raise ConfigError("tol_os and span must be > 0")
 
 
@@ -99,6 +100,8 @@ def measure_offset(engine: ComparatorEngine, op: OperatingPoint | None = None,
     the midpoint rounds onto an end). Raises OffsetSpanError when no flip
     exists inside +/- span, and simulate's error where a point would raise.
     """
+    if not (tol > 0 and span > 0):
+        raise ConfigError(f"tol={tol} and span={span} must be > 0")
     op = op or typical_op(engine.config, vid=0.0)
     return _offset(_Batch.one(engine, op, mismatch, body, tol, span).run()[0], span)
 

@@ -319,6 +319,16 @@ def build_operating_point(cfg: RunConfig, **overrides) -> OperatingPoint:
 
 
 def build_calibration_config(cfg: RunConfig) -> CalibrationConfig:
+    """The calibration knobs, checked by key against the supply and the span:
+    the cycles' common mode and the bisection's ends must be valid inputs, and
+    the bisection must take a step."""
+    vdd, span = cfg.vdd, cfg.cal_span
+    if cfg.cal_vref is not None and not 0.0 <= cfg.cal_vref <= vdd:
+        raise ConfigError(f"cal.vref: must be in [0, vdd={vdd}], got {cfg.cal_vref}")
+    if not span < vdd:
+        raise ConfigError(f"cal.span: must be below vdd={vdd}, got {span}")
+    if not cfg.cal_tol < 2.0 * span:
+        raise ConfigError(f"cal.tol: must be below 2*cal.span={2.0 * span}, got {cfg.cal_tol}")
     return CalibrationConfig(
         n_cycles=cfg.cal_cycles, n_phases=cfg.cal_phases, cb=cfg.cal_cb,
         c0=cfg.cal_c0, dac_caps=cfg.cal_caps, cp_beta=cfg.cal_cp_beta,

@@ -45,17 +45,18 @@ class DeviceParams:
     cox_area: float = 8.5e-3    # gate capacitance per area, F/m^2
 
     def __post_init__(self):
+        # Every check fails for NaN: "not x > 0" rather than "x <= 0".
         if self.polarity not in (NMOS, PMOS):
             raise ConfigError(f"polarity must be '{NMOS}' or '{PMOS}', got {self.polarity!r}")
-        if self.mu_cox <= 0:
+        if not self.mu_cox > 0:
             raise ConfigError("mu_cox must be > 0")
-        if self.vth0 <= 0:
+        if not self.vth0 > 0:
             raise ConfigError("vth0 must be > 0 (magnitude convention)")
-        if self.gamma < 0:
+        if not self.gamma >= 0:
             raise ConfigError("gamma must be >= 0")
-        if self.phi2f <= 0:
+        if not self.phi2f > 0:
             raise ConfigError("phi2f must be > 0")
-        if self.cox_area <= 0:
+        if not self.cox_area > 0:
             raise ConfigError("cox_area must be > 0")
 
 
@@ -73,9 +74,9 @@ class TransistorGeom:
     polarity: str
 
     def __post_init__(self):
-        if self.w < MIN_WIDTH - 1e-15:
+        if not self.w >= MIN_WIDTH - 1e-15:
             raise ConfigError(f"{self.name}: width {self.w} below minimum {MIN_WIDTH}")
-        if self.l < MIN_LENGTH - 1e-15:
+        if not self.l >= MIN_LENGTH - 1e-15:
             raise ConfigError(f"{self.name}: length {self.l} below minimum {MIN_LENGTH}")
         if self.polarity not in (NMOS, PMOS):
             raise ConfigError(f"{self.name}: bad polarity {self.polarity!r}")
@@ -92,8 +93,10 @@ class CornerSpec:
     vth_shift_p: float = 0.0
 
     def __post_init__(self):
-        if self.mu_factor_n <= 0 or self.mu_factor_p <= 0:
+        if not (self.mu_factor_n > 0 and self.mu_factor_p > 0):
             raise ConfigError("corner mobility factors must be > 0")
+        if not (math.isfinite(self.vth_shift_n) and math.isfinite(self.vth_shift_p)):
+            raise ConfigError("corner threshold shifts must be finite")
 
 
 CORNERS: Mapping[str, CornerSpec] = {

@@ -15,6 +15,7 @@ that device and speeds its side up.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -53,19 +54,22 @@ class ComparatorConfig:
     tie_break: int = +1
 
     def __post_init__(self):
-        if self.vdd <= 0:
+        # Every check fails for NaN: "not x > 0" rather than "x <= 0".
+        if not self.vdd > 0:
             raise ConfigError("vdd must be > 0")
-        if self.freq <= 0:
+        if not self.freq > 0:
             raise ConfigError("freq must be > 0")
-        if self.alpha < 1.0:
+        if not self.alpha >= 1.0:
             raise ConfigError("alpha must be >= 1")
         if not 0.0 <= self.tail_derating < 1.0:
             raise ConfigError("tail_derating must be in [0, 1)")
         if self.tie_break not in (+1, -1):
             raise ConfigError("tie_break must be +1 or -1")
-        for node in self.extra_load:
+        for node, c in self.extra_load.items():
             if node not in EXTRA_NODES:
                 raise ConfigError(f"unknown extra_load node {node!r}; expected one of {EXTRA_NODES}")
+            if not c >= 0:
+                raise ConfigError(f"extra_load[{node!r}] must be >= 0")
 
     @property
     def window(self) -> float:
@@ -181,12 +185,50 @@ def mismatched_beta(mu, w, l, d):
     return b if d is _ZERO[1] else b * (1.0 + d)
 
 
+def drain_current(b, ov):
+    """Square-law saturation current 0.5 * b * ov**2 at the overdrive ov > 0."""
+    return 0.5 * b * ov * ov
+
+
 def tail_current(cfg: ComparatorConfig, vdd, vth_p, mu_p, mismatch: Mapping[str, tuple], w=None):
     """Mp1's current less the switch derating, 0 where Mp1 is off, at widths ``w`` if given."""
     (dvth, dbeta), g = mismatch.get("Mp1", _ZERO), cfg.geoms["Mp1"]
     ov = vdd - (vth_p + dvth)
     b = mismatched_beta(mu_p, g.w if w is None else w, g.l, dbeta)
-    return np.where(ov <= 0.0, 0.0, 0.5 * b * ov * ov * (1.0 - cfg.tail_derating))
+    return np.where(ov <= 0.0, 0.0, drain_current(b, ov) * (1.0 - cfg.tail_derating))
+
+
+def lead_timing(cfg: ComparatorConfig, caps: NodeCaps, vdd, t0, t1, b_ni, b_pi, b_n3):
+    """(t_esd, t_dm, late, shutdown) of the leading side, from its latch and
+    buffer crossings t0 and t1 and the betas of its buffer NMOS and PMOS and
+    its latch NMOS; floats and bools, or arrays of them."""
+    window = cfg.window
+    t_esd = (t1 + inverter_delay(caps.c_pi, b_ni, vdd)
+             + cfg.alpha * inverter_delay(caps.c_p3, b_pi, vdd))
+    t_dm = t0 + inverter_delay(caps.c_latch, b_n3, vdd)
+    # Designed regime: the chain fires only after the latch crossing, so
+    # cutting the tail never blocks the decision. Flag the stall if a
+    # configuration ever inverts the race.
+    late = (t_dm > window) | (t_esd < t0)
+    return t_esd, t_dm, late, cfg.early_shutdown_enabled & (t_esd <= window)
+
+
+def energy_split(caps: NodeCaps, vdd, i_tail, t_on, shutdown) -> tuple:
+    """Supply energy of one cycle, split by subcircuit: (e_preamp, e_latch,
+    e_ddvb, e_reset, total). The tail conducts for t_on: t_esd with
+    shutdown, else the whole window. The buffer chain spends only where it
+    fires: ``shutdown`` is a bool or bool array, and x * False == 0.0 for
+    the chain's x >= 0."""
+    e_preamp = vdd * i_tail * t_on
+    e_latch = caps.c_latch * vdd * vdd
+    e_ddvb = 2.0 * (caps.c_pi + caps.c_p3) * vdd * vdd * shutdown
+    e_reset = 2.0 * caps.c_out * vdd * vdd
+    return e_preamp, e_latch, e_ddvb, e_reset, e_preamp + e_latch + e_ddvb + e_reset
+
+
+def _crossing(i_side: float, vth_sense: float, c_out: float) -> float:
+    """The instant a preamp output ramping at i_side/c_out reaches vth_sense; inf if never."""
+    return math.inf if i_side <= 0.0 or vth_sense <= 0.0 else vth_sense * c_out / i_side
 
 
 class ComparatorEngine:
@@ -240,30 +282,61 @@ class ComparatorEngine:
         """Raise ConfigError if vcm or vid is out of range at the supply vdd."""
         if not 0.0 <= op.vcm <= vdd:
             raise ConfigError(f"vcm={op.vcm} outside [0, vdd={vdd}]")
-        if abs(op.vid) >= vdd:
+        if not abs(op.vid) < vdd:
             raise ConfigError(f"|vid|={abs(op.vid)} must be below vdd={vdd}")
 
     # -- full cycle -------------------------------------------------------------
 
     def simulate(self, op: OperatingPoint, mismatch: MismatchSample = ZERO_MISMATCH,
                  body: BodyBias | None = None) -> ComparisonResult:
-        """Run one precharge + comparison cycle: row 0 of a one-row simulate_grid.
+        """Run one precharge + comparison cycle, in Python floats.
 
         The body voltages default to the configured supply. Late decisions
         (t_dm beyond the window) are flagged, not raised, so sweeps near the
         common-mode limit can complete and report the stall.
+
+        simulate_grid runs the same cycle over rows of arrays. Both take
+        every formula from this module's helpers and devices.threshold; only
+        the branch selection (``if`` here, np.where there) is written twice,
+        and each grid row equals simulate bit for bit. One point runs here,
+        many rows there: the caller's input size picks the path.
         """
-        vdd = self.config.vdd
+        cfg, caps, g = self.config, self._caps, self.config.geoms
+        vdd, window = cfg.vdd, cfg.window
+        self.validate_op(op, vdd)
         body = body or BodyBias(vdd, vdd)
-        g = simulate_grid(self, [op.vid], [op.vcm], [vdd], [op.corner], [op.t_kelvin],
-                          mismatch=mismatch.deltas, vb_plus=[body.vb_plus],
-                          vb_minus=[body.vb_minus])
-        g.raise_row(0)
-        energy = (g.e_preamp, g.e_latch, g.e_ddvb, g.e_reset, g.energy)
-        return ComparisonResult(int(g.decision[0]),
-                                *(float(x[0]) for x in (g.t0, g.t1, g.t_esd, g.t_dm)),
-                                bool(g.shutdown[0]), bool(g.late[0]), float(g.i_tail[0]),
-                                EnergyBreakdown(*(float(x[0]) for x in energy)))
+        if not (0.0 <= body.vb_plus <= vdd and 0.0 <= body.vb_minus <= vdd):
+            raise ConfigError(f"body voltages {body} outside [0, vdd={vdd}]")
+        n, p = self.params_at(op)
+        deltas = mismatch.deltas
+        d = lambda name: deltas.get(name, _ZERO)
+        ov_m = vdd - (op.vcm - op.vid / 2.0) - threshold(p, body.vb_minus - vdd, d("Mp4")[0])
+        ov_p = vdd - (op.vcm + op.vid / 2.0) - threshold(p, body.vb_plus - vdd, d("Mp5")[0])
+        i_tail = float(tail_current(cfg, vdd, p.vth0, p.mu_cox, deltas))
+        b_m = mismatched_beta(p.mu_cox, g["Mp4"].w, g["Mp4"].l, d("Mp4")[1])
+        b_p = mismatched_beta(p.mu_cox, g["Mp5"].w, g["Mp5"].l, d("Mp5")[1])
+        i_m = drain_current(b_m, ov_m) if ov_m > 0.0 else 0.0
+        i_p = drain_current(b_p, ov_p) if ov_p > 0.0 else 0.0
+        total = i_m + i_p
+        if total > i_tail:  # the tail clamp scales both sides by one factor
+            i_m, i_p = i_m * (i_tail / total), i_p * (i_tail / total)
+        t_m = _crossing(i_m, n.vth0 + d("Mn3")[0], caps.c_out)
+        t_p = _crossing(i_p, n.vth0 + d("Mn4")[0], caps.c_out)
+        decision = 1 if t_m < t_p else -1 if t_p < t_m else cfg.tie_break
+        lead = decision > 0     # the minus side crosses first
+        t0 = t_m if lead else t_p
+        if not math.isfinite(t0) or t0 > window:
+            raise NoDecisionError(
+                f"no preamp crossing within the {window:.3e} s window (t0={t0:.3e})")
+        # The shutdown chain and the latch on the leading side.
+        sense, buf_p, latch = ("Mni2", "Mpi1", "Mn3") if lead else ("Mni3", "Mpi4", "Mn4")
+        t1 = _crossing(i_m if lead else i_p, n.vth0 + d(sense)[0], caps.c_out)
+        b_ni, b_pi, b_n3 = (mismatched_beta(params.mu_cox, g[name].w, g[name].l, d(name)[1])
+                            for params, name in ((n, sense), (p, buf_p), (n, latch)))
+        t_esd, t_dm, late, shutdown = lead_timing(cfg, caps, vdd, t0, t1, b_ni, b_pi, b_n3)
+        energy = energy_split(caps, vdd, i_tail, t_esd if shutdown else window, shutdown)
+        return ComparisonResult(decision, t0, t1, t_esd, t_dm, shutdown, late, i_tail,
+                                EnergyBreakdown(*energy))
 
 
 def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[float],
@@ -284,7 +357,7 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
     below MIN_WIDTH, a geometry ComparatorEngine rejects, is UNBUILT.
     Device parameters are columns (devices.params_columns).
 
-    Each row is bit for bit the scalar cycle of tests/simulate_oracle.py:
+    Each row is bit for bit ComparatorEngine.simulate, the scalar cycle:
     only + - * /, comparisons, np.where and np.sqrt (correctly rounded, as
     math.sqrt) touch the arrays, in the scalar order of operations
     (np.power can differ from Python's pow).
@@ -298,11 +371,11 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
     # The rows' parameters (zero-bias thresholds: vth0), where params_at would not raise.
     vth_n, mu_n, vth_p, mu_p, bad_params = dev.params_columns(cfg.nmos, cfg.pmos, corner,
                                                                t_kelvin)
-    c_out, c_pi, c_p3, c_latch = vars(engine.node_caps(widths) if widths else engine._caps).values()
+    caps = engine.node_caps(widths) if widths else engine._caps
     # One device per symmetric pair: ComparatorEngine checks the pairs equal.
     (w_p4, l_p4), (w_n3, l_n3), (w_ni2, l_ni2), (w_pi1, l_pi1) = (
         (widths.get(name, g[name].w), g[name].l) for name in ("Mp4", "Mn3", "Mni2", "Mpi1"))
-    unbuilt = (np.any([w < dev.MIN_WIDTH - 1e-15 for w in widths.values()], axis=0) if widths
+    unbuilt = (np.any([~(w >= dev.MIN_WIDTH - 1e-15) for w in widths.values()], axis=0) if widths
                else np.zeros(vid.shape, bool))
     delta = lambda name, i: mismatch.get(name, _ZERO)[i]  # i = 0: delta_vth, 1: delta_beta
 
@@ -312,14 +385,15 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
         return a if a is b else np.where(lead, a, b)
 
     def crossing(i_side, vth_sense):
-        return np.where((i_side <= 0.0) | (vth_sense <= 0.0), np.inf, vth_sense * c_out / i_side)
+        return np.where((i_side <= 0.0) | (vth_sense <= 0.0), np.inf,
+                        vth_sense * caps.c_out / i_side)
 
     with np.errstate(all="ignore"):
         vth, beyond = dev.thresholds(cfg.pmos, vb - vdd, _sides(mismatch, "Mp4", "Mp5", 0), vth_p)
         i_tail = tail_current(cfg, vdd, vth_p, mu_p, mismatch, widths.get("Mp1"))
         ov = vdd - (vcm - _SIGN * (vid / 2.0)) - vth
         b = mismatched_beta(mu_p, w_p4, l_p4, _sides(mismatch, "Mp4", "Mp5", 1))
-        i = np.where(ov > 0.0, 0.5 * b * ov * ov, 0.0)
+        i = np.where(ov > 0.0, drain_current(b, ov), 0.0)
         # The tail clamp scales both sides by one factor; unclamped rows take 1.0, exactly.
         total = i[0] + i[1]
         i = i * np.where(total > i_tail, i_tail / total, 1.0)
@@ -333,25 +407,13 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
               else crossing(np.where(lead, i[0], i[1]), vth_n + lead_side("Mni2", "Mni3", 0)))
         b_ni = mismatched_beta(mu_n, w_ni2, l_ni2, lead_side("Mni2", "Mni3", 1))
         b_pi = mismatched_beta(mu_p, w_pi1, l_pi1, lead_side("Mpi1", "Mpi4", 1))
-        t_esd = t1 + inverter_delay(c_pi, b_ni, vdd) + cfg.alpha * inverter_delay(c_p3, b_pi, vdd)
         b_n3 = mismatched_beta(mu_n, w_n3, l_n3, lead_side("Mn3", "Mn4", 1))
-        t_dm = t0 + inverter_delay(c_latch, b_n3, vdd)
-        # Designed regime: the chain fires only after the latch crossing, so
-        # cutting the tail never blocks the decision. Flag the stall if a
-        # configuration ever inverts the race.
-        late = (t_dm > window) | (t_esd < t0)
-        shutdown = cfg.early_shutdown_enabled & (t_esd <= window)
-
-        # Energy: the tail conducts until t_esd (<= window) with shutdown,
-        # else for the whole window; the buffer chain spends only when it fires.
-        e_preamp = vdd * i_tail * np.where(shutdown, t_esd, window)
-        e_latch = c_latch * vdd * vdd
-        e_ddvb = np.where(shutdown, 2.0 * (c_pi + c_p3) * vdd * vdd, 0.0)
-        e_reset = 2.0 * c_out * vdd * vdd
-        energy = e_preamp + e_latch + e_ddvb + e_reset
+        t_esd, t_dm, late, shutdown = lead_timing(cfg, caps, vdd, t0, t1, b_ni, b_pi, b_n3)
+        e_preamp, e_latch, e_ddvb, e_reset, energy = energy_split(
+            caps, vdd, i_tail, np.where(shutdown, t_esd, window), shutdown)
         energy_noesd = vdd * i_tail * window + e_latch + e_reset
     # A row's code indexes the first check it fails; the last, always true, is OK.
-    fault = np.array((unbuilt, ~((0.0 <= vcm) & (vcm <= vdd)) | (np.abs(vid) >= vdd),
+    fault = np.array((unbuilt, ~((0.0 <= vcm) & (vcm <= vdd) & (np.abs(vid) < vdd)),
                       ~((0.0 <= vb) & (vb <= vdd)).all(axis=0), bad_params, *beyond,
                       ~np.isfinite(t0) | (t0 > window), np.ones(vid.shape, bool))).argmax(axis=0)
 

@@ -1,6 +1,6 @@
 """The simulate-driven offset path: the oracle for calibration's batched one.
 
-One scalar ``simulate_oracle.simulate`` per decision, as the cancellation
+One scalar ``ComparatorEngine.simulate`` per decision, as the cancellation
 loop and the offset bisection were first written: ``measure_offset``
 bisects on simulate's decision, ``calibrate_from`` runs the cycles from a
 measured offset, and ``scalar_offsets`` loops both over the Monte Carlo
@@ -14,7 +14,6 @@ from dyncomp.calibration import (CalibrationConfig, CalibrationResult, Calibrati
 from dyncomp.devices import ZERO_MISMATCH, MismatchSample, sample_mismatch
 from dyncomp.engine import BodyBias, ComparatorEngine, OperatingPoint, typical_op
 from dyncomp.errors import OffsetSpanError
-from simulate_oracle import simulate
 
 
 def measure_offset(engine, op=None, mismatch=ZERO_MISMATCH, body=None, tol=10e-6, span=100e-3):
@@ -22,7 +21,7 @@ def measure_offset(engine, op=None, mismatch=ZERO_MISMATCH, body=None, tol=10e-6
     op = op or typical_op(engine.config, vid=0.0)
 
     def decide(vid):
-        return simulate(engine, replace(op, vid=vid), mismatch, body).decision
+        return engine.simulate(replace(op, vid=vid), mismatch, body).decision
 
     lo, hi = -span, span
     d_lo, d_hi = decide(lo), decide(hi)
@@ -54,7 +53,7 @@ def calibrate_from(engine: ComparatorEngine, op: OperatingPoint, mismatch: Misma
     history = []
     for _ in range(cal.n_phases):
         for tn in range(1, cal.n_cycles + 1):
-            s = simulate(engine, op_cal, mismatch, BodyBias(vb_plus, vb_minus)).decision
+            s = engine.simulate(op_cal, mismatch, BodyBias(vb_plus, vb_minus)).decision
             daco = dac_output(tn, cal, vdd)
             step = cp_step(daco, cal, t_period)
             if s > 0:

@@ -1,13 +1,14 @@
 """The per-point sweep loop: the oracle for run_sweep's one grid pass.
 
-One engine per width point and one scalar ``simulate_oracle.simulate`` per
+One engine per width point and one scalar ``ComparatorEngine.simulate`` per
 grid point, as ``run_sweep`` was first written, after a scalar check of the
 grid's two ends that names the offending bound. A ``vdd`` sweep runs each
-point at its supply; every other point runs at the configured one.
+point on an engine at its supply; every other point runs at the configured one.
 ``run_sweep_oracle`` returns the table that ``run_sweep`` must render byte
 for byte, and raises where it must raise, with the message it must give.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -18,7 +19,6 @@ from dyncomp.engine import ComparatorEngine
 from dyncomp.errors import ConfigError, SimulationError
 from dyncomp.harness import (Table, _default_mark, _failed_row, _grid_values, base_metadata,
                              round9)
-from simulate_oracle import energy_per_comparison, simulate
 
 
 def _point_fields(cfg: RunConfig, value) -> dict:
@@ -89,6 +89,9 @@ def run_sweep_oracle(cfg, compare: bool = False) -> Table:
         vdd = fields.pop("vdd", config.vdd)
         op = build_operating_point(cfg, **fields)
         eng = engine
+        if vdd != config.vdd:  # simulate's range check first: the config rejects vdd <= 0
+            engine.validate_op(op, vdd)
+            eng = ComparatorEngine(replace(config, vdd=vdd))
         if sweep.width_target is not None:
             try:
                 eng = ComparatorEngine(sizing.scaled_config(config, sweep.width_target, value))
@@ -96,7 +99,7 @@ def run_sweep_oracle(cfg, compare: bool = False) -> Table:
                 rows.append(_failed_row(value, compare))
                 continue
         try:
-            result = simulate(eng, op, vdd=vdd)
+            result = eng.simulate(op)
         except SimulationError:
             rows.append(_failed_row(value, compare))
             continue
@@ -104,7 +107,8 @@ def run_sweep_oracle(cfg, compare: bool = False) -> Table:
         row = [round9(value), result.decision, round9(result.t_dm), round9(result.t_esd),
                round9(e_on * cfg.freq), round9(e_on), int(result.late)]
         if compare:
-            e_off = energy_per_comparison(eng, vdd, result.i_tail, result.t_esd, False).total
+            e_off = (vdd * result.i_tail * config.window + result.energy.e_latch
+                     + result.energy.e_reset)
             savings = 100.0 * (1.0 - e_on / e_off) if e_off > 0 else math.nan
             row += [round9(e_off), round9(savings)]
         rows.append(tuple(row))

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import offset_oracle
-import simulate_oracle
 from dyncomp import calibration, devices
 from dyncomp.calibration import (CalibrationConfig, cp_step, dac_output,
                                  measure_offset, monte_carlo, residual_bound,
@@ -117,10 +116,10 @@ class TestMeasureOffset:
         # independent oracle: scan vid at 0.1 mV resolution for the flip
         mm = inject(0.010)
         flip = None
-        prev = simulate_oracle.simulate(engine, replace(OP0, vid=-50e-3), mm).decision
+        prev = engine.simulate(replace(OP0, vid=-50e-3), mm).decision
         v = -50e-3
         while v <= 50e-3:
-            d = simulate_oracle.simulate(engine, replace(OP0, vid=v), mm).decision
+            d = engine.simulate(replace(OP0, vid=v), mm).decision
             if d != prev:
                 flip = v
                 break
@@ -134,6 +133,13 @@ class TestMeasureOffset:
         # a forward-biased plus side leads at vid=0, so balancing the
         # comparator takes a positive differential input
         assert shifted > base + 1e-3
+
+    @pytest.mark.parametrize("tol, span", [(math.nan, 0.1), (0.0, 0.1), (1e-5, math.nan),
+                                           (1e-5, -0.1)])
+    def test_tolerance_and_span_must_be_positive(self, engine, tol, span):
+        # A NaN tolerance stopped every walk before its first step: offset 0.0.
+        with pytest.raises(ConfigError, match="must be > 0"):
+            measure_offset(engine, OP0, MismatchSample({"Mp4": (5e-3, 0.0)}), tol=tol, span=span)
 
     def test_span_error(self, engine):
         with pytest.raises(OffsetSpanError):
@@ -167,8 +173,7 @@ def straight_line_loop(config, mismatch, cal, op):
     for _ in range(cal.n_phases):
         for tn in range(1, cal.n_cycles + 1):
             cycle += 1
-            s = simulate_oracle.simulate(engine, op_cal, mismatch,
-                                         BodyBias(vb_plus, vb_minus)).decision
+            s = engine.simulate(op_cal, mismatch, BodyBias(vb_plus, vb_minus)).decision
             daco = vdd * cal.c0 / (cal.c0 + sum(cal.dac_caps[:tn]))
             ov = daco - cal.cp_vthn
             step = 0.5 * cal.cp_beta * ov * ov * t_period / cal.cb if ov > 0 else 0.0
@@ -422,7 +427,9 @@ class TestBatchedMonteCarlo:
         # At zero mismatch every trial's flip point is 0.0, so the bisection's
         # first midpoint and the first cycle's input are in band for every
         # trial: each such step runs its trials in one simulate_grid call,
-        # and no step calls simulate.
+        # and no step calls simulate. The oracle runs simulate, so it runs first.
+        cfg, cal = ComparatorConfig(), CalibrationConfig()
+        expected = scalar_monte_carlo(6, 3, cfg, cal, True, avt=0.0, abeta=0.0)
         steps = []
         grid, plus = calibration.simulate_grid, calibration._Batch.plus
 
@@ -438,12 +445,11 @@ class TestBatchedMonteCarlo:
         monkeypatch.setattr(calibration._Batch, "plus", counting_plus)
         simulates = []
         monkeypatch.setattr(ComparatorEngine, "simulate", lambda *args: simulates.append(args))
-        cfg, cal = ComparatorConfig(), CalibrationConfig()
         result = monte_carlo(6, 3, cfg, cal, calibrate=True, avt=0.0, abeta=0.0)
         assert simulates == []
         assert max(map(len, steps)) == 1
         assert [6] in steps and sum(map(sum, steps)) > 6
-        assert result == scalar_monte_carlo(6, 3, cfg, cal, True, avt=0.0, abeta=0.0)
+        assert result == expected
 
     def test_error_path_draws_no_sample(self, monkeypatch):
         # A raising trial runs simulate on the batch's own mismatch columns;

@@ -494,6 +494,18 @@ class TestCli:
         assert capsys.readouterr().err.startswith("error: ConfigError: --json: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [["calibrate"], ["mc", "--trials", "5"]])
+    @pytest.mark.parametrize("pair, message", [
+        ("cal.vref=5", "cal.vref: must be in [0, vdd=1.8], got 5.0"),
+        ("cal.span=3", "cal.span: must be below vdd=1.8, got 3.0"),
+        ("cal.tol=0.5", "cal.tol: must be below 2*cal.span=0.2, got 0.5"),
+    ])
+    def test_calibration_keys_checked_against_supply(self, command, pair, message, capsys):
+        # Each once failed on an operating point the user never set, or (cal.tol)
+        # took no bisection step and reported a zero offset.
+        assert main(command + ["--set", pair]) == 2
+        assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+
     def test_error_exit_code_and_message(self, tmp_path, capsys):
         assert main(["sim", "--set", "bogus=1"]) == 2
         err = capsys.readouterr().err

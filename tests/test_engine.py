@@ -9,12 +9,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import offset_oracle
-import simulate_oracle
+from dyncomp import engine as engine_module
 from dyncomp.calibration import CalibrationConfig, measure_offset, monte_carlo, run_calibration
-from dyncomp.devices import (CORNERS, MIN_LENGTH, ZERO_MISMATCH, DeviceParams, MismatchSample,
-                             TransistorGeom, default_geometry, sample_mismatch)
+from dyncomp.devices import (CORNERS, DEFAULT_NMOS, MIN_LENGTH, ZERO_MISMATCH, DeviceParams,
+                             MismatchSample, TransistorGeom, default_geometry, sample_mismatch)
 from dyncomp.engine import (BodyBias, ComparatorConfig, ComparatorEngine, DecisionKernel,
-                            OperatingPoint, typical_op)
+                            OperatingPoint, drain_current, mismatched_beta, typical_op)
 from dyncomp.errors import ConfigError, NoDecisionError, SimulationError
 
 # Reference temperature keeps the worked numbers free of temperature factors.
@@ -37,16 +37,21 @@ MIRROR = (("Mp4", "Mp5"), ("Mn3", "Mn4"), ("Mni2", "Mni3"), ("Mpi1", "Mpi4"))
 
 
 def tail_current(engine, op, mismatch=ZERO_MISMATCH):
-    """The tail current at op's corner and temperature."""
-    return simulate_oracle.tail_current(engine, op, engine.params_at(op)[1], mismatch)
+    """The engine's tail current at op's corner and temperature."""
+    pmos = engine.params_at(op)[1]
+    return float(engine_module.tail_current(engine.config, engine.config.vdd, pmos.vth0,
+                                            pmos.mu_cox, mismatch.deltas))
 
 
-def branch_currents(engine, op, vth_minus, vth_plus, mismatch=ZERO_MISMATCH):
-    """The input-pair currents at op's corner and temperature, as simulate clamps them."""
-    pparams = engine.params_at(op)[1]
-    i_tail = simulate_oracle.tail_current(engine, op, pparams, mismatch)
-    return simulate_oracle.branch_currents(engine, op, pparams, i_tail, vth_minus, vth_plus,
-                                           mismatch)
+def pair_currents(engine, op, vth_minus, vth_plus, mismatch=ZERO_MISMATCH):
+    """The input pair's square-law currents (I_minus, I_plus) at op's corner and
+    temperature before the tail clamp, from the engine's helpers."""
+    cfg, pmos, g = engine.config, engine.params_at(op)[1], engine.config.geoms["Mp4"]
+    ov = (cfg.vdd - (op.vcm - op.vid / 2.0) - vth_minus,
+          cfg.vdd - (op.vcm + op.vid / 2.0) - vth_plus)
+    betas = (mismatched_beta(pmos.mu_cox, g.w, g.l, mismatch.delta_beta(name))
+             for name in ("Mp4", "Mp5"))
+    return tuple(drain_current(b, x) if x > 0.0 else 0.0 for b, x in zip(betas, ov))
 
 
 class TestNodeCaps:
@@ -109,24 +114,36 @@ class TestCurrents:
 
     def test_symmetric_at_zero_input(self, engine):
         op = replace(OP0, vid=0.0)
-        i_minus, i_plus = branch_currents(engine, op, 0.45, 0.45)
+        i_minus, i_plus = pair_currents(engine, op, 0.45, 0.45)
         assert i_minus == i_plus
+        # equal currents cross together: the tie-break decides
+        for tie_break in (1, -1):
+            assert ComparatorEngine(ComparatorConfig(tie_break=tie_break)).simulate(op).decision \
+                == tie_break
 
     def test_vi_minus_side_leads_for_positive_vid(self, engine):
-        i_minus, i_plus = branch_currents(engine, OP0, 0.45, 0.45)
+        i_minus, i_plus = pair_currents(engine, OP0, 0.45, 0.45)
         assert i_minus > i_plus
+        assert rel_err(engine.simulate(OP0).t0, 0.45 * engine.node_caps().c_out / i_minus) < 1e-12
 
     def test_cutoff_clamp(self, engine):
         op = OperatingPoint(vid=0.2, vcm=1.3, t_kelvin=300.0)
-        i_minus, i_plus = branch_currents(engine, op, 0.45, 0.45)
+        i_minus, i_plus = pair_currents(engine, op, 0.45, 0.45)
         # lagging gate at 1.4 V leaves no overdrive
         assert i_plus == 0.0
         assert i_minus > 0.0
+        r = engine.simulate(op)
+        assert r.decision == 1
+        assert rel_err(r.t0, 0.45 * engine.node_caps().c_out / i_minus) < 1e-12
 
     def test_tail_limits_total(self, engine):
         op = OperatingPoint(vid=50e-3, vcm=0.05, t_kelvin=300.0)
-        i_minus, i_plus = branch_currents(engine, op, 0.45, 0.45)
-        assert i_minus + i_plus == pytest.approx(tail_current(engine, op), rel=1e-12)
+        i_minus, i_plus = pair_currents(engine, op, 0.45, 0.45)
+        i_tail = tail_current(engine, op)
+        assert i_minus + i_plus > i_tail
+        # the leading side carries its share of the tail current
+        clamped = i_minus * i_tail / (i_minus + i_plus)
+        assert rel_err(engine.simulate(op).t0, 0.45 * engine.node_caps().c_out / clamped) < 1e-12
 
 
 # Worked stage delays at OP0 (default geometry, TT, 300 K) from literal arithmetic.
@@ -307,13 +324,19 @@ class TestSimulate:
         assert decisions == sorted(decisions)
 
     def test_one_params_at_per_simulate(self, engine):
-        # simulate takes the device parameters as grid columns: a valid point
-        # resolves no DeviceParams through params_at, which builds error text.
         mismatch = sample_mismatch(7, 0, engine.config.geoms.values())
         with mock.patch.object(ComparatorEngine, "params_at", autospec=True,
                                side_effect=ComparatorEngine.params_at) as params_at:
             engine.simulate(OP0, mismatch, BodyBias(1.7, 1.75))
-        params_at.assert_not_called()
+        params_at.assert_called_once_with(engine, OP0)
+
+    def test_one_point_takes_no_grid_pass(self, engine):
+        # One point runs the scalar cycle; simulate_grid is for rows.
+        mismatch = sample_mismatch(7, 0, engine.config.geoms.values())
+        with mock.patch.object(engine_module, "simulate_grid",
+                               side_effect=engine_module.simulate_grid) as grid:
+            engine.simulate(OP0, mismatch, BodyBias(1.7, 1.75))
+        grid.assert_not_called()
 
     def test_body_bias_speeds_a_side(self, engine):
         op = replace(OP0, vid=0.0)
@@ -425,9 +448,8 @@ class TestDecisionKernel:
         for vid in np.linspace(-0.05, 0.05, 21):
             point = replace(op, vid=float(vid))
             vth_minus = engine.params_at(point)[1].vth0  # any threshold below the gate overdrive
-            i_minus, i_plus = branch_currents(engine, point, vth_minus, vth_minus, mismatch)
-            assert i_minus + i_plus == pytest.approx(tail_current(engine, point, mismatch),
-                                                     rel=1e-12)
+            i_minus, i_plus = pair_currents(engine, point, vth_minus, vth_minus, mismatch)
+            assert i_minus + i_plus > tail_current(engine, point, mismatch)
         assert kernel_flip_point(engine, op, mismatch, body)[2]
         assert measure_offset(engine, op, mismatch, body) \
             == offset_oracle.measure_offset(engine, op, mismatch, body)
@@ -508,7 +530,32 @@ class TestEnergy:
         assert hi.energy.total > lo.energy.total
 
 
+# (instance, field, value): each library check on a NaN, or a NaN in a list.
+NAN_FIELDS = [
+    *((CalibrationConfig(), name, math.nan) for name in ("n_cycles", "n_phases", "cb", "c0",
+                                                          "cp_beta", "t_period", "tol_os", "span")),
+    (CalibrationConfig(), "dac_caps", (25e-15, math.nan)),
+    *((ComparatorConfig(), name, math.nan) for name in ("vdd", "freq", "alpha", "tail_derating")),
+    (ComparatorConfig(), "extra_load", {"out": math.nan}),
+    *((DEFAULT_NMOS, name, math.nan) for name in ("mu_cox", "vth0", "gamma", "phi2f", "cox_area")),
+    *((default_geometry()["Mp1"], name, math.nan) for name in ("w", "l")),
+    *((CORNERS["TT"], name, math.nan) for name in ("mu_factor_n", "mu_factor_p", "vth_shift_n",
+                                                    "vth_shift_p")),
+]
+
+
+@pytest.mark.parametrize("instance, field, value", NAN_FIELDS,
+                         ids=[f"{type(i).__name__}.{f}" for i, f, _ in NAN_FIELDS])
+def test_nan_rejected(instance, field, value):
+    with pytest.raises(ConfigError):
+        replace(instance, **{field: value})
+
+
 class TestConfigValidation:
+    def test_negative_extra_load(self):
+        with pytest.raises(ConfigError, match="extra_load\\['pi'\\] must be >= 0"):
+            ComparatorConfig(extra_load={"pi": -1e-15})
+
     def test_alpha_below_one(self):
         with pytest.raises(ConfigError):
             ComparatorConfig(alpha=0.9)

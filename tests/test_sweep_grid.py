@@ -1,4 +1,4 @@
-"""The one-pass sweep grid against the per-point loop and the scalar cycle oracle."""
+"""The one-pass sweep grid against the per-point loop and the scalar simulate."""
 import math
 from dataclasses import replace
 
@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import simulate_oracle
 from dyncomp.config import SWEEPS, RunConfig
 from dyncomp.devices import (CORNERS, DEFAULT_NMOS, DEFAULT_PMOS, MIN_WIDTH, ZERO_MISMATCH,
                              CornerSpec, MismatchSample, params_columns)
@@ -222,11 +221,10 @@ def build_config(spec) -> ComparatorConfig:
 @settings(deadline=None, max_examples=300)
 @given(spec=ENGINE, rows=st.lists(ROW, min_size=1, max_size=6))
 def test_grid_rows_are_scalar_simulate(spec, rows):
-    # Each row against the scalar oracle at the row's supply on the
-    # configuration with the row's width: every ComparisonResult field by
-    # float.hex and the no-shutdown energy, or the fault code of the oracle's
-    # error and raise_row's class and message. simulate, one row of the grid
-    # on an engine at the row's supply, must give the same.
+    # Each row against the scalar simulate on an engine at the row's supply
+    # and with the row's width: every ComparisonResult field by float.hex and
+    # the no-shutdown energy from its fields, or the fault code of
+    # simulate's error and raise_row's class and message.
     config, target = build_config(spec), spec["target"]
     supply = [config.vdd if row["vdd"] is None else row["vdd"] for row in rows]
     ops = [OperatingPoint(vid=row["vid"], vcm=row["vcm_share"] * vdd,
@@ -251,26 +249,23 @@ def test_grid_rows_are_scalar_simulate(spec, rows):
          for name in CYCLE_DEVICES},
         [body.vb_plus for body in bodies], [body.vb_minus for body in bodies])
     for k, (engine, op, mm, body, vdd) in enumerate(zip(engines, ops, mismatches, bodies, supply)):
-        out = None if engine is None else outcome(
-            lambda: simulate_oracle.simulate(engine, op, mm, body, vdd))
+        at_supply = None if engine is None else ComparatorEngine(replace(engine.config, vdd=vdd))
+        out = None if engine is None else outcome(lambda: at_supply.simulate(op, mm, body))
         assert int(grid.fault[k]) in fault_codes(out)
         if engine is None:
             continue
-        at_supply = ComparatorEngine(replace(engine.config, vdd=vdd))
-        assert hexed(outcome(lambda: at_supply.simulate(op, mm, body))) == hexed(out)
         if not isinstance(out, ComparisonResult):
             assert outcome(lambda: grid.raise_row(k)) == out
             continue
         assert grid.raise_row(k) is None
         assert hexed(grid_row(grid, k)) == hexed(out)
-        e_off = simulate_oracle.energy_per_comparison(engine, vdd, out.i_tail, out.t_esd,
-                                                      False).total
+        e_off = vdd * out.i_tail * config.window + out.energy.e_latch + out.energy.e_reset
         assert float(grid.energy_noesd[k]).hex() == e_off.hex()
 
 
 def test_every_fault_code_raises_the_oracles_error():
     # One row per fault code, in one grid: the code, and raise_row's class
-    # and message against the scalar oracle. Rows that fault two ways take
+    # and message against the scalar simulate. Rows that fault two ways take
     # the check simulate makes first. Messages quote values as given, ints
     # included.
     config = ComparatorConfig()
@@ -296,8 +291,8 @@ def test_every_fault_code_raises_the_oracles_error():
             continue
         engine = ComparatorEngine(scaled_config(config, "inv_n", width[k]))
         op = OperatingPoint(vid=vid[k], vcm=vcm[k], corner=tt, t_kelvin=t_kelvin[k])
-        expected = outcome(lambda: simulate_oracle.simulate(engine, op, ZERO_MISMATCH,
-                                                            BodyBias(vb_plus[k], vb_minus[k])))
+        expected = outcome(lambda: engine.simulate(op, ZERO_MISMATCH,
+                                                   BodyBias(vb_plus[k], vb_minus[k])))
         assert fault_codes(expected) >= {code}
         assert outcome(lambda: grid.raise_row(k)) == expected
 
@@ -317,6 +312,22 @@ def test_nan_temperature_raises():
     assert str(raised.value) == message
     grid = simulate_grid(engine, [0.05] * 2, [0.9] * 2, [1.8] * 2, [tt] * 2, [300.0, math.nan])
     assert grid.fault.tolist() == [OK, BAD_PARAMS]
+    assert outcome(lambda: grid.raise_row(1)) == (ConfigError, message)
+
+
+@pytest.mark.parametrize("vid, vcm, message", [
+    (math.nan, 0.9, "|vid|=nan must be below vdd=1.8"),
+    (0.05, math.nan, "vcm=nan outside [0, vdd=1.8]"),
+])
+def test_nan_input_raises(vid, vcm, message):
+    # A NaN vid or vcm is a ConfigError naming it, in simulate and in a grid
+    # row, not a missing decision.
+    engine, tt = ComparatorEngine(ComparatorConfig()), CORNERS["TT"]
+    with pytest.raises(ConfigError) as raised:
+        engine.simulate(OperatingPoint(vid=vid, vcm=vcm))
+    assert str(raised.value) == message
+    grid = simulate_grid(engine, [0.05, vid], [0.9, vcm], [1.8] * 2, [tt] * 2, [300.0] * 2)
+    assert grid.fault.tolist() == [OK, BAD_OP]
     assert outcome(lambda: grid.raise_row(1)) == (ConfigError, message)
 
 
