@@ -226,9 +226,18 @@ def energy_split(caps: NodeCaps, vdd, i_tail, t_on, shutdown) -> tuple:
     return e_preamp, e_latch, e_ddvb, e_reset, e_preamp + e_latch + e_ddvb + e_reset
 
 
+def never_crosses(i_side, vth_sense):
+    """Where a preamp output ramping at i_side never reaches vth_sense: its crossing is inf."""
+    return (i_side <= 0.0) | (vth_sense <= 0.0)
+
+
+def crossing_time(i_side, vth_sense, c_out):
+    """The instant a preamp output ramping at i_side/c_out reaches vth_sense, where it does."""
+    return vth_sense * c_out / i_side
+
+
 def _crossing(i_side: float, vth_sense: float, c_out: float) -> float:
-    """The instant a preamp output ramping at i_side/c_out reaches vth_sense; inf if never."""
-    return math.inf if i_side <= 0.0 or vth_sense <= 0.0 else vth_sense * c_out / i_side
+    return math.inf if never_crosses(i_side, vth_sense) else crossing_time(i_side, vth_sense, c_out)
 
 
 class ComparatorEngine:
@@ -295,11 +304,14 @@ class ComparatorEngine:
         (t_dm beyond the window) are flagged, not raised, so sweeps near the
         common-mode limit can complete and report the stall.
 
-        simulate_grid runs the same cycle over rows of arrays. Both take
-        every formula from this module's helpers and devices.threshold; only
-        the branch selection (``if`` here, np.where there) is written twice,
-        and each grid row equals simulate bit for bit. One point runs here,
-        many rows there: the caller's input size picks the path.
+        simulate_grid runs the same cycle over rows of arrays, and each grid
+        row equals simulate bit for bit. Both take the device formulas, the
+        crossing, the lead side's timing and the energy from this module's
+        helpers and devices.threshold. Written in both: the branch selection
+        (``if`` here, np.where there), the overdrive vdd - (vcm -+ vid/2) -
+        vth, the tail clamp, the decision with its tie-break and the range
+        checks (the grid's fault codes). One point runs here, many rows
+        there: the caller's input size picks the path.
         """
         cfg, caps, g = self.config, self._caps, self.config.geoms
         vdd, window = cfg.vdd, cfg.window
@@ -385,8 +397,8 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
         return a if a is b else np.where(lead, a, b)
 
     def crossing(i_side, vth_sense):
-        return np.where((i_side <= 0.0) | (vth_sense <= 0.0), np.inf,
-                        vth_sense * caps.c_out / i_side)
+        return np.where(never_crosses(i_side, vth_sense), np.inf,
+                        crossing_time(i_side, vth_sense, caps.c_out))
 
     with np.errstate(all="ignore"):
         vth, beyond = dev.thresholds(cfg.pmos, vb - vdd, _sides(mismatch, "Mp4", "Mp5", 0), vth_p)

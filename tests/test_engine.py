@@ -14,7 +14,7 @@ from dyncomp.calibration import CalibrationConfig, measure_offset, monte_carlo, 
 from dyncomp.devices import (CORNERS, DEFAULT_NMOS, MIN_LENGTH, ZERO_MISMATCH, DeviceParams,
                              MismatchSample, TransistorGeom, default_geometry, sample_mismatch)
 from dyncomp.engine import (BodyBias, ComparatorConfig, ComparatorEngine, DecisionKernel,
-                            OperatingPoint, drain_current, mismatched_beta, typical_op)
+                            OperatingPoint, typical_op)
 from dyncomp.errors import ConfigError, NoDecisionError, SimulationError
 
 # Reference temperature keeps the worked numbers free of temperature factors.
@@ -37,21 +37,23 @@ MIRROR = (("Mp4", "Mp5"), ("Mn3", "Mn4"), ("Mni2", "Mni3"), ("Mpi1", "Mpi4"))
 
 
 def tail_current(engine, op, mismatch=ZERO_MISMATCH):
-    """The engine's tail current at op's corner and temperature."""
-    pmos = engine.params_at(op)[1]
-    return float(engine_module.tail_current(engine.config, engine.config.vdd, pmos.vth0,
-                                            pmos.mu_cox, mismatch.deltas))
+    """Mp1's square-law current less the switch derating at op's corner and
+    temperature, written out here rather than taken from the engine."""
+    cfg, pmos, g = engine.config, engine.params_at(op)[1], engine.config.geoms["Mp1"]
+    ov = max(0.0, cfg.vdd - (pmos.vth0 + mismatch.delta_vth("Mp1")))
+    beta = pmos.mu_cox * g.w / g.l * (1 + mismatch.delta_beta("Mp1"))
+    return 0.5 * beta * ov ** 2 * (1 - cfg.tail_derating)
 
 
 def pair_currents(engine, op, vth_minus, vth_plus, mismatch=ZERO_MISMATCH):
     """The input pair's square-law currents (I_minus, I_plus) at op's corner and
-    temperature before the tail clamp, from the engine's helpers."""
+    temperature before the tail clamp, written out here rather than taken
+    from the engine."""
     cfg, pmos, g = engine.config, engine.params_at(op)[1], engine.config.geoms["Mp4"]
     ov = (cfg.vdd - (op.vcm - op.vid / 2.0) - vth_minus,
           cfg.vdd - (op.vcm + op.vid / 2.0) - vth_plus)
-    betas = (mismatched_beta(pmos.mu_cox, g.w, g.l, mismatch.delta_beta(name))
-             for name in ("Mp4", "Mp5"))
-    return tuple(drain_current(b, x) if x > 0.0 else 0.0 for b, x in zip(betas, ov))
+    betas = (pmos.mu_cox * g.w / g.l * (1 + mismatch.delta_beta(name)) for name in ("Mp4", "Mp5"))
+    return tuple(0.5 * b * max(0.0, x) ** 2 for b, x in zip(betas, ov))
 
 
 class TestNodeCaps:
@@ -99,18 +101,22 @@ class TestCurrents:
         eng = ComparatorEngine(ComparatorConfig(tail_derating=0.0))
         expected = 0.5 * (150e-6 * 2e-6 / 0.18e-6) * (1.8 - 0.45) ** 2
         assert rel_err(tail_current(eng, OP0), expected) < 1e-12
+        assert rel_err(eng.simulate(OP0).i_tail, expected) < 1e-12
 
     def test_derating_scales_tail(self, engine):
-        base = tail_current(ComparatorEngine(ComparatorConfig(tail_derating=0.0)), OP0)
-        assert tail_current(engine, OP0) == base * 0.98
+        base = ComparatorEngine(ComparatorConfig(tail_derating=0.0)).simulate(OP0).i_tail
+        assert engine.simulate(OP0).i_tail == base * 0.98
 
     def test_cutoff_when_supply_below_threshold(self):
         op = OperatingPoint(vid=0.0, vcm=0.2, t_kelvin=300.0)
-        assert tail_current(ComparatorEngine(ComparatorConfig(vdd=0.4)), op) == 0.0
+        eng = ComparatorEngine(ComparatorConfig(vdd=0.4))
+        pmos = eng.params_at(op)[1]
+        assert tail_current(eng, op) == 0.0
+        assert engine_module.tail_current(eng.config, 0.4, pmos.vth0, pmos.mu_cox, {}) == 0.0
 
     def test_shutdown_flag_does_not_change_tail(self, engine):
         other = ComparatorEngine(ComparatorConfig(early_shutdown_enabled=False))
-        assert tail_current(engine, OP0) == tail_current(other, OP0)
+        assert engine.simulate(OP0).i_tail == other.simulate(OP0).i_tail
 
     def test_symmetric_at_zero_input(self, engine):
         op = replace(OP0, vid=0.0)
@@ -152,6 +158,14 @@ T1_OP0 = 2 * 0.45 * (8.5e-3 * 1.22e-6 * 0.18e-6) / ((150e-6 * 1.2e-6 / 0.18e-6)
 INVN_OP0 = 1.6 * (8.5e-3 * 0.22e-6 * 0.18e-6) / ((300e-6 * 0.22 / 0.18) * 1.8)
 INVP_PER_ALPHA = 1.6 * (8.5e-3 * 0.35e-6 * 0.18e-6) / ((150e-6 * 0.22 / 0.18) * 1.8)
 LATCH_OP0 = 1.6 * (8.5e-3 * 4e-6 * 0.18e-6) / ((300e-6 * 1 / 0.18) * 1.8)
+# The tail current at OP0 and the supply energy of each subcircuit, with
+# the tail cut at t_esd and the buffer chains charged on both sides.
+I_TAIL_OP0 = 0.5 * (150e-6 * 2e-6 / 0.18e-6) * (1.8 - 0.45) ** 2 * (1 - 0.02)
+T_ESD_OP0 = T1_OP0 + INVN_OP0 + 1.5 * INVP_PER_ALPHA
+E_PREAMP_OP0 = 1.8 * I_TAIL_OP0 * T_ESD_OP0
+E_LATCH = 8.5e-3 * 4e-6 * 0.18e-6 * 1.8 ** 2
+E_DDVB = 2 * 8.5e-3 * (0.22e-6 + 0.35e-6) * 0.18e-6 * 1.8 ** 2
+E_RESET = 2 * 8.5e-3 * 1.22e-6 * 0.18e-6 * 1.8 ** 2
 
 
 class TestTimingOps:
@@ -450,6 +464,15 @@ class TestDecisionKernel:
             vth_minus = engine.params_at(point)[1].vth0  # any threshold below the gate overdrive
             i_minus, i_plus = pair_currents(engine, point, vth_minus, vth_minus, mismatch)
             assert i_minus + i_plus > tail_current(engine, point, mismatch)
+            # At the supply's body voltage, simulate's t0 is the earlier
+            # crossing of the clamped currents.
+            vth_n, i_tail = engine.params_at(point)[0].vth0, tail_current(engine, point, mismatch)
+            i_minus, i_plus = pair_currents(engine, point, vth_minus + mismatch.delta_vth("Mp4"),
+                                            vth_minus + mismatch.delta_vth("Mp5"), mismatch)
+            t0 = min(engine.node_caps().c_out * (vth_n + mismatch.delta_vth(sense))
+                     / (i * i_tail / (i_minus + i_plus))
+                     for i, sense in ((i_minus, "Mn3"), (i_plus, "Mn4")))
+            assert rel_err(engine.simulate(point, mismatch).t0, t0) < 1e-12
         assert kernel_flip_point(engine, op, mismatch, body)[2]
         assert measure_offset(engine, op, mismatch, body) \
             == offset_oracle.measure_offset(engine, op, mismatch, body)
@@ -494,14 +517,22 @@ class TestEnergy:
     def test_breakdown_values(self, engine):
         r = engine.simulate(OP0)
         e = r.energy
-        caps = engine.node_caps()
-        vdd = 1.8
-        assert e.e_latch == caps.c_latch * vdd * vdd
-        assert e.e_reset == 2 * caps.c_out * vdd * vdd
-        assert e.e_ddvb == 2 * (caps.c_pi + caps.c_p3) * vdd * vdd
-        assert r.i_tail == tail_current(engine, OP0)
-        assert rel_err(e.e_preamp, vdd * r.i_tail * r.t_esd) < 1e-12
+        assert rel_err(r.i_tail, I_TAIL_OP0) < 1e-12
+        assert rel_err(r.t_esd, T_ESD_OP0) < 1e-12
+        assert rel_err(e.e_preamp, E_PREAMP_OP0) < 1e-12
+        assert rel_err(e.e_latch, E_LATCH) < 1e-12
+        assert rel_err(e.e_ddvb, E_DDVB) < 1e-12
+        assert rel_err(e.e_reset, E_RESET) < 1e-12
+        assert rel_err(e.total, E_PREAMP_OP0 + E_LATCH + E_DDVB + E_RESET) < 1e-12
         assert e.total == e.e_preamp + e.e_latch + e.e_ddvb + e.e_reset
+
+    def test_breakdown_values_without_shutdown(self):
+        r = ComparatorEngine(ComparatorConfig(early_shutdown_enabled=False)).simulate(OP0)
+        # The tail conducts for the whole window, and the chain never fires.
+        e_preamp = 1.8 * I_TAIL_OP0 * (0.5 / 333e6)
+        assert rel_err(r.energy.e_preamp, e_preamp) < 1e-12
+        assert r.energy.e_ddvb == 0.0
+        assert rel_err(r.energy.total, e_preamp + E_LATCH + E_RESET) < 1e-12
 
     def test_shutdown_saves_energy(self):
         on = ComparatorEngine(ComparatorConfig(early_shutdown_enabled=True))
