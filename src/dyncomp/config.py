@@ -126,9 +126,10 @@ def _parse_bool(key: str, value: str) -> bool:
 
 
 def _parse_caps(key: str, value: str) -> tuple[float, ...]:
-    parts = [p for p in value.split(",") if p.strip()]
-    if not parts:
-        raise ConfigError(f"{key}: expected a comma-separated list of capacitances")
+    parts = value.split(",")
+    if not all(p.strip() for p in parts):
+        raise ConfigError(f"{key}: expected a comma-separated list of capacitances "
+                          f"with no empty entry, got {value!r}")
     return tuple(_parse_float(key, p) for p in parts)
 
 

@@ -1,8 +1,8 @@
 """Batch runners: sweeps, Monte Carlo, CSV/JSON emission and the report.
 
 Output files are deterministic byte-for-byte for a fixed config and seed:
-floats take their 9-significant-digit CSV value when rows are built (a sweep's
-rows are parsed from each row's one formatting when first read), so a loaded
+every table is its rows' CSV lines, each float written once to 9 significant
+digits, and its rows are parsed from those lines when first read, so a loaded
 table equals the live one.
 """
 from __future__ import annotations
@@ -34,49 +34,43 @@ _NO_GRID = {"sweep_start": None, "sweep_stop": None, "sweep_points": None,
             "sweep_scale": "linear"}
 
 
-def round9(x: float) -> float:
-    """Normalize to the 9-significant-digit CSV representation."""
-    if isinstance(x, float) and math.isfinite(x):
-        return float(f"{x:.9g}")
-    return x
+# Every float in an output file: 9 significant digits.
+FLOAT_FORMAT = "%.9g"
 
 
-def fmt_cell(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.9g}"
-    return str(x)
+def fmt_cell(x: float) -> str:
+    return FLOAT_FORMAT % x
 
 
 class Table:
-    """One emitted result table: metadata lines, a header and rows.
+    """One emitted result table: metadata lines, a header and its rows' CSV
+    lines, ``text``, with the parser of each column's cells, ``types``.
 
-    A sweep's, a Monte Carlo run's or a loaded table is built from its rows'
-    CSV lines, ``text``, and the parser of each column's cells, ``types``:
-    the rows are parsed from the text the first time ``rows`` is read, so
+    The rows are parsed from the text the first time ``rows`` is read, so
     writing the CSV parses no cell, and reading a column parses only it.
     """
 
-    def __init__(self, columns: tuple[str, ...], rows: list[tuple] | None = None,
-                 metadata: dict[str, str] | None = None, text: list[str] | None = None,
-                 types: tuple[type, ...] = ()):
-        self.columns, self.text, self.types = columns, text, types
-        self.metadata = {} if metadata is None else metadata
+    def __init__(self, columns: tuple[str, ...], text: list[str], types: tuple[type, ...],
+                 metadata: dict[str, str]):
+        self.columns, self.text, self.types, self.metadata = columns, text, types, metadata
         self._parsed_columns: dict[int, list] = {}
-        if rows is not None:
-            self.rows = rows
+
+    @classmethod
+    def of_cells(cls, columns: tuple[str, ...], cells: list, metadata: dict[str, str]) -> Table:
+        """The table of the nonempty value columns ``cells``. Each row is
+        formatted once, a float column's cells to 9 significant digits, and a
+        column's cells parse back by the type of its first cell."""
+        fmt = ",".join(FLOAT_FORMAT if isinstance(column[0], float) else "%s" for column in cells)
+        return cls(columns, [fmt % row for row in zip(*cells)],
+                   tuple(type(column[0]) for column in cells), metadata)
 
     @functools.cached_property
     def rows(self) -> list[tuple]:
         return _parse_text(self.text, self.types)
 
-    @property
-    def unread(self) -> bool:
-        """Whether ``rows`` is unparsed, so that ``text`` holds the rows as they are."""
-        return "rows" not in vars(self)
-
     def column(self, k: int) -> list:
         """The cells of column k: from ``rows`` once read, else parsed from ``text`` once."""
-        if not self.unread:
+        if "rows" in vars(self):
             return [row[k] for row in self.rows]
         if k not in self._parsed_columns:
             self._parsed_columns[k] = list(map(self.types[k],
@@ -174,18 +168,17 @@ def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
     failed, e_on, e_off = grid.fault != OK, grid.energy, grid.energy_noesd
     with np.errstate(all="ignore"):
         savings = np.where(e_off > 0, 100.0 * (1.0 - e_on / e_off), math.nan)
-    # A failed row takes _failed_row's cells; zip drops the compare columns unless asked.
-    cells = [values] + [np.where(failed, fill, x).tolist() for fill, x in zip(
-        _failed_row(None, compare)[1:], (grid.decision, grid.t_dm, grid.t_esd, e_on * cfg.freq,
-                                         e_on, grid.late, e_off, savings))]
+    metrics = (grid.decision, grid.t_dm, grid.t_esd, e_on * cfg.freq, e_on, grid.late, e_off,
+               savings)
+    cells = [values] + [np.where(failed, fill, x).tolist()
+                        for fill, x in zip(_FAILED_CELLS[:len(columns) - 1], metrics)]
 
     meta = base_metadata(cfg, "sweep")
     if compare:
         meta["compare"] = "true"
     if sweep.plot_scale is not None:
         meta["plot_scale"] = sweep.plot_scale
-    return Table(columns, metadata=meta, text=_formatted(cells),
-                 types=tuple(type(column[0]) for column in cells))
+    return Table.of_cells(columns, cells, meta)
 
 
 def _raise_grid_bound(cfg: RunConfig, engine: ComparatorEngine, unswept: OperatingPoint,
@@ -210,17 +203,9 @@ def _raise_grid_bound(cfg: RunConfig, engine: ComparatorEngine, unswept: Operati
                                   f"{_default_mark(cfg, key)} is out of range: {exc}") from None
 
 
-def _failed_row(value, compare: bool) -> tuple:
-    """A sweep row whose point failed: no decision, NaN metrics, flagged late."""
-    return (round9(value), 0) + (math.nan,) * 4 + (1,) + (math.nan,) * 2 * compare
-
-
-def _formatted(cells: list[list]) -> list[str]:
-    """The CSV lines of the rows of the nonempty value columns ``cells``, each
-    row formatted once. Parsed back by column type, a float cell is round9's
-    value, so it loads back equal."""
-    fmt = ",".join("%.9g" if isinstance(column[0], float) else "%s" for column in cells)
-    return [fmt % row for row in zip(*cells)]
+# The cells after the sweep value of a row whose point failed: no decision,
+# NaN metrics, flagged late; the last two are the compare columns'.
+_FAILED_CELLS = (0,) + (math.nan,) * 4 + (1,) + (math.nan,) * 2
 
 
 def run_single(cfg: RunConfig, subcommand: str = "sim") -> Table:
@@ -231,11 +216,10 @@ def run_single(cfg: RunConfig, subcommand: str = "sim") -> Table:
     result = engine.simulate(op)
     columns = ("vid_V", "decision", "t0_s", "t1_s", "t_dm_s", "t_esd_s",
                "power_W", "energy_J", "shutdown", "late")
-    row = (round9(op.vid), result.decision, round9(result.t0), round9(result.t1),
-           round9(result.t_dm), round9(result.t_esd),
-           round9(result.energy.total * cfg.freq), round9(result.energy.total),
+    row = (op.vid, result.decision, result.t0, result.t1, result.t_dm, result.t_esd,
+           result.energy.total * cfg.freq, result.energy.total,
            int(result.shutdown_occurred), int(result.late))
-    return Table(columns=columns, rows=[row], metadata=base_metadata(cfg, subcommand))
+    return Table.of_cells(columns, list(zip(row)), base_metadata(cfg, subcommand))
 
 
 def run_montecarlo(cfg: RunConfig) -> tuple[OffsetStats, OffsetStats | None, Table]:
@@ -255,11 +239,10 @@ def run_montecarlo(cfg: RunConfig) -> tuple[OffsetStats, OffsetStats | None, Tab
         edges = stats.bin_edges
         rows += [(phase, lo, hi, count) for lo, hi, count in zip(edges, edges[1:], stats.counts)]
         meta[f"result.{phase}_n"] = str(stats.n)
-        meta[f"result.{phase}_mean_V"] = fmt_cell(round9(stats.mean))
-        meta[f"result.{phase}_sigma_V"] = fmt_cell(round9(stats.sigma))
+        meta[f"result.{phase}_mean_V"] = fmt_cell(stats.mean)
+        meta[f"result.{phase}_sigma_V"] = fmt_cell(stats.sigma)
         meta[f"result.{phase}_span_errors"] = str(stats.span_errors)
-    return before, after, Table(columns, metadata=meta, text=_formatted(list(zip(*rows))),
-                                types=(str, float, float, int))
+    return before, after, Table.of_cells(columns, list(zip(*rows)), meta)
 
 
 def run_calibrate_once(cfg: RunConfig, trial: int = 0) -> tuple:
@@ -270,15 +253,14 @@ def run_calibrate_once(cfg: RunConfig, trial: int = 0) -> tuple:
     mm = sample_mismatch(cfg.seed, trial, config.geoms.values(), avt=cfg.avt, abeta=cfg.abeta)
     result = run_calibration(config, mm, cal, op)
     columns = ("cycle", "daco_V", "step_V", "s")
-    rows = [(c, round9(d), round9(s), sgn) for c, d, s, sgn in result.state.history]
     meta = base_metadata(cfg, "calibrate")
     meta["result.trial"] = str(trial)
-    meta["result.offset_before_V"] = fmt_cell(round9(result.offset_before))
-    meta["result.offset_after_V"] = fmt_cell(round9(result.offset_after))
-    meta["result.residual_bound_V"] = fmt_cell(round9(residual_bound(cal, config)))
+    meta["result.offset_before_V"] = fmt_cell(result.offset_before)
+    meta["result.offset_after_V"] = fmt_cell(result.offset_after)
+    meta["result.residual_bound_V"] = fmt_cell(residual_bound(cal, config))
     meta["result.converged"] = "true" if result.converged else "false"
     meta["result.saturated"] = "true" if result.saturated else "false"
-    return result, Table(columns=columns, rows=rows, metadata=meta)
+    return result, Table.of_cells(columns, list(zip(*result.state.history)), meta)
 
 
 def run_sizing(cfg: RunConfig) -> Table:
@@ -287,10 +269,9 @@ def run_sizing(cfg: RunConfig) -> Table:
     config = build_comparator_config(cfg)
     geom_residual = sizing_mod.balance_residual_for(config, build_operating_point(cfg))
     columns = ("alpha", "x", "y", "residual", "geom_residual_s")
-    rows = [(round9(cfg.alpha), round9(solution.x), round9(solution.y),
-             round9(sizing_mod.normalized_balance_residual(solution)),
-             round9(geom_residual))]
-    return Table(columns=columns, rows=rows, metadata=base_metadata(cfg, "size"))
+    row = (cfg.alpha, solution.x, solution.y, sizing_mod.normalized_balance_residual(solution),
+           geom_residual)
+    return Table.of_cells(columns, list(zip(row)), base_metadata(cfg, "size"))
 
 
 # -- serialization ---------------------------------------------------------------
@@ -299,8 +280,7 @@ def run_sizing(cfg: RunConfig) -> Table:
 def render_csv(table: Table) -> str:
     lines = [f"# {k}={v}" for k, v in table.metadata.items()]
     lines.append(",".join(table.columns))
-    lines += (table.text if table.unread
-              else [",".join(map(fmt_cell, row)) for row in table.rows])
+    lines += table.text
     return "\n".join(lines) + "\n"
 
 
@@ -310,7 +290,7 @@ def emit_csv(table: Table, path) -> None:
 
 
 def render_json(table: Table) -> str:
-    # Every row is built from 9-digit values: no float needs rounding here.
+    # The rows are parsed from their 9-digit text: no float needs rounding here.
     payload = {"metadata": table.metadata, "columns": list(table.columns), "rows": table.rows}
     return json.dumps(payload, indent=2, allow_nan=True) + "\n"
 
@@ -367,7 +347,7 @@ def load_csv(path) -> Table:
             raise ConfigError(f"{path}: line {lineno} has {cells} cells; "
                               f"the header has {len(columns)}")
         text.append(line)
-    return Table(columns, metadata=metadata, text=text, types=(_parse_cell,) * len(columns))
+    return Table(columns, text, (_parse_cell,) * len(columns), metadata)
 
 
 # -- report -----------------------------------------------------------------------

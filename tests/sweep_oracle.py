@@ -5,7 +5,9 @@ grid point, as ``run_sweep`` was first written, after a scalar check of the
 grid's two ends that names the offending bound. A ``vdd`` sweep runs each
 point on an engine at its supply; every other point runs at the configured one.
 ``run_sweep_oracle`` returns the table that ``run_sweep`` must render byte
-for byte, and raises where it must raise, with the message it must give.
+for byte, and raises where it must raise, with the message it must give. Its
+rows are built here, each float rounded to 9 significant digits, and its CSV
+lines are formatted from them here, so neither goes through the harness.
 """
 import math
 from dataclasses import replace
@@ -17,8 +19,21 @@ from dyncomp.config import SWEEPS, RunConfig, build_comparator_config, build_ope
 from dyncomp.devices import T_REF
 from dyncomp.engine import ComparatorEngine
 from dyncomp.errors import ConfigError, SimulationError
-from dyncomp.harness import (Table, _default_mark, _failed_row, _grid_values, base_metadata,
-                             round9)
+from dyncomp.harness import Table, _default_mark, _grid_values, base_metadata
+
+
+def round9(x):
+    """A float at its 9-significant-digit CSV value; other cells as they are."""
+    return float(f"{x:.9g}") if isinstance(x, float) else x
+
+
+def failed_row(value, compare: bool) -> tuple:
+    """A sweep row whose point failed: no decision, NaN metrics, flagged late."""
+    return (round9(value), 0) + (math.nan,) * 4 + (1,) + (math.nan,) * 2 * compare
+
+
+def csv_line(row: tuple) -> str:
+    return ",".join(f"{x:.9g}" if isinstance(x, float) else str(x) for x in row)
 
 
 def _point_fields(cfg: RunConfig, value) -> dict:
@@ -96,12 +111,12 @@ def run_sweep_oracle(cfg, compare: bool = False) -> Table:
             try:
                 eng = ComparatorEngine(sizing.scaled_config(config, sweep.width_target, value))
             except ConfigError:
-                rows.append(_failed_row(value, compare))
+                rows.append(failed_row(value, compare))
                 continue
         try:
             result = eng.simulate(op)
         except SimulationError:
-            rows.append(_failed_row(value, compare))
+            rows.append(failed_row(value, compare))
             continue
         e_on = result.energy.total
         row = [round9(value), result.decision, round9(result.t_dm), round9(result.t_esd),
@@ -118,4 +133,6 @@ def run_sweep_oracle(cfg, compare: bool = False) -> Table:
         meta["compare"] = "true"
     if sweep.plot_scale is not None:
         meta["plot_scale"] = sweep.plot_scale
-    return Table(columns=tuple(columns), rows=rows, metadata=meta)
+    table = Table(tuple(columns), list(map(csv_line, rows)), tuple(map(type, rows[0])), meta)
+    table.rows = rows
+    return table

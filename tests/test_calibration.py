@@ -317,6 +317,35 @@ class TestMonteCarlo:
         pelgrom_pair = math.sqrt(2) * 5e-9 / math.sqrt(1.2e-6 * 0.18e-6)
         assert pelgrom_pair / 2 <= stats.sigma <= 2 * pelgrom_pair
 
+    @pytest.mark.parametrize("corner, temp_c, vcm", [
+        ("TT", 27.0, 0.9), ("SS", 27.0, 0.9), ("FF", 27.0, 0.9), ("TT", -40.0, 0.9),
+        ("TT", 85.0, 0.9), ("TT", 27.0, 0.7), ("TT", 27.0, 1.1)])
+    def test_sigma_is_the_first_order_pelgrom_sum(self, corner, temp_c, vcm):
+        # The input-referred offset to first order in the mismatch (Pelgrom
+        # et al., JSSC 1989), with its derivatives written out: 1 per volt of
+        # an input device's threshold, half the overdrive A - vth_p per unit
+        # of its relative beta, and (A - vth_p) / (2 vth_n) per volt of an
+        # Mn3/Mn4 threshold, where A = vdd - vcm; each term once per device of
+        # the pair. The Monte Carlo sigma must lie within 4 sampling errors of
+        # it, and the mean within 4 standard errors of 0. No point here has a
+        # span error, which would drop its trial from the statistics.
+        n, vdd, t_kelvin = 20000, ComparatorConfig().vdd, temp_c + 273.15
+        names, scales = devices.mismatch_scales(default_geometry().values())
+        p, n3 = 2 * names.index("Mp4"), 2 * names.index("Mn3")
+        sigma_vt_p, sigma_beta_p, sigma_vt_n = scales[p], scales[p + 1], scales[n3]
+        vth_p, vth_n = (devices.apply_temperature(devices.apply_corner(params, CORNERS[corner]),
+                                                  t_kelvin).vth0
+                        for params in (DEFAULT_PMOS, DEFAULT_NMOS))
+        overdrive = vdd - vcm - vth_p
+        analytic = math.sqrt(2 * sigma_vt_p ** 2 + 2 * (overdrive / 2) ** 2 * sigma_beta_p ** 2
+                             + 2 * (overdrive / (2 * vth_n)) ** 2 * sigma_vt_n ** 2)
+        op = OperatingPoint(vid=0.0, vcm=vcm, corner=CORNERS[corner], t_kelvin=t_kelvin)
+        stats, _ = monte_carlo(n, 1, ComparatorConfig(), CalibrationConfig(), calibrate=False,
+                               op=op)
+        assert stats.span_errors == 0
+        assert abs(stats.sigma - analytic) <= 4 * stats.sigma / math.sqrt(2 * (n - 1))
+        assert abs(stats.mean) <= 4 * stats.sigma / math.sqrt(n)
+
     def test_one_pass_matches_run_calibration(self):
         cfg, cal = ComparatorConfig(), CalibrationConfig()
         before, after = monte_carlo(8, 4, cfg, cal, calibrate=True)

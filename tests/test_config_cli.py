@@ -26,7 +26,7 @@ from dyncomp.engine import (EXTRA_NODES, ComparatorConfig, ComparatorEngine, Dec
                             OperatingPoint)
 from dyncomp.errors import ConfigError, SimulationError
 from dyncomp.harness import (REPORT_SWEEP_VARIABLES, Table, _column, _parse_cell, emit_csv,
-                             load_csv, render_csv, render_json, replace_runconfig, round9,
+                             load_csv, render_csv, render_json, replace_runconfig,
                              run_calibrate_once, run_montecarlo, run_single, run_sizing, run_sweep)
 
 
@@ -160,6 +160,13 @@ class TestParseConfig:
         cal = build_calibration_config(cfg)
         assert cal.dac_caps == (1e-13, 2e-13)
         assert cal.n_cycles == 2
+
+    @pytest.mark.parametrize("value", ["1e-15,,2e-15", "1e-15,2e-15,", ",1e-15", "1e-15, ,2e-15",
+                                       "", " "])
+    def test_cal_caps_empty_entry(self, value):
+        # An empty entry is an error, not a capacitor fewer.
+        with pytest.raises(ConfigError, match=r"^cal\.caps: .*no empty entry"):
+            apply_overrides(RunConfig(), [f"cal.caps={value}"])
 
     def test_overrides(self):
         cfg = RunConfig()
@@ -414,6 +421,20 @@ def sweep_of(variable: str) -> RunConfig:
     return replace_runconfig(RunConfig(), sweep_variable=variable, **points)
 
 
+def columns_of(table: Table, keep: list[int]) -> Table:
+    """``table`` with only the columns ``keep``, in that order, cut from its text."""
+    return Table(tuple(table.columns[k] for k in keep),
+                 [",".join(line.split(",")[k] for k in keep) for line in table.text],
+                 tuple(table.types[k] for k in keep), table.metadata)
+
+
+def set_cell(table: Table, row: int, k: int, text: str) -> None:
+    """Write ``text`` as the cell of column ``k`` in the CSV line of ``row``."""
+    cells = table.text[row].split(",")
+    cells[k] = text
+    table.text[row] = ",".join(cells)
+
+
 def count_calls(monkeypatch, method: str) -> list:
     """Record every call of the ComparatorEngine ``method`` in the returned list."""
     calls = []
@@ -444,7 +465,7 @@ def test_compare_energy_is_the_no_shutdown_engine(vid, vcm_share, vdd, temp_c, c
     except SimulationError:
         assert math.isnan(row["energy_noesd_J"])
         return
-    assert row["energy_noesd_J"] == round9(expected)
+    assert row["energy_noesd_J"] == float(f"{expected:.9g}")
     assert row["energy_J"] <= row["energy_noesd_J"]
 
 
@@ -781,8 +802,7 @@ class TestReport:
         path = copy / "sweep_temp.csv"
         table = load_csv(path)
         keep = [k for k, name in enumerate(table.columns) if name != "savings_pct"]
-        emit_csv(Table(tuple(table.columns[k] for k in keep),
-                       [tuple(row[k] for k in keep) for row in table.rows], table.metadata), path)
+        emit_csv(columns_of(table, keep), path)
         assert main(["report", "--from-dir", str(copy)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: ConfigError: {path}: ") and "savings_pct" in err
@@ -795,7 +815,7 @@ class TestReport:
         path = copy / name
         table = load_csv(path)
         columns = tuple(f"{c}_old" if c == column else c for c in table.columns)
-        emit_csv(Table(columns, table.rows, table.metadata), path)
+        emit_csv(Table(columns, table.text, table.types, table.metadata), path)
         assert main(["report", "--from-dir", str(copy)]) == 2
         assert capsys.readouterr().err == f"error: ConfigError: {path}: missing column {column}\n"
 
@@ -805,8 +825,7 @@ class TestReport:
         path = copy / "fast.csv"
         table = load_csv(path)
         order = sorted(range(len(table.columns)), key=lambda k: table.columns[k])
-        emit_csv(Table(tuple(table.columns[k] for k in order),
-                       [tuple(row[k] for k in order) for row in table.rows], table.metadata), path)
+        emit_csv(columns_of(table, order), path)
         assert main(["report", "--from-dir", str(copy)]) == 0
         assert capsys.readouterr().out == (bundle / "report.txt").read_text(encoding="utf-8")
 
@@ -816,7 +835,7 @@ class TestReport:
         shutil.copytree(bundle, copy)
         path = copy / name
         table = load_csv(path)
-        emit_csv(Table(table.columns, [], table.metadata), path)
+        emit_csv(Table(table.columns, [], table.types, table.metadata), path)
         assert main(["report", "--from-dir", str(copy)]) == 2
         assert capsys.readouterr().err == f"error: ConfigError: {path}: no data row\n"
 
@@ -844,7 +863,7 @@ class TestReport:
             table.metadata[key], what = "abc", f"metadata key {key}"
         else:  # the last row: the report reads every savings_pct cell
             k = table.columns.index(key)
-            table.rows[-1] = table.rows[-1][:k] + ("abc",) + table.rows[-1][k + 1:]
+            set_cell(table, -1, k, "abc")
             what = f"column {key}"
         emit_csv(table, path)
         assert main(["report", "--from-dir", str(copy)]) == 2
@@ -859,7 +878,7 @@ class TestReport:
         path = copy / "fast.csv"
         table = load_csv(path)
         k = table.columns.index("t_dm_s")
-        table.rows[0] = table.rows[0][:k] + (value,) + table.rows[0][k + 1:]
+        set_cell(table, 0, k, f"{value:.9g}")
         emit_csv(table, path)
         assert main(["report", "--from-dir", str(copy)]) == 2
         assert capsys.readouterr().err == (f"error: ConfigError: {path}: column t_dm_s is not "
