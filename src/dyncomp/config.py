@@ -3,68 +3,26 @@
 The config namespace is flat with dotted keys (section headers in files are
 organizational only). ``auto`` resolves context-dependent defaults: the
 common-mode voltage tracks vdd/2 and the calibration period tracks the clock.
-Each key is declared once, in ``_KEYS`` or ``_PREFIXED``: parsing, range
-checks and the emitted metadata all follow from those two tables.
+
+Each key is declared once. A scalar key's ``_KEYS`` entry gives its
+``RunConfig`` field (the key with dots as underscores), its default (a model
+default is read from the model class), its parser, its range check and its
+place in the emitted metadata. A ``_PREFIXED`` entry gives the ``RunConfig``
+dict that its ``<prefix>.<name>`` keys fill, the names allowed and their
+range check. ``RunConfig`` is built from the two tables, plus its
+``warnings`` list.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable
+from dataclasses import dataclass, field, make_dataclass, replace
+from typing import Any, Callable, Iterable
 
 from . import devices as dev
 from .calibration import CalibrationConfig
 from .devices import CORNERS, DEFAULT_NMOS, DEFAULT_PMOS, DeviceParams, default_geometry
 from .engine import EXTRA_NODES, ComparatorConfig, OperatingPoint
 from .errors import ConfigError
-
-
-@dataclass
-class RunConfig:
-    """Flat run settings; model defaults are taken from the model classes."""
-
-    vdd: float = ComparatorConfig.vdd
-    vcm: float | None = None            # auto -> vdd/2
-    vid: float = OperatingPoint.vid
-    freq: float = ComparatorConfig.freq
-    corner: str = OperatingPoint.corner.name
-    temp_c: float = 27.0
-    alpha: float = ComparatorConfig.alpha
-    shutdown: bool = ComparatorConfig.early_shutdown_enabled
-    tie_break: int = ComparatorConfig.tie_break
-    tail_derating: float = ComparatorConfig.tail_derating
-    gamma: float = DeviceParams.gamma
-    phi2f: float = DeviceParams.phi2f
-    cox_area: float = DeviceParams.cox_area
-    nmos_mu_cox: float = DEFAULT_NMOS.mu_cox
-    nmos_vth0: float = DEFAULT_NMOS.vth0
-    pmos_mu_cox: float = DEFAULT_PMOS.mu_cox
-    pmos_vth0: float = DEFAULT_PMOS.vth0
-    avt: float = dev.AVT_DEFAULT
-    abeta: float = dev.ABETA_DEFAULT
-    extra: dict[str, float] = field(default_factory=dict)
-    widths: dict[str, float] = field(default_factory=dict)
-    lengths: dict[str, float] = field(default_factory=dict)
-    sweep_variable: str | None = None
-    sweep_start: float | None = None
-    sweep_stop: float | None = None
-    sweep_points: int | None = None
-    sweep_scale: str = "linear"
-    seed: int = 1
-    trials: int = 500
-    calibrate: bool = False
-    cal_cycles: int = CalibrationConfig.n_cycles
-    cal_phases: int = CalibrationConfig.n_phases
-    cal_cb: float = CalibrationConfig.cb
-    cal_c0: float = CalibrationConfig.c0
-    cal_caps: tuple[float, ...] = CalibrationConfig.dac_caps
-    cal_cp_beta: float = CalibrationConfig.cp_beta
-    cal_cp_vthn: float = CalibrationConfig.cp_vthn
-    cal_period: float | None = None     # auto -> 1/freq
-    cal_vref: float | None = None       # auto -> vdd/2
-    cal_tol: float = CalibrationConfig.tol_os
-    cal_span: float = CalibrationConfig.span
-    warnings: list[str] = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -161,46 +119,48 @@ _NONNEGATIVE = (lambda x: x >= 0, "must be >= 0")
 _AT_LEAST_1 = (lambda x: x >= 1, "must be >= 1")
 
 # Every scalar key, in the order resolved_metadata emits it: key -> (parser,
-# range check or None).
+# range check or None, default). Model defaults are read from the model classes.
 _KEYS = {
-    "vdd": (_parse_float, _POSITIVE),
-    "vcm": (_Unset(_parse_float), _NONNEGATIVE),
-    "vid": (_parse_float, None),
-    "freq": (_parse_float, _POSITIVE),
-    "corner": (_choice(*CORNERS, upper=True), None),
-    "temp_c": (_parse_float, (lambda x: x > -273.15, "must be above absolute zero")),
-    "alpha": (_parse_float, _AT_LEAST_1),
-    "shutdown": (_parse_bool, None),
-    "tie_break": (_parse_int, (lambda x: x in (1, -1), "must be +1 or -1")),
-    "tail_derating": (_parse_float, (lambda x: 0.0 <= x < 1.0, "must be in [0, 1)")),
-    "gamma": (_parse_float, _NONNEGATIVE),
-    "phi2f": (_parse_float, _POSITIVE),
-    "cox_area": (_parse_float, _POSITIVE),
-    "nmos.mu_cox": (_parse_float, _POSITIVE),
-    "nmos.vth0": (_parse_float, _POSITIVE),
-    "pmos.mu_cox": (_parse_float, _POSITIVE),
-    "pmos.vth0": (_parse_float, _POSITIVE),
-    "avt": (_parse_float, _NONNEGATIVE),
-    "abeta": (_parse_float, _NONNEGATIVE),
-    "sweep.variable": (_Unset(_choice(*SWEEPS), ("none", "")), None),
-    "sweep.start": (_Unset(_parse_float), None),
-    "sweep.stop": (_Unset(_parse_float), None),
-    "sweep.points": (_Unset(_parse_int), (lambda x: x >= 2, "must be >= 2")),
-    "sweep.scale": (_choice("linear", "log"), None),
-    "seed": (_parse_int, _NONNEGATIVE),
-    "trials": (_parse_int, (lambda x: 1 <= x <= 2**32, "must be in [1, 2**32]")),
-    "calibrate": (_parse_bool, None),
-    "cal.cycles": (_parse_int, _AT_LEAST_1),
-    "cal.phases": (_parse_int, _AT_LEAST_1),
-    "cal.cb": (_parse_float, _POSITIVE),
-    "cal.c0": (_parse_float, _POSITIVE),
-    "cal.caps": (_parse_caps, _POSITIVE),
-    "cal.cp_beta": (_parse_float, _POSITIVE),
-    "cal.cp_vthn": (_parse_float, None),
-    "cal.period": (_Unset(_parse_float), _POSITIVE),
-    "cal.vref": (_Unset(_parse_float), None),
-    "cal.tol": (_parse_float, _POSITIVE),
-    "cal.span": (_parse_float, _POSITIVE),
+    "vdd": (_parse_float, _POSITIVE, ComparatorConfig.vdd),
+    "vcm": (_Unset(_parse_float), _NONNEGATIVE, None),          # auto -> vdd/2
+    "vid": (_parse_float, None, OperatingPoint.vid),
+    "freq": (_parse_float, _POSITIVE, ComparatorConfig.freq),
+    "corner": (_choice(*CORNERS, upper=True), None, OperatingPoint.corner.name),
+    "temp_c": (_parse_float, (lambda x: x > -273.15, "must be above absolute zero"), 27.0),
+    "alpha": (_parse_float, _AT_LEAST_1, ComparatorConfig.alpha),
+    "shutdown": (_parse_bool, None, ComparatorConfig.early_shutdown_enabled),
+    "tie_break": (_parse_int, (lambda x: x in (1, -1), "must be +1 or -1"),
+                  ComparatorConfig.tie_break),
+    "tail_derating": (_parse_float, (lambda x: 0.0 <= x < 1.0, "must be in [0, 1)"),
+                      ComparatorConfig.tail_derating),
+    "gamma": (_parse_float, _NONNEGATIVE, DeviceParams.gamma),
+    "phi2f": (_parse_float, _POSITIVE, DeviceParams.phi2f),
+    "cox_area": (_parse_float, _POSITIVE, DeviceParams.cox_area),
+    "nmos.mu_cox": (_parse_float, _POSITIVE, DEFAULT_NMOS.mu_cox),
+    "nmos.vth0": (_parse_float, _POSITIVE, DEFAULT_NMOS.vth0),
+    "pmos.mu_cox": (_parse_float, _POSITIVE, DEFAULT_PMOS.mu_cox),
+    "pmos.vth0": (_parse_float, _POSITIVE, DEFAULT_PMOS.vth0),
+    "avt": (_parse_float, _NONNEGATIVE, dev.AVT_DEFAULT),
+    "abeta": (_parse_float, _NONNEGATIVE, dev.ABETA_DEFAULT),
+    "sweep.variable": (_Unset(_choice(*SWEEPS), ("none", "")), None, None),
+    "sweep.start": (_Unset(_parse_float), None, None),
+    "sweep.stop": (_Unset(_parse_float), None, None),
+    "sweep.points": (_Unset(_parse_int), (lambda x: x >= 2, "must be >= 2"), None),
+    "sweep.scale": (_choice("linear", "log"), None, "linear"),
+    "seed": (_parse_int, _NONNEGATIVE, 1),
+    "trials": (_parse_int, (lambda x: 1 <= x <= 2**32, "must be in [1, 2**32]"), 500),
+    "calibrate": (_parse_bool, None, False),
+    "cal.cycles": (_parse_int, _AT_LEAST_1, CalibrationConfig.n_cycles),
+    "cal.phases": (_parse_int, _AT_LEAST_1, CalibrationConfig.n_phases),
+    "cal.cb": (_parse_float, _POSITIVE, CalibrationConfig.cb),
+    "cal.c0": (_parse_float, _POSITIVE, CalibrationConfig.c0),
+    "cal.caps": (_parse_caps, _POSITIVE, CalibrationConfig.dac_caps),
+    "cal.cp_beta": (_parse_float, _POSITIVE, CalibrationConfig.cp_beta),
+    "cal.cp_vthn": (_parse_float, None, CalibrationConfig.cp_vthn),
+    "cal.period": (_Unset(_parse_float), _POSITIVE, None),      # auto -> 1/freq
+    "cal.vref": (_Unset(_parse_float), None, None),             # auto -> vdd/2
+    "cal.tol": (_parse_float, _POSITIVE, CalibrationConfig.tol_os),
+    "cal.span": (_parse_float, _POSITIVE, CalibrationConfig.span),
 }
 # A key's RunConfig field is the key with its dots replaced by underscores.
 _FIELDS = {key: key.replace(".", "_") for key in _KEYS}
@@ -212,6 +172,19 @@ _PREFIXED = {
     "l": ("lengths", frozenset(default_geometry()), _POSITIVE),
     "extra": ("extra", EXTRA_NODES, _NONNEGATIVE),
 }
+
+RunConfig = make_dataclass(
+    "RunConfig",
+    [(_FIELDS[key], Any, field(default=default)) for key, (_, _, default) in _KEYS.items()]
+    + [(name, dict[str, float], field(default_factory=dict)) for name, _, _ in _PREFIXED.values()]
+    + [("warnings", list[str], field(default_factory=list))],
+    namespace={"__module__": __name__,
+               "__doc__": "Flat run settings: one field per key of _KEYS and prefix of _PREFIXED."})
+
+
+def is_default(cfg: RunConfig, key: str) -> bool:
+    """Whether the scalar ``key`` holds its declared default in ``cfg``."""
+    return getattr(cfg, _FIELDS[key]) == _KEYS[key][2]
 
 
 def _checked(key: str, value, check):
@@ -229,7 +202,7 @@ def set_key(cfg: RunConfig, key: str, value: str) -> None:
     k = key.strip()
     v = value.strip()
     if k in _KEYS:
-        parse, check = _KEYS[k]
+        parse, check, _ = _KEYS[k]
         setattr(cfg, _FIELDS[k], _checked(k, parse(k, v), check))
         return
     prefix, _, name = k.partition(".")
@@ -292,10 +265,13 @@ def build_device_params(cfg: RunConfig) -> tuple[DeviceParams, DeviceParams]:
 
 def build_comparator_config(cfg: RunConfig) -> ComparatorConfig:
     geoms = default_geometry()
-    for name, w in cfg.widths.items():
-        geoms[name] = replace(geoms[name], w=w)
-    for name, l in cfg.lengths.items():
-        geoms[name] = replace(geoms[name], l=l)
+    # A geometry key's prefix is the TransistorGeom field it sets.
+    for prefix, entries in (("w", cfg.widths), ("l", cfg.lengths)):
+        for name, value in entries.items():
+            try:
+                geoms[name] = replace(geoms[name], **{prefix: value})
+            except ConfigError as exc:
+                raise ConfigError(f"{prefix}.{name}: {exc}") from None
     nmos, pmos = build_device_params(cfg)
     return ComparatorConfig(
         geoms=geoms, nmos=nmos, pmos=pmos, vdd=cfg.vdd, freq=cfg.freq,
@@ -355,7 +331,7 @@ def resolved_metadata(cfg: RunConfig) -> dict[str, str]:
     by the tool version).
     """
     meta: dict[str, str] = {}
-    for key, (parse, _) in _KEYS.items():
+    for key, (parse, _, _) in _KEYS.items():
         value = getattr(cfg, _FIELDS[key])
         meta[key] = parse.words[0] if value is None else _fmt(value)
     for prefix, (field_name, _, _) in _PREFIXED.items():

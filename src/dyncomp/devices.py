@@ -20,6 +20,8 @@ PMOS = "pmos"
 
 MIN_WIDTH = 0.22e-6
 MIN_LENGTH = 0.18e-6
+# A geometry is built if it reaches its floor within this tolerance, m.
+GEOM_TOL = 1e-15
 
 # First-order temperature behavior: mobility ~ (T/300K)^-1.5 and the
 # threshold magnitude drops 2 mV per kelvin above 300 K.
@@ -74,9 +76,9 @@ class TransistorGeom:
     polarity: str
 
     def __post_init__(self):
-        if not self.w >= MIN_WIDTH - 1e-15:
+        if not self.w >= MIN_WIDTH - GEOM_TOL:
             raise ConfigError(f"{self.name}: width {self.w} below minimum {MIN_WIDTH}")
-        if not self.l >= MIN_LENGTH - 1e-15:
+        if not self.l >= MIN_LENGTH - GEOM_TOL:
             raise ConfigError(f"{self.name}: length {self.l} below minimum {MIN_LENGTH}")
         if self.polarity not in (NMOS, PMOS):
             raise ConfigError(f"{self.name}: bad polarity {self.polarity!r}")

@@ -387,8 +387,8 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
     # One device per symmetric pair: ComparatorEngine checks the pairs equal.
     (w_p4, l_p4), (w_n3, l_n3), (w_ni2, l_ni2), (w_pi1, l_pi1) = (
         (widths.get(name, g[name].w), g[name].l) for name in ("Mp4", "Mn3", "Mni2", "Mpi1"))
-    unbuilt = (np.any([~(w >= dev.MIN_WIDTH - 1e-15) for w in widths.values()], axis=0) if widths
-               else np.zeros(vid.shape, bool))
+    unbuilt = (np.any([~(w >= dev.MIN_WIDTH - dev.GEOM_TOL) for w in widths.values()], axis=0)
+               if widths else np.zeros(vid.shape, bool))
     delta = lambda name, i: mismatch.get(name, _ZERO)[i]  # i = 0: delta_vth, 1: delta_beta
 
     def lead_side(minus, plus, i):

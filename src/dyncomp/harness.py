@@ -21,7 +21,7 @@ from . import sizing as sizing_mod
 from .calibration import (OffsetStats, monte_carlo, residual_bound,
                           run_calibration)
 from .config import (SWEEPS, RunConfig, build_calibration_config, build_comparator_config,
-                     build_operating_point, resolved_metadata)
+                     build_operating_point, is_default, resolved_metadata)
 from .devices import CORNERS, T_REF, sample_mismatch
 from .engine import (BAD_OP, BAD_PARAMS, OK, ComparatorEngine, GridResult, OperatingPoint,
                      simulate_grid)
@@ -29,9 +29,8 @@ from .errors import ConfigError
 
 TOOL_NAME = "dyncomp-sim"
 
-# The grid fields at their unset values, for runs that take no grid.
-_NO_GRID = {"sweep_start": None, "sweep_stop": None, "sweep_points": None,
-            "sweep_scale": "linear"}
+# The keys of a numeric sweep grid, which a run that takes no grid leaves at their defaults.
+_GRID_KEYS = ("sweep.start", "sweep.stop", "sweep.points", "sweep.scale")
 
 
 # Every float in an output file: 9 significant digits.
@@ -91,9 +90,9 @@ def base_metadata(cfg: RunConfig, subcommand: str) -> dict[str, str]:
 
 def _reject_grid(cfg: RunConfig, user: str) -> None:
     """Name the first grid key set in ``cfg``; ``user`` takes none of them."""
-    for name, unset in _NO_GRID.items():
-        if getattr(cfg, name) != unset:
-            raise ConfigError(f"{name.replace('_', '.', 1)}: not used by {user}")
+    for key in _GRID_KEYS:
+        if not is_default(cfg, key):
+            raise ConfigError(f"{key}: not used by {user}")
 
 
 def _grid_values(cfg: RunConfig) -> list:
@@ -121,7 +120,7 @@ def _grid_values(cfg: RunConfig) -> list:
 
 def _default_mark(cfg: RunConfig, key: str) -> str:
     """' (default)' where the grid bound ``key`` comes from the variable's default grid."""
-    return "" if getattr(cfg, key.replace(".", "_")) is not None else " (default)"
+    return " (default)" if is_default(cfg, key) else ""
 
 
 def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:

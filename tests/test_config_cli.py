@@ -17,11 +17,11 @@ from dyncomp.calibration import CalibrationConfig
 from offset_oracle import scalar_offsets
 from sweep_oracle import run_sweep_oracle
 from dyncomp.cli import build_parser, main
-from dyncomp.config import (SWEEPS, RunConfig, apply_overrides,
+from dyncomp.config import (_KEYS, _PREFIXED, SWEEPS, RunConfig, apply_overrides,
                             build_calibration_config, build_comparator_config,
-                            build_operating_point, config_from_metadata,
+                            build_device_params, build_operating_point, config_from_metadata,
                             parse_config, resolved_metadata, set_key)
-from dyncomp.devices import CORNERS, default_geometry
+from dyncomp.devices import CORNERS, DEFAULT_NMOS, DEFAULT_PMOS, default_geometry
 from dyncomp.engine import (EXTRA_NODES, ComparatorConfig, ComparatorEngine, DecisionKernel,
                             OperatingPoint)
 from dyncomp.errors import ConfigError, SimulationError
@@ -150,6 +150,17 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="Mq9"):
             parse_config("w.Mq9 = 1e-6")
 
+    @pytest.mark.parametrize("pairs, message", [
+        (["w.Mp4=1e-7", "w.Mp5=1e-7"], "w.Mp4: Mp4: width 1e-07 below minimum 2.2e-07"),
+        (["l.Mn3=1e-8", "l.Mn4=1e-8"], "l.Mn3: Mn3: length 1e-08 below minimum 1.8e-07"),
+    ], ids=["width", "length"])
+    def test_geometry_error_names_key(self, pairs, message, capsys):
+        with pytest.raises(ConfigError) as exc:
+            build_comparator_config(apply_overrides(RunConfig(), pairs))
+        assert str(exc.value) == message
+        assert main(["sim", *(arg for pair in pairs for arg in ("--set", pair))]) == 2
+        assert capsys.readouterr().err == f"error: ConfigError: {message}\n"
+
     def test_corner_case_insensitive(self):
         assert parse_config("corner = ff").corner == "FF"
         with pytest.raises(ConfigError, match="corner"):
@@ -178,6 +189,24 @@ class TestParseConfig:
     def test_cal_defaults_stay_in_sync(self):
         built = build_calibration_config(RunConfig())
         assert built == CalibrationConfig()
+        # The other defaults in _KEYS are the model classes' too.
+        assert build_comparator_config(RunConfig()) == ComparatorConfig()
+        assert build_device_params(RunConfig()) == (DEFAULT_NMOS, DEFAULT_PMOS)
+        assert build_operating_point(RunConfig()) == OperatingPoint()
+        # Each RunConfig has dicts and lists of its own.
+        a, b = RunConfig(), RunConfig()
+        shared = [name for name, value in vars(a).items()
+                  if isinstance(value, (dict, list)) and value is getattr(b, name)]
+        assert shared == []
+
+    def test_readme_documents_every_key(self):
+        # Every scalar key and every prefix appears backticked in README's
+        # "Configuration" section.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+        missing = ([key for key in _KEYS if f"`{key}`" not in section]
+                   + [f"{prefix}." for prefix in _PREFIXED if f"`{prefix}." not in section])
+        assert missing == []
 
     @given(pairs=CONFIG_PAIRS)
     @example(pairs={"vdd": "1.6", "w.Mp4": "2.4e-6", "w.Mp5": "2.4e-6",
