@@ -403,15 +403,20 @@ class _Batch:
 
 
 def _offset_stats(n: int, offsets: list[float]) -> OffsetStats:
+    """The offsets' statistics, with np.histogram's counts in 40 bins over their range."""
     arr = np.asarray(offsets, dtype=float)
     if arr.size == 0:
         raise OffsetSpanError("every trial exceeded the offset search span")
     mean = float(arr.mean())
     sigma = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
-    lo, hi = float(arr.min()), float(arr.max())
-    if lo == hi:
-        lo, hi = lo - 1e-6, hi + 1e-6
-    counts, edges = np.histogram(arr, bins=40, range=(lo, hi))
+    ordered = np.sort(arr)
+    lo, hi = float(ordered[0]), float(ordered[-1])
+    for pad in (1e-6, 0.5):  # ours, then np.histogram's where ours rounds away
+        if lo == hi:
+            lo, hi = lo - pad, hi + pad
+    edges = np.linspace(lo, hi, 41)
+    below = ordered.searchsorted(edges)  # offsets below each edge
+    below[-1] = ordered.size
     return OffsetStats(n=n, mean=mean, sigma=sigma,
-                       bin_edges=tuple(edges.tolist()), counts=tuple(counts.tolist()),
+                       bin_edges=tuple(edges.tolist()), counts=tuple(np.diff(below).tolist()),
                        span_errors=n - arr.size)

@@ -455,7 +455,7 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
 
 class DecisionKernel:
     """The vid where ``simulate(op, mismatch, body).decision`` flips, over a
-    batch of trials, from simulate_grid's parameter row and helpers.
+    batch of trials, from params_at and simulate_grid's helpers.
 
     The engine, its supply and the operating point's corner and temperature are
     shared; each trial (row) has its own mismatch, given per device as its own
@@ -470,15 +470,18 @@ class DecisionKernel:
                  mismatch: Mapping[str, tuple[np.ndarray, np.ndarray]]):
         cfg, c_out = engine.config, engine._caps.c_out
         self.pmos, self.vdd, self.window, self.c_out = cfg.pmos, cfg.vdd, cfg.window, c_out
-        vth_n, _, self.vth_p, mu_p, bad = dev.params_columns(cfg.nmos, cfg.pmos, [op.corner],
-                                                             [op.t_kelvin])
-        g = cfg.geoms["Mp4"]
+        try:
+            (n, p), ok = engine.params_at(op), True
+        except ConfigError:  # any parameters will do: no trial is exact
+            (n, p), ok = (cfg.nmos, cfg.pmos), False
+        self.vth_p, g = p.vth0, cfg.geoms["Mp4"]
         with np.errstate(all="ignore"):
-            i_tail = tail_current(cfg, cfg.vdd, self.vth_p, mu_p, mismatch)
-            b = mismatched_beta(mu_p, g.w, g.l, _sides(mismatch, "Mp4", "Mp5", 1))
-            vth_sense = vth_n + _sides(mismatch, "Mn3", "Mn4", 0)
+            i_tail = tail_current(cfg, cfg.vdd, p.vth0, p.mu_cox, mismatch)
+            b = mismatched_beta(p.mu_cox, g.w, g.l, _sides(mismatch, "Mp4", "Mp5", 1))
+            vth_sense = n.vth0 + _sides(mismatch, "Mn3", "Mn4", 0)
             # flip_point's k = sqrt(beta / vth_sense) per side; NaN where it is not real.
-            self.k = np.where((b > 0.0) & (vth_sense > 0.0) & ~bad, np.sqrt(b / vth_sense), np.nan)
+            self.k = np.where((b > 0.0) & (vth_sense > 0.0) & ok, np.sqrt(b / vth_sense), np.nan)
+            self.k_sum = self.k[0] + self.k[1]
             # The clamped t0 at vid*; inf where the tail conducts nothing.
             self.t_clamp = np.where(i_tail > 0.0, c_out * vth_sense.sum(axis=0) / i_tail, np.inf)
         self.dvth = _sides(mismatch, "Mp4", "Mp5", 0)
@@ -498,21 +501,23 @@ class DecisionKernel:
         vdd = self.vdd
         a = vdd - vcm
         with np.errstate(all="ignore"):
-            (vth_m, vth_p), beyond = dev.thresholds(self.pmos, vb - vdd,
-                                                    self.dvth.take(rows, axis=1), self.vth_p)
-            k_m, k_p = self.k.take(rows, axis=1)
-            vid = 2.0 * (k_p * (a - vth_p) - k_m * (a - vth_m)) / (k_m + k_p)
+            vth, beyond = dev.thresholds(self.pmos, vb - vdd, self.dvth.take(rows, axis=1),
+                                         self.vth_p)
+            k = self.k.take(rows, axis=1)
+            ka = k * (a - vth)
+            vid = 2.0 * (ka[1] - ka[0]) / self.k_sum[rows]
             # Guard band, u = 2**-53, S = vdd + |vcm| + |vid*| + |vth-| + |vth+|:
             # simulate forms each overdrive in three roundings (error <= 3uS),
             # and each crossing time with a relative error <= 2*3uS/ov + 5u.
             # The two times differ by the relative (k- + k+)*|vid - vid*|/(k*ov),
             # so simulate orders them right once |vid - vid*| > 6uS + 10uS.
             # vid* above errs by <= 14uS. The band, 256uS, is eight times the sum.
-            band = 2.0 ** -45 * (vdd + abs(vcm) + np.abs(vid) + (np.abs(vth_m) + np.abs(vth_p)))
+            abs_vth = np.abs(vth)
+            band = 2.0 ** -45 * (vdd + abs(vcm) + np.abs(vid) + (abs_vth[0] + abs_vth[1]))
             # simulate's overdrives, vdd - (vcm -+ vid/2) - vth, as a +- vid/2 - vth.
-            half = vid / 2.0
-            ov_m, ov_p = a + half - vth_m, a - half - vth_p
-            ov = np.minimum(ov_m, ov_p)
+            ov = a + _SIGN * (vid / 2.0) - vth
+            kov = k * ov
+            ov_min = np.minimum(ov[0], ov[1])
             # Simulate's t0 on the leading side, c_out*vth_sense/i, times
             # total/i_tail where the tail clamps, falls as vid leaves vid*.
             # At vid* both sides have i/vth_sense = (k*ov)**2/2, so t0 peaks at
@@ -521,12 +526,12 @@ class DecisionKernel:
             # at any vid exceeds the peak by a relative <= 12uS/ov + 10u, ov
             # the smaller overdrive at vid*, and this bound errs by <= 6uS/ov
             # + 8u: together less than band/ov, as ov <= S.
-            t0 = np.maximum(2.0 * self.c_out / np.minimum(k_m * ov_m, k_p * ov_p) ** 2,
+            t0 = np.maximum(2.0 * self.c_out / np.minimum(kov[0], kov[1]) ** 2,
                             self.t_clamp[rows])
             # Each comparison is false for NaN, as np.minimum and np.maximum pass NaN on.
-            exact = ((ov > band) & ~(beyond[0] | beyond[1])
-                     & (t0 * (1.0 + band / ov) <= self.window)
-                     & ((0.0 <= vb) & (vb <= vdd)).all(axis=0) & (0.0 <= vcm <= vdd))
+            valid = ~beyond & (0.0 <= vb) & (vb <= vdd)
+            exact = ((ov_min > band) & valid[0] & valid[1]
+                     & (t0 * (1.0 + band / ov_min) <= self.window) & (0.0 <= vcm <= vdd))
         return vid, band, exact
 
 

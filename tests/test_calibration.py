@@ -391,6 +391,45 @@ def batched_offsets(n, seed, config, cal, calibrate):
                                         AVT_DEFAULT, ABETA_DEFAULT)
 
 
+def numpy_histogram(offsets):
+    """(edges, counts) of np.histogram over the offsets in 40 bins from their
+    least to their greatest, widened by 1 uV each way where those are equal."""
+    lo, hi = float(np.min(offsets)), float(np.max(offsets))
+    if lo == hi:
+        lo, hi = lo - 1e-6, hi + 1e-6
+    counts, edges = np.histogram(offsets, bins=40, range=(lo, hi))
+    return tuple(edges.tolist()), tuple(counts.tolist())
+
+
+@settings(deadline=None, max_examples=300)
+@given(n=st.integers(1, 600), seed=st.integers(0, 2**32 - 1), mean=st.floats(-0.1, 0.1),
+       scale=st.floats(1e-9, 0.05), shape=st.sampled_from(["free", "repeats", "edges", "equal"]))
+@example(n=1, seed=0, mean=0.0, scale=1e-3, shape="free")
+@example(n=600, seed=1, mean=1e-3, scale=1e-3, shape="edges")
+@example(n=7, seed=2, mean=-0.05, scale=1e-3, shape="equal")
+@example(n=2, seed=3, mean=1e11, scale=1e-3, shape="equal")  # 1 uV rounds away at 1e11 V
+def test_offset_stats_is_numpys_histogram(n, seed, mean, scale, shape):
+    # _offset_stats counts its bins by searchsorted on np.histogram's edges.
+    # It must give np.histogram's counts and edges, and numpy's mean and
+    # sigma, on offsets with repeats, on the computed bin edges and all equal.
+    rng = np.random.default_rng(seed)
+    offsets = mean + scale * rng.standard_normal(n)
+    if shape == "repeats":
+        offsets = rng.choice(offsets[:max(1, n // 10)], n)
+    if shape == "edges":  # about half on the edges, keeping the least and the greatest
+        keep = rng.random(n) < 0.5
+        keep[[offsets.argmin(), offsets.argmax()]] = True
+        edges = np.linspace(offsets.min(), offsets.max(), 41)
+        offsets = np.where(keep, offsets, rng.choice(edges, n))
+    if shape == "equal":
+        offsets = np.full(n, offsets[0])
+    stats = calibration._offset_stats(n + 3, offsets.tolist())
+    assert (stats.bin_edges, stats.counts) == numpy_histogram(offsets)
+    assert (stats.n, stats.span_errors) == (n + 3, 3)
+    assert stats.mean == float(np.mean(offsets))
+    assert stats.sigma == (float(np.std(offsets, ddof=1)) if n > 1 else 0.0)
+
+
 class TestBatchedMonteCarlo:
     @pytest.mark.parametrize("n, seed, cal", [
         (500, 1, CalibrationConfig()), (500, 7, CalibrationConfig()),

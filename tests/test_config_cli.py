@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dyncomp import harness, sizing
+from dyncomp import devices, harness, sizing
 from dyncomp.calibration import CalibrationConfig
 from offset_oracle import scalar_offsets
 from sweep_oracle import run_sweep_oracle
@@ -397,21 +397,30 @@ class TestTables:
     def test_simulates_per_mc_trial(self, monkeypatch, calibrate, per_trial):
         # Monte Carlo calls no simulate: its decisions come from the flip
         # point, found once per trial for one bisection, and 8 times for
-        # before, the 6 cycles and after.
+        # before, the 6 cycles and after. Its one kernel reads the operating
+        # point's device parameters from one params_at call, and nothing
+        # resolves them as columns.
         calls = count_calls(monkeypatch, "simulate")
-        rows = []
-        flip_point = DecisionKernel.flip_point
-
-        def counting(self, trials, *args):
-            rows.append(len(trials))
-            return flip_point(self, trials, *args)
-
-        monkeypatch.setattr(DecisionKernel, "flip_point", counting)
+        params_at = count_calls(monkeypatch, "params_at")
+        columns = count_params_columns(monkeypatch)
+        rows = count_flip_point_rows(monkeypatch)
         before, _, _ = run_montecarlo(replace_runconfig(RunConfig(), trials=5,
                                                         calibrate=calibrate))
         assert before.span_errors == 0
         assert calls == []
         assert sum(rows) == 5 * per_trial
+        assert (len(params_at), columns) == (1, [])
+
+    def test_fixed_cost_of_one_calibration(self, monkeypatch):
+        # calibrate --trial runs the Monte Carlo kernel on a batch of one
+        # trial: eight one-row flip points, one params_at call, no simulate
+        # and no parameter columns.
+        calls = count_calls(monkeypatch, "simulate")
+        params_at = count_calls(monkeypatch, "params_at")
+        columns = count_params_columns(monkeypatch)
+        rows = count_flip_point_rows(monkeypatch)
+        run_calibrate_once(RunConfig(), trial=2)
+        assert (calls, rows, len(params_at), columns) == ([], [1] * 8, 1, [])
 
     @pytest.mark.parametrize("key, value", [("sweep.start", "0.1"), ("sweep.stop", "1"),
                                             ("sweep.points", "3"), ("sweep.scale", "log")])
@@ -475,6 +484,28 @@ def count_calls(monkeypatch, method: str) -> list:
 
     monkeypatch.setattr(ComparatorEngine, method, counting)
     return calls
+
+
+def count_params_columns(monkeypatch) -> list:
+    """Record every call of devices.params_columns in the returned list."""
+    calls = []
+    original = devices.params_columns
+    monkeypatch.setattr(devices, "params_columns",
+                        lambda *args: calls.append(args) or original(*args))
+    return calls
+
+
+def count_flip_point_rows(monkeypatch) -> list:
+    """Record the number of rows of every DecisionKernel.flip_point call in the returned list."""
+    rows = []
+    original = DecisionKernel.flip_point
+
+    def counting(self, trials, *args):
+        rows.append(len(trials))
+        return original(self, trials, *args)
+
+    monkeypatch.setattr(DecisionKernel, "flip_point", counting)
+    return rows
 
 
 @settings(deadline=None)
