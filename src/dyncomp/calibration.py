@@ -407,14 +407,21 @@ def _offset_stats(n: int, offsets: list[float]) -> OffsetStats:
     arr = np.asarray(offsets, dtype=float)
     if arr.size == 0:
         raise OffsetSpanError("every trial exceeded the offset search span")
-    mean = float(arr.mean())
-    sigma = float(arr.std(ddof=1)) if arr.size > 1 else 0.0
+    # The ufunc steps of arr.mean(), and of arr.std(ddof=1) after its own mean.
+    mean = float(np.add.reduce(arr) / arr.size)
+    dev = arr - mean
+    dev *= dev
+    sigma = math.sqrt(np.add.reduce(dev) / (arr.size - 1)) if arr.size > 1 else 0.0
     ordered = np.sort(arr)
     lo, hi = float(ordered[0]), float(ordered[-1])
     for pad in (1e-6, 0.5):  # ours, then np.histogram's where ours rounds away
         if lo == hi:
             lo, hi = lo - pad, hi + pad
-    edges = np.linspace(lo, hi, 41)
+    # The steps of np.linspace(lo, hi, 41) wherever np.histogram has 40 bins.
+    edges = np.arange(41.0)
+    edges *= (hi - lo) / 40
+    edges += lo
+    edges[-1] = hi
     below = ordered.searchsorted(edges)  # offsets below each edge
     below[-1] = ordered.size
     return OffsetStats(n=n, mean=mean, sigma=sigma,

@@ -36,9 +36,10 @@ def build_parser() -> argparse.ArgumentParser:
     """The process's one argument parser, built on the first call.
 
     Every call returns the same parser, so ``main`` can run many times in one
-    process without rebuilding it. ``parse_args`` leaves it unchanged. Callers
-    must not mutate the returned parser, nor ``args.overrides`` when no
-    ``--set`` is given: that list is the parser's own ``--set`` default.
+    process without rebuilding it. ``parse_args`` leaves it unchanged, and its
+    ``commands`` maps each subcommand to its subparser. Callers must not
+    mutate the returned parser, nor ``args.overrides`` when no ``--set`` is
+    given: that list is the parser's own ``--set`` default.
     """
     parser = argparse.ArgumentParser(
         prog="dyncomp-sim",
@@ -60,7 +61,24 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sub in (sim, sweep, mc, calibrate, size, report):
         _add_common(sub)
+    parser.commands = subs.choices
     return parser
+
+
+def parse_argv(parser: argparse.ArgumentParser, argv: list[str] | None) -> argparse.Namespace:
+    """``parser.parse_args(argv)``, in one pass where argv starts with a
+    subcommand: its subparser gets the tokens that the top-level pass would
+    hand it, and its leftover tokens get the top-level error. Anything else
+    takes the full parse, and so does a token "--=...", which the top-level
+    pass rejects as ambiguous between --help and --version."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    subparser = parser.commands.get(argv[0]) if argv else None
+    if subparser is None or any(token.startswith("--=") for token in argv):
+        return parser.parse_args(argv)
+    args, extras = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def load_runconfig(args: argparse.Namespace) -> RunConfig:
@@ -148,9 +166,9 @@ def cmd_report(cfg: RunConfig, args) -> int:
         args.out_dir.mkdir(parents=True, exist_ok=True)
         if args.from_dir is None:
             harness.write_report_bundle(tables, args.out_dir)
-        (args.out_dir / "report.txt").write_text(text, encoding="utf-8")
+        harness.write_text(args.out_dir / "report.txt", text)
     if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
+        harness.write_text(args.out, text)
     sys.stdout.write(text)
     return 0
 
@@ -166,8 +184,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parse_argv(build_parser(), argv)
     try:
         if args.json and args.out is not None and args.out.suffix == ".json":
             raise ConfigError(f"--out: {args.out} is the --json mirror's own path")

@@ -313,14 +313,14 @@ def build_calibration_config(cfg: RunConfig) -> CalibrationConfig:
         v_ref_input=cfg.cal_vref, tol_os=cfg.cal_tol, span=cfg.cal_span)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
-        return ",".join(repr(float(x)) for x in value)
-    return str(value)
+# A value's metadata text by its type; any other type's is its str().
+_FORMATS = {bool: lambda v: "true" if v else "false", float: repr,
+            tuple: lambda v: ",".join(repr(float(x)) for x in v)}
+# (key, RunConfig field, default, the default's text) of every scalar key, in
+# _KEYS order. A default of None (unset) is emitted as the key's first unset word.
+_METADATA = [(key, _FIELDS[key], default,
+              parse.words[0] if default is None else _FORMATS.get(type(default), str)(default))
+             for key, (parse, _, default) in _KEYS.items()]
 
 
 def resolved_metadata(cfg: RunConfig) -> dict[str, str]:
@@ -330,14 +330,14 @@ def resolved_metadata(cfg: RunConfig) -> dict[str, str]:
     geometry and load overrides appear only when set (defaults are pinned
     by the tool version).
     """
-    meta: dict[str, str] = {}
-    for key, (parse, _, _) in _KEYS.items():
-        value = getattr(cfg, _FIELDS[key])
-        meta[key] = parse.words[0] if value is None else _fmt(value)
+    values, meta = vars(cfg), {}
+    for key, name, default, text in _METADATA:
+        value = values[name]    # a key left at its default object keeps that text
+        meta[key] = text if value is default else _FORMATS.get(type(value), str)(value)
     for prefix, (field_name, _, _) in _PREFIXED.items():
-        entries = getattr(cfg, field_name)
+        entries = values[field_name]
         for name in sorted(entries):
-            meta[f"{prefix}.{name}"] = _fmt(entries[name])
+            meta[f"{prefix}.{name}"] = repr(entries[name])
     for i, warning in enumerate(cfg.warnings):
         meta[f"warning.{i}"] = warning
     return meta

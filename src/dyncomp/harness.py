@@ -164,13 +164,16 @@ def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
         if sweep.grid is not None and sweep.width_target is None:
             _raise_grid_bound(cfg, engine, unswept, grid, values, "t_kelvin" in swept)
         grid.raise_row(int(raising.argmax()))
-    failed, e_on, e_off = grid.fault != OK, grid.energy, grid.energy_noesd
-    with np.errstate(all="ignore"):
-        savings = np.where(e_off > 0, 100.0 * (1.0 - e_on / e_off), math.nan)
-    metrics = (grid.decision, grid.t_dm, grid.t_esd, e_on * cfg.freq, e_on, grid.late, e_off,
-               savings)
-    cells = [values] + [np.where(failed, fill, x).tolist()
-                        for fill, x in zip(_FAILED_CELLS[:len(columns) - 1], metrics)]
+    # A failed row has no decision, NaN metrics and is flagged late.
+    failed, e_on = grid.fault != OK, grid.energy
+    metrics = [grid.t_dm, grid.t_esd, e_on * cfg.freq, e_on]
+    if compare:
+        e_off = grid.energy_noesd
+        with np.errstate(all="ignore"):
+            metrics += [e_off, np.where(e_off > 0, 100.0 * (1.0 - e_on / e_off), math.nan)]
+    t_dm, t_esd, power, energy, *compared = np.where(failed, math.nan, metrics).tolist()
+    cells = [values, np.where(failed, 0, grid.decision).tolist(), t_dm, t_esd, power, energy,
+             np.where(failed, 1, grid.late).tolist(), *compared]
 
     meta = base_metadata(cfg, "sweep")
     if compare:
@@ -200,11 +203,6 @@ def _raise_grid_bound(cfg: RunConfig, engine: ComparatorEngine, unswept: Operati
             except ConfigError as exc:
                 raise ConfigError(f"{key}: {cfg.sweep_variable} point {values[k]:g}"
                                   f"{_default_mark(cfg, key)} is out of range: {exc}") from None
-
-
-# The cells after the sweep value of a row whose point failed: no decision,
-# NaN metrics, flagged late; the last two are the compare columns'.
-_FAILED_CELLS = (0,) + (math.nan,) * 4 + (1,) + (math.nan,) * 2
 
 
 def run_single(cfg: RunConfig, subcommand: str = "sim") -> Table:
@@ -284,8 +282,7 @@ def render_csv(table: Table) -> str:
 
 
 def emit_csv(table: Table, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_csv(table))
+    write_text(path, render_csv(table))
 
 
 def render_json(table: Table) -> str:
@@ -295,8 +292,14 @@ def render_json(table: Table) -> str:
 
 
 def emit_json(table: Table, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(render_json(table))
+    write_text(path, render_json(table))
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as its UTF-8 bytes, with no newline
+    translation: every output file has the same bytes on every platform."""
+    with open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _parse_cell(text: str):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from dyncomp import devices, harness, sizing
+from dyncomp import cli, devices, harness, sizing
 from dyncomp.calibration import CalibrationConfig
 from offset_oracle import scalar_offsets
 from sweep_oracle import run_sweep_oracle
@@ -217,6 +217,17 @@ class TestParseConfig:
         for key, value in pairs.items():
             set_key(cfg, key, value)
         assert config_from_metadata(resolved_metadata(cfg)) == cfg
+
+    def test_metadata_of_a_key_set_to_its_default(self):
+        # A key left at its default object is emitted as its default's text,
+        # which must be the text of the same value parsed from the config.
+        default = resolved_metadata(RunConfig())
+        cfg = RunConfig()
+        for key, text in default.items():
+            set_key(cfg, key, text)
+        assert all(getattr(cfg, key.replace(".", "_")) is not value  # parsed anew
+                   for key, (_, _, value) in _KEYS.items() if isinstance(value, (float, tuple)))
+        assert resolved_metadata(cfg) == default
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("key", NUMERIC_KEYS)
@@ -495,6 +506,19 @@ def count_params_columns(monkeypatch) -> list:
     return calls
 
 
+def count_parse_passes(monkeypatch) -> list:
+    """Record the prog of every ArgumentParser.parse_known_args call in the returned list."""
+    progs = []
+    original = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        progs.append(self.prog)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    return progs
+
+
 def count_flip_point_rows(monkeypatch) -> list:
     """Record the number of rows of every DecisionKernel.flip_point call in the returned list."""
     rows = []
@@ -529,7 +553,89 @@ def test_compare_energy_is_the_no_shutdown_engine(vid, vcm_share, vdd, temp_c, c
     assert row["energy_J"] <= row["energy_noesd_J"]
 
 
+# Command lines whose parse cli.main must share with the full parse_args:
+# every subcommand with its options, repeated --set, help and version before
+# and after a subcommand, an unknown command, leftover tokens, bad option
+# values, an ambiguous option and no arguments.
+PARSE_CASES = [
+    ["sim", "--config", "c.cfg", "--set", "vid=0.02", "--set", "vdd=1.7", "--out", "o.csv",
+     "--json", "--seed", "3", "--trials", "9", "--no-shutdown", "--calibrate"],
+    ["sweep", "--compare", "--set", "sweep.variable=vid", "--out", "s.csv"],
+    ["mc", "--calibrate", "--trials", "20", "--seed", "4"],
+    ["calibrate", "--trial", "2", "--set", "cal.tol=1e-4"],
+    ["size", "--set", "alpha=2", "--set", "alpha=3"],
+    ["report", "--out-dir", "d", "--from-dir", "e", "--out", "r.txt"],
+    ["sweep", "--comp", "--tri", "5"],
+    ["-h"], ["--version"], ["-h", "sweep"], ["--version", "sim"],
+    ["sim", "-h"], ["report", "--help"], ["sim", "--version"],
+    ["nosuch"], ["nosuch", "--seed", "1"],
+    ["sweep", "--bogus"], ["sim", "extra"], ["sim", "--", "x"], ["sim", "--=x"],
+    ["sim", "--seed", "x"], ["calibrate", "--trial", "one"], ["sim", "--out"], [],
+]
+
+
+def parse_outcome(parse, argv, capsys) -> tuple:
+    """(vars of parse(argv)'s namespace or None, its exit code or None, stdout, stderr)."""
+    try:
+        namespace, code = vars(parse(argv)), None
+    except SystemExit as exc:
+        namespace, code = None, exc.code
+    return (namespace, code, *capsys.readouterr())
+
+
+class Parsed(Exception):
+    """Raised where cli.main has parsed its arguments, carrying their namespace."""
+
+
+def main_parse(monkeypatch):
+    """A parse through cli.main, which stops where it loads the run config."""
+    def stop(args):
+        raise Parsed(args)
+
+    monkeypatch.setattr(cli, "load_runconfig", stop)
+
+    def parse(argv):
+        with pytest.raises(Parsed) as parsed:
+            main(argv)
+        return parsed.value.args[0]
+    return parse
+
+
 class TestCli:
+    @pytest.mark.parametrize("argv", PARSE_CASES, ids=" ".join)
+    def test_one_pass_parse_is_the_full_parse(self, argv, monkeypatch, capsys):
+        full = parse_outcome(build_parser().parse_args, argv, capsys)
+        assert parse_outcome(main_parse(monkeypatch), argv, capsys) == full
+
+    def test_one_pass_parse_reads_sys_argv(self, monkeypatch, capsys):
+        for argv in (["sweep", "--seed", "2", "--set", "vid=0.01"], ["sim", "extra"]):
+            monkeypatch.setattr(sys, "argv", ["dyncomp-sim", *argv])
+            full = parse_outcome(build_parser().parse_args, None, capsys)
+            assert parse_outcome(main_parse(monkeypatch), None, capsys) == full
+
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_one_parse_pass_per_call(self, command, tmp_path, monkeypatch):
+        argv = [command, "--trials", "5", "--set", "sweep.variable=vid",
+                "--out", str(tmp_path / "out")]
+        if command == "report":  # the report's sweeps take the variable themselves
+            argv[3:5] = []
+        progs = count_parse_passes(monkeypatch)
+        assert main(argv) == 0
+        assert progs == [f"dyncomp-sim {command}"]
+
+    def test_every_output_file_is_written_by_write_text(self, tmp_path, monkeypatch):
+        written = []
+        original = harness.write_text
+        monkeypatch.setattr(harness, "write_text",
+                            lambda path, text: written.append(Path(path)) or original(path, text))
+        assert main(["report", "--trials", "25", "--out-dir", str(tmp_path / "bundle"),
+                     "--out", str(tmp_path / "report.txt")]) == 0
+        assert main(["sim", "--json", "--out", str(tmp_path / "sim.csv")]) == 0
+        files = sorted(path for path in tmp_path.rglob("*") if path.is_file())
+        assert sorted(written) == files
+        assert {path.name for path in files} >= {"report.txt", "sim.csv", "sim.json", "size.csv"}
+        assert not any(b"\r" in path.read_bytes() for path in files)
+
     def test_sim_writes_csv(self, tmp_path, capsys):
         out = tmp_path / "sim.csv"
         assert main(["sim", "--out", str(out)]) == 0

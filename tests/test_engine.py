@@ -526,6 +526,18 @@ class TestEnergy:
         assert rel_err(e.total, E_PREAMP_OP0 + E_LATCH + E_DDVB + E_RESET) < 1e-12
         assert e.total == e.e_preamp + e.e_latch + e.e_ddvb + e.e_reset
 
+    def test_preamp_energy_charges_the_tail_current(self, engine):
+        # At OP0 the input pair's square-law currents, 0.5 * 1 mA/V^2 *
+        # (0.475^2 + 0.425^2), sum to 0.203125 mA: 13.6 % of the 1.488375 mA
+        # tail current that e_preamp = vdd * i_tail * t_on charges. README's
+        # model notes state both figures.
+        pair = sum(pair_currents(engine, OP0, 0.45, 0.45))
+        assert rel_err(pair, 0.203125e-3) < 1e-12
+        r = engine.simulate(OP0)
+        assert rel_err(r.i_tail, 1.488375e-3) < 1e-12
+        assert round(100 * pair / r.i_tail, 1) == 13.6
+        assert r.energy.e_preamp == 1.8 * r.i_tail * r.t_esd
+
     def test_breakdown_values_without_shutdown(self):
         r = ComparatorEngine(ComparatorConfig(early_shutdown_enabled=False)).simulate(OP0)
         # The tail conducts for the whole window, and the chain never fires.
