@@ -18,7 +18,7 @@ import numpy as np
 from .devices import (ABETA_DEFAULT, AVT_DEFAULT, MismatchSample, ZERO_MISMATCH,
                       draw_mismatch, mismatch_scales)
 from .engine import (OK, BodyBias, ComparatorConfig, ComparatorEngine, DecisionKernel,
-                     OperatingPoint, simulate_grid, typical_op)
+                     OperatingPoint, drain_current, simulate_grid, typical_op)
 from .errors import ConfigError, OffsetSpanError, SimulationError
 
 
@@ -123,8 +123,7 @@ def cp_step(daco: float, cal: CalibrationConfig, t_period: float) -> float:
     ov = daco - cal.cp_vthn
     if ov <= 0.0:
         return 0.0
-    current = 0.5 * cal.cp_beta * ov * ov
-    return current * t_period / cal.cb
+    return drain_current(cal.cp_beta, ov) * t_period / cal.cb
 
 
 def _resolve_period(cal: CalibrationConfig, config: ComparatorConfig) -> float:

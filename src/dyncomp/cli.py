@@ -42,20 +42,22 @@ def build_parser() -> argparse.ArgumentParser:
     given: that list is the parser's own ``--set`` default.
     """
     parser = argparse.ArgumentParser(
-        prog="dyncomp-sim",
+        prog="dyncomp-sim", allow_abbrev=False,
         description="Behavioral simulator for early-shutdown dynamic comparators")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
+    # Options are spelled out: no prefix of one stands for it.
+    add = functools.partial(subs.add_parser, allow_abbrev=False)
 
-    sim = subs.add_parser("sim", help="one comparison at the configured point")
-    sweep = subs.add_parser("sweep", help="parameter sweep (sweep.variable)")
+    sim = add("sim", help="one comparison at the configured point")
+    sweep = add("sweep", help="parameter sweep (sweep.variable)")
     sweep.add_argument("--compare", action="store_true",
                        help="add the no-shutdown energy of each cycle and a savings column")
-    mc = subs.add_parser("mc", help="Monte Carlo offset analysis")
-    calibrate = subs.add_parser("calibrate", help="single offset-calibration run")
+    mc = add("mc", help="Monte Carlo offset analysis")
+    calibrate = add("calibrate", help="single offset-calibration run")
     calibrate.add_argument("--trial", type=int, default=0, help="mismatch trial index")
-    size = subs.add_parser("size", help="solve the normalized width balance")
-    report = subs.add_parser("report", help="one-page summary report")
+    size = add("size", help="solve the normalized width balance")
+    report = add("report", help="one-page summary report")
     report.add_argument("--out-dir", type=Path, help="write the report bundle (CSVs + report.txt)")
     report.add_argument("--from-dir", type=Path, help="regenerate the report from persisted CSVs")
 
@@ -69,11 +71,10 @@ def parse_argv(parser: argparse.ArgumentParser, argv: list[str] | None) -> argpa
     """``parser.parse_args(argv)``, in one pass where argv starts with a
     subcommand: its subparser gets the tokens that the top-level pass would
     hand it, and its leftover tokens get the top-level error. Anything else
-    takes the full parse, and so does a token "--=...", which the top-level
-    pass rejects as ambiguous between --help and --version."""
+    takes the full parse."""
     argv = sys.argv[1:] if argv is None else list(argv)
     subparser = parser.commands.get(argv[0]) if argv else None
-    if subparser is None or any(token.startswith("--=") for token in argv):
+    if subparser is None:
         return parser.parse_args(argv)
     args, extras = subparser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extras:

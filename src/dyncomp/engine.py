@@ -139,26 +139,14 @@ _SIGN = np.array([[1.0], [-1.0]])
 
 
 @dataclass(frozen=True)
-class GridResult:
-    """Per-row arrays of simulate_grid: ComparisonResult's fields, the energy
-    with the tail on for the whole window, and each row's fault (OK where
-    simulate returns). A faulted row's other entries mean nothing;
-    ``raise_row(k)`` raises what simulate raises at row k."""
+class GridResult(ComparisonResult):
+    """simulate_grid's rows: ComparisonResult's fields as per-row arrays (the
+    energy an EnergyBreakdown of them), the energy with the tail on for the
+    whole window, and each row's fault (OK where simulate returns). A faulted
+    row's other entries mean nothing; ``raise_row(k)`` raises what simulate
+    raises at row k."""
 
-    decision: np.ndarray
-    t0: np.ndarray
-    t1: np.ndarray
-    t_esd: np.ndarray
-    t_dm: np.ndarray
-    shutdown: np.ndarray
-    late: np.ndarray
-    i_tail: np.ndarray
-    e_preamp: np.ndarray
-    e_latch: np.ndarray
-    e_ddvb: np.ndarray
-    e_reset: np.ndarray
-    energy: np.ndarray          # energy.total of the cycle
-    energy_noesd: np.ndarray    # the same cycle with the tail on for the whole window
+    energy_noesd: np.ndarray
     fault: np.ndarray
     raise_row: Callable[[int], None]
 
@@ -213,17 +201,17 @@ def lead_timing(cfg: ComparatorConfig, caps: NodeCaps, vdd, t0, t1, b_ni, b_pi, 
     return t_esd, t_dm, late, cfg.early_shutdown_enabled & (t_esd <= window)
 
 
-def energy_split(caps: NodeCaps, vdd, i_tail, t_on, shutdown) -> tuple:
-    """Supply energy of one cycle, split by subcircuit: (e_preamp, e_latch,
-    e_ddvb, e_reset, total). The tail conducts for t_on: t_esd with
-    shutdown, else the whole window. The buffer chain spends only where it
-    fires: ``shutdown`` is a bool or bool array, and x * False == 0.0 for
-    the chain's x >= 0."""
+def energy_split(caps: NodeCaps, vdd, i_tail, t_on, shutdown) -> EnergyBreakdown:
+    """Supply energy of one cycle, split by subcircuit: floats, or arrays of
+    them. The tail conducts for t_on: t_esd with shutdown, else the whole
+    window. The buffer chain spends only where it fires: ``shutdown`` is a
+    bool or bool array, and x * False == 0.0 for the chain's x >= 0."""
     e_preamp = vdd * i_tail * t_on
     e_latch = caps.c_latch * vdd * vdd
     e_ddvb = 2.0 * (caps.c_pi + caps.c_p3) * vdd * vdd * shutdown
     e_reset = 2.0 * caps.c_out * vdd * vdd
-    return e_preamp, e_latch, e_ddvb, e_reset, e_preamp + e_latch + e_ddvb + e_reset
+    return EnergyBreakdown(e_preamp, e_latch, e_ddvb, e_reset,
+                           e_preamp + e_latch + e_ddvb + e_reset)
 
 
 def never_crosses(i_side, vth_sense):
@@ -347,8 +335,7 @@ class ComparatorEngine:
                             for params, name in ((n, sense), (p, buf_p), (n, latch)))
         t_esd, t_dm, late, shutdown = lead_timing(cfg, caps, vdd, t0, t1, b_ni, b_pi, b_n3)
         energy = energy_split(caps, vdd, i_tail, t_esd if shutdown else window, shutdown)
-        return ComparisonResult(decision, t0, t1, t_esd, t_dm, shutdown, late, i_tail,
-                                EnergyBreakdown(*energy))
+        return ComparisonResult(decision, t0, t1, t_esd, t_dm, shutdown, late, i_tail, energy)
 
 
 def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[float],
@@ -421,9 +408,8 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
         b_pi = mismatched_beta(mu_p, w_pi1, l_pi1, lead_side("Mpi1", "Mpi4", 1))
         b_n3 = mismatched_beta(mu_n, w_n3, l_n3, lead_side("Mn3", "Mn4", 1))
         t_esd, t_dm, late, shutdown = lead_timing(cfg, caps, vdd, t0, t1, b_ni, b_pi, b_n3)
-        e_preamp, e_latch, e_ddvb, e_reset, energy = energy_split(
-            caps, vdd, i_tail, np.where(shutdown, t_esd, window), shutdown)
-        energy_noesd = vdd * i_tail * window + e_latch + e_reset
+        energy = energy_split(caps, vdd, i_tail, np.where(shutdown, t_esd, window), shutdown)
+        energy_noesd = vdd * i_tail * window + energy.e_latch + energy.e_reset
     # A row's code indexes the first check it fails; the last, always true, is OK.
     fault = np.array((unbuilt, ~((0.0 <= vcm) & (vcm <= vdd) & (np.abs(vid) < vdd)),
                       ~((0.0 <= vb) & (vb <= vdd)).all(axis=0), bad_params, *beyond,
@@ -447,10 +433,8 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
             raise NoDecisionError(
                 f"no preamp crossing within the {window:.3e} s window (t0={float(t0[k]):.3e})")
 
-    return GridResult(decision=decision, t0=t0, t1=t1, t_esd=t_esd, t_dm=t_dm, shutdown=shutdown,
-                      late=late, i_tail=i_tail, e_preamp=e_preamp, e_latch=e_latch, e_ddvb=e_ddvb,
-                      e_reset=e_reset, energy=energy, energy_noesd=energy_noesd, fault=fault,
-                      raise_row=raise_row)
+    return GridResult(decision, t0, t1, t_esd, t_dm, shutdown, late, i_tail, energy,
+                      energy_noesd, fault, raise_row)
 
 
 class DecisionKernel:

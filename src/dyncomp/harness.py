@@ -165,7 +165,7 @@ def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
             _raise_grid_bound(cfg, engine, unswept, grid, values, "t_kelvin" in swept)
         grid.raise_row(int(raising.argmax()))
     # A failed row has no decision, NaN metrics and is flagged late.
-    failed, e_on = grid.fault != OK, grid.energy
+    failed, e_on = grid.fault != OK, grid.energy.total
     metrics = [grid.t_dm, grid.t_esd, e_on * cfg.freq, e_on]
     if compare:
         e_off = grid.energy_noesd

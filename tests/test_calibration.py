@@ -11,6 +11,8 @@ from dyncomp import calibration, devices
 from dyncomp.calibration import (CalibrationConfig, cp_step, dac_output,
                                  measure_offset, monte_carlo, residual_bound,
                                  run_calibration)
+from dyncomp.config import (RunConfig, build_calibration_config, build_comparator_config,
+                            build_operating_point)
 from dyncomp.devices import (ABETA_DEFAULT, AVT_DEFAULT, CORNERS, DEFAULT_NMOS, DEFAULT_PMOS,
                              ZERO_MISMATCH, DeviceParams, MismatchSample, beta,
                              default_geometry, sample_mismatch, threshold)
@@ -518,6 +520,31 @@ class TestBatchedMonteCarlo:
         assert max(map(len, steps)) == 1
         assert [6] in steps and sum(map(sum, steps)) > 6
         assert result == expected
+
+    def test_benchmark_calls_take_one_walk_and_no_grid_call(self, monkeypatch):
+        # The calibrated Monte Carlo and single calibration at the default
+        # point: every trial's flip point is exact, so no step runs
+        # simulate_grid and each bisection is one walk, with no second walk
+        # on plus. Seeds and trials as the benchmark's mc and calibrate calls.
+        cfg = RunConfig()
+        config, cal = build_comparator_config(cfg), build_calibration_config(cfg)
+        op = build_operating_point(cfg, vid=0.0)
+        grids, walks = [], []
+        grid, walk = calibration.simulate_grid, calibration._Batch.walk
+        monkeypatch.setattr(calibration, "simulate_grid",
+                            lambda *args, **kwargs: grids.append(1) or grid(*args, **kwargs))
+
+        def counting_walk(self, *args):
+            walks.append(1)
+            return walk(self, *args)
+
+        monkeypatch.setattr(calibration._Batch, "walk", counting_walk)
+        for seed in (1001, 1002, 1003):
+            monte_carlo(500, seed, config, cal, calibrate=True, op=op)
+        for trial in range(24):
+            run_calibration(config, sample_mismatch(cfg.seed, trial, config.geoms.values()),
+                            cal, op)
+        assert (len(grids), len(walks)) == (0, 3 + 24)
 
     def test_error_path_draws_no_sample(self, monkeypatch):
         # A raising trial runs simulate on the batch's own mismatch columns;

@@ -450,6 +450,23 @@ class TestSweepTable:
             with pytest.raises(ConfigError, match="sweep.variable"):
                 apply_overrides(RunConfig(), [f"sweep.variable={name}"])
 
+    def test_readme_table_is_the_table(self):
+        # Each row of README's sweep table states its variable's value column
+        # and default grid, in the units the row names; the corner row names
+        # the corners in CORNERS order.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = re.findall(r"^  \| `(\w+)` \| `(\w+)`[^|]*\| (.+) \|$", readme, re.M)
+        exponent = {"mV": "e-3", "V": "", "C": "", "µm": "e-6"}
+        stated = {}
+        for variable, column, grid in rows:
+            ends = re.fullmatch(r"(\S+) (\S+) to (\S+) (\S+), (\d+) points", grid)
+            stated[variable] = (column, (tuple(re.findall(r"\w+", grid.split("corners ")[1]))
+                                         if ends is None else
+                                         (float(ends[1] + exponent[ends[2]]),
+                                          float(ends[3] + exponent[ends[4]]), int(ends[5]))))
+        assert stated == {name: (sweep.column, tuple(CORNERS) if sweep.grid is None
+                                 else sweep.grid) for name, sweep in SWEEPS.items()}
+
     @pytest.mark.parametrize("variable", SWEEPS)
     def test_default_sweep_follows_the_table(self, variable, tmp_path):
         sweep = SWEEPS[variable]
@@ -556,7 +573,7 @@ def test_compare_energy_is_the_no_shutdown_engine(vid, vcm_share, vdd, temp_c, c
 # Command lines whose parse cli.main must share with the full parse_args:
 # every subcommand with its options, repeated --set, help and version before
 # and after a subcommand, an unknown command, leftover tokens, bad option
-# values, an ambiguous option and no arguments.
+# values, abbreviated options and no arguments.
 PARSE_CASES = [
     ["sim", "--config", "c.cfg", "--set", "vid=0.02", "--set", "vdd=1.7", "--out", "o.csv",
      "--json", "--seed", "3", "--trials", "9", "--no-shutdown", "--calibrate"],
@@ -606,6 +623,29 @@ class TestCli:
     def test_one_pass_parse_is_the_full_parse(self, argv, monkeypatch, capsys):
         full = parse_outcome(build_parser().parse_args, argv, capsys)
         assert parse_outcome(main_parse(monkeypatch), argv, capsys) == full
+
+    @pytest.mark.parametrize("argv, token", [(["mc", "--trial", "3"], "--trial 3"),
+                                             (["sim", "--cal"], "--cal"), (["sim", "--=x"], "--=x")])
+    def test_abbreviated_option_is_rejected(self, argv, token, tmp_path, capsys):
+        # An option takes its full name only: mc's --trial is not --trials,
+        # and sim's --cal is not --calibrate. Nothing runs.
+        with pytest.raises(SystemExit) as raised:
+            main(argv + ["--out", str(tmp_path / "out.csv")])
+        assert raised.value.code == 2
+        assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {token}\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_prefix_stands_for_an_option(self):
+        # Every proper prefix of every long option, in the top-level parser
+        # and in each subcommand's, is left over unparsed.
+        top = build_parser()
+        for command, parser in [(None, top), *top.commands.items()]:
+            options = [name for name in parser._option_string_actions if name.startswith("--")]
+            prefixes = {name[:n] for name in options for n in range(3, len(name))} - set(options)
+            assert prefixes
+            for prefix in prefixes:
+                argv = [prefix, "sim"] if command is None else [command, prefix]
+                assert top.parse_known_args(argv)[1] == [prefix]
 
     def test_one_pass_parse_reads_sys_argv(self, monkeypatch, capsys):
         for argv in (["sweep", "--seed", "2", "--set", "vid=0.01"], ["sim", "extra"]):

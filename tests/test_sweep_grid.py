@@ -148,11 +148,10 @@ def hexed(result):
 def grid_row(grid, k):
     """Row k of a GridResult as the ComparisonResult simulate builds from it."""
     return ComparisonResult(int(grid.decision[k]), float(grid.t0[k]), float(grid.t1[k]),
-                            float(grid.t_esd[k]), float(grid.t_dm[k]), bool(grid.shutdown[k]),
-                            bool(grid.late[k]), float(grid.i_tail[k]),
-                            EnergyBreakdown(float(grid.e_preamp[k]), float(grid.e_latch[k]),
-                                            float(grid.e_ddvb[k]), float(grid.e_reset[k]),
-                                            float(grid.energy[k])))
+                            float(grid.t_esd[k]), float(grid.t_dm[k]),
+                            bool(grid.shutdown_occurred[k]), bool(grid.late[k]),
+                            float(grid.i_tail[k]),
+                            EnergyBreakdown(*(float(x[k]) for x in vars(grid.energy).values())))
 
 
 # The fault code of each error the oracle raises, by class and message prefix.
