@@ -301,9 +301,12 @@ class _Batch:
         """Where simulate decides +1 at the rows' vid, given their guard. The
         ``active`` rows inside the guard interval run one simulate_grid call,
         on the kernel's devices: the others enter only t1, t_esd, t_dm and the
-        energy. Where none is inside, no call runs. The lowest key whose row
-        faults stops there, leaving ``active``. No row keyed above the fault
-        runs: its error would not be the one raised."""
+        energy. The rows share the operating point's corner and temperature,
+        passed as one value, which params_at resolves once; per-row corners
+        or temperatures would go through devices.params_columns. Where none
+        is inside, no call runs. The lowest key whose row faults stops there,
+        leaving ``active``. No row keyed above the fault runs: its error
+        would not be the one raised."""
         lo, hi = guard
         plus = vid >= hi
         run = active & (vid > lo) & (vid < hi)
@@ -314,7 +317,7 @@ class _Batch:
         run = run.nonzero()[0]
         n, trials, op = run.size, keys[run] // 3, self.op
         grid = simulate_grid(self.engine, vid[run], np.full(n, vcm), np.full(n, self.kernel.vdd),
-                             [op.corner] * n, [op.t_kelvin] * n,
+                             op.corner, op.t_kelvin,
                              mismatch={name: (dvth[trials], dbeta[trials])
                                        for name, (dvth, dbeta) in self.mismatch.items()},
                              vb_plus=vb[1, run], vb_minus=vb[0, run])

@@ -31,6 +31,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="enable offset calibration (mc subcommand)")
 
 
+class _TopParser(argparse.ArgumentParser):
+    """The top-level parser: its subcommand is optional to argparse, so that a
+    line without one names its leftover tokens as unrecognized arguments
+    rather than report the missing command; a line with none left over does."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if namespace.command is None and not extras:
+            self.error("the following arguments are required: command")
+        return namespace, extras
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one argument parser, built on the first call.
@@ -41,11 +53,11 @@ def build_parser() -> argparse.ArgumentParser:
     mutate the returned parser, nor ``args.overrides`` when no ``--set`` is
     given: that list is the parser's own ``--set`` default.
     """
-    parser = argparse.ArgumentParser(
+    parser = _TopParser(
         prog="dyncomp-sim", allow_abbrev=False,
         description="Behavioral simulator for early-shutdown dynamic comparators")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", parser_class=argparse.ArgumentParser)
     # Options are spelled out: no prefix of one stands for it.
     add = functools.partial(subs.add_parser, allow_abbrev=False)
 

@@ -208,7 +208,9 @@ def params_columns(nmos: DeviceParams, pmos: DeviceParams, corner: Sequence[Corn
     Columns repeat the scalar operations in their order, so entries are bit
     for bit the scalar ones: the mobility's temperature factor is Python's
     pow, once per distinct temperature (np.power can differ). Rows group
-    by id(corner).
+    by id(corner). simulate_grid calls it only for per-row corners or
+    temperatures: a corner and temperature shared by every row are resolved
+    once by ComparatorEngine.params_at.
     """
     t = np.asarray(t_kelvin, float)
     ids = list(map(id, corner))

@@ -338,9 +338,20 @@ class ComparatorEngine:
         return ComparisonResult(decision, t0, t1, t_esd, t_dm, shutdown, late, i_tail, energy)
 
 
+def _params_or_any(engine: ComparatorEngine, op: OperatingPoint
+                   ) -> tuple[tuple[DeviceParams, DeviceParams], bool]:
+    """(params_at(op), True); where params_at raises, the configured (nmos,
+    pmos), as any parameters will do, and False."""
+    try:
+        return engine.params_at(op), True
+    except ConfigError:
+        return (engine.config.nmos, engine.config.pmos), False
+
+
 def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[float],
-                  vdd: Sequence[float], corner: Sequence[CornerSpec], t_kelvin: Sequence[float],
-                  widths: Mapping[str, np.ndarray] = {}, mismatch: Mapping[str, tuple] = {},
+                  vdd: Sequence[float], corner: CornerSpec | Sequence[CornerSpec],
+                  t_kelvin: float | Sequence[float], widths: Mapping[str, np.ndarray] = {},
+                  mismatch: Mapping[str, tuple] = {},
                   vb_plus: Sequence[float] | None = None,
                   vb_minus: Sequence[float] | None = None) -> GridResult:
     """One precharge + comparison cycle at every row of the columns, in one array pass.
@@ -354,7 +365,10 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
     ``widths`` maps devices to per-row widths in place of the geometry's,
     both of a symmetric pair alike (sizing.target_widths); a row with one
     below MIN_WIDTH, a geometry ComparatorEngine rejects, is UNBUILT.
-    Device parameters are columns (devices.params_columns).
+    ``corner`` may be one CornerSpec and ``t_kelvin`` one number, shared by
+    every row. Where both are, params_at resolves them once, and a pair it
+    rejects makes every row BAD_PARAMS; per-row corners or temperatures go
+    through devices.params_columns, a shared one of the two repeated.
 
     Each row is bit for bit ComparatorEngine.simulate, the scalar cycle:
     only + - * /, comparisons, np.where and np.sqrt (correctly rounded, as
@@ -366,10 +380,18 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
     given = vid, vcm, vdd, *(vdd if v is None else v for v in (vb_plus, vb_minus))
     vid, vcm, vdd = (np.asarray(x, float) for x in (vid, vcm, vdd))
     vb = np.array([vdd if v is None else v for v in (vb_minus, vb_plus)], float)
-    t_kelvin = np.asarray(t_kelvin, float)
     # The rows' parameters (zero-bias thresholds: vth0), where params_at would not raise.
-    vth_n, mu_n, vth_p, mu_p, bad_params = dev.params_columns(cfg.nmos, cfg.pmos, corner,
-                                                               t_kelvin)
+    shared = isinstance(corner, CornerSpec), np.ndim(t_kelvin) == 0
+    if all(shared):
+        op = OperatingPoint(corner=corner, t_kelvin=t_kelvin)
+        (n, p), ok = _params_or_any(engine, op)
+        vth_n, mu_n, vth_p, mu_p, bad_params = (n.vth0, n.mu_cox, p.vth0, p.mu_cox,
+                                                np.full(vid.shape, not ok))
+    else:
+        corner, t_kelvin = (np.full(vid.shape, x) if one else x
+                            for x, one in zip((corner, t_kelvin), shared))
+        vth_n, mu_n, vth_p, mu_p, bad_params = dev.params_columns(cfg.nmos, cfg.pmos, corner,
+                                                                   t_kelvin)
     caps = engine.node_caps(widths) if widths else engine._caps
     # One device per symmetric pair: ComparatorEngine checks the pairs equal.
     (w_p4, l_p4), (w_n3, l_n3), (w_ni2, l_ni2), (w_pi1, l_pi1) = (
@@ -426,7 +448,8 @@ def simulate_grid(engine: ComparatorEngine, vid: Sequence[float], vcm: Sequence[
             raise ConfigError(f"body voltages {BodyBias(vb_plus_k, vb_minus_k)} "
                               f"outside [0, vdd={vdd_k}]")
         if code == BAD_PARAMS:
-            engine.params_at(OperatingPoint(corner=corner[k], t_kelvin=float(t_kelvin[k])))
+            engine.params_at(op if all(shared)
+                             else OperatingPoint(corner=corner[k], t_kelvin=float(t_kelvin[k])))
         if code in (BODY_MINUS, BODY_PLUS):
             threshold(cfg.pmos, (vb_minus_k if code == BODY_MINUS else vb_plus_k) - vdd_k)
         if code == NO_DECISION:
@@ -454,10 +477,7 @@ class DecisionKernel:
                  mismatch: Mapping[str, tuple[np.ndarray, np.ndarray]]):
         cfg, c_out = engine.config, engine._caps.c_out
         self.pmos, self.vdd, self.window, self.c_out = cfg.pmos, cfg.vdd, cfg.window, c_out
-        try:
-            (n, p), ok = engine.params_at(op), True
-        except ConfigError:  # any parameters will do: no trial is exact
-            (n, p), ok = (cfg.nmos, cfg.pmos), False
+        (n, p), ok = _params_or_any(engine, op)  # where not ok, no trial is exact
         self.vth_p, g = p.vth0, cfg.geoms["Mp4"]
         with np.errstate(all="ignore"):
             i_tail = tail_current(cfg, cfg.vdd, p.vth0, p.mu_cox, mismatch)

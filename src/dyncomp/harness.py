@@ -147,15 +147,17 @@ def run_sweep(cfg: RunConfig, compare: bool = False) -> Table:
                "energy_noesd_J", "savings_pct")[:9 if compare else 7]
     config = build_comparator_config(cfg)
     engine = ComparatorEngine(config)
-    # Each operating-point field and the supply as a column: the swept
-    # values, else the unswept point's and the configured supply.
+    # vid, vcm and the supply as columns: the swept values, else the unswept
+    # point's and the configured supply. The corner and the temperature are
+    # the swept columns, else the unswept point's one value.
     unswept = build_operating_point(cfg)
     op = {**vars(unswept), "vdd": config.vdd}
     points = np.array(values)
     swept = sweep.fields(cfg, points)
     column = lambda name: np.full(len(values), swept.get(name, op[name]))
     grid = simulate_grid(engine, column("vid"), column("vcm"), column("vdd"),
-                         column("corner"), column("t_kelvin"),
+                         swept.get("corner", unswept.corner),
+                         swept.get("t_kelvin", unswept.t_kelvin),
                          {} if sweep.width_target is None
                          else sizing_mod.target_widths(sweep.width_target, points))
     # The first row that raises ConfigError raises it; the other faulted rows fail.

@@ -21,7 +21,7 @@ from dyncomp.config import (_KEYS, _PREFIXED, SWEEPS, RunConfig, apply_overrides
                             build_calibration_config, build_comparator_config,
                             build_device_params, build_operating_point, config_from_metadata,
                             parse_config, resolved_metadata, set_key)
-from dyncomp.devices import CORNERS, DEFAULT_NMOS, DEFAULT_PMOS, default_geometry
+from dyncomp.devices import CORNERS, DEFAULT_NMOS, DEFAULT_PMOS, CornerSpec, default_geometry
 from dyncomp.engine import (EXTRA_NODES, ComparatorConfig, ComparatorEngine, DecisionKernel,
                             OperatingPoint)
 from dyncomp.errors import ConfigError, SimulationError
@@ -370,20 +370,27 @@ class TestTables:
     @pytest.mark.parametrize("variable, groups", [
         (v, {"temp": 4, "corner": len(CORNERS)}.get(v, 1)) for v in SWEEPS])
     def test_one_params_at_per_compare_point(self, monkeypatch, variable, groups):
-        # The grid spans ``groups`` distinct (corner, temperature) pairs and
-        # computes their device parameters as columns: a valid sweep resolves
-        # none through params_at, which only builds error text.
+        # The grid spans ``groups`` distinct (corner, temperature) pairs. A
+        # sweep whose rows share one pair passes it as one value, and one
+        # params_at call resolves it. The temp and corner sweeps pass columns,
+        # whose device parameters one params_columns call computes; a valid
+        # sweep of them resolves none through params_at.
         calls = count_calls(monkeypatch, "params_at")
-        pairs = []
+        columns = count_params_columns(monkeypatch)
+        pairs, shared = [], []
         simulate_grid = harness.simulate_grid
 
         def spy(engine, vid, vcm, vdd, corner, t_kelvin, *args):
-            pairs.append(set(zip(map(id, corner), t_kelvin)))
+            one = isinstance(corner, CornerSpec), isinstance(t_kelvin, float)
+            shared.append(all(one))
+            corners, temps = ([x] * len(vid) if o else x for x, o in zip((corner, t_kelvin), one))
+            pairs.append(set(zip(map(id, corners), temps)))
             return simulate_grid(engine, vid, vcm, vdd, corner, t_kelvin, *args)
 
         monkeypatch.setattr(harness, "simulate_grid", spy)
         run_sweep(sweep_of(variable), compare=True)
-        assert (len(calls), [len(p) for p in pairs]) == (0, [groups])
+        assert ([len(p) for p in pairs], shared) == ([groups], [groups == 1])
+        assert (len(calls), len(columns)) == ((1, 0) if groups == 1 else (0, 1))
 
     @pytest.mark.parametrize("variable", list(SWEEPS))
     def test_sweep_rows_parsed_only_when_read(self, monkeypatch, variable):
@@ -573,7 +580,8 @@ def test_compare_energy_is_the_no_shutdown_engine(vid, vcm_share, vdd, temp_c, c
 # Command lines whose parse cli.main must share with the full parse_args:
 # every subcommand with its options, repeated --set, help and version before
 # and after a subcommand, an unknown command, leftover tokens, bad option
-# values, abbreviated options and no arguments.
+# values, abbreviated options, unknown options without a subcommand and no
+# arguments.
 PARSE_CASES = [
     ["sim", "--config", "c.cfg", "--set", "vid=0.02", "--set", "vdd=1.7", "--out", "o.csv",
      "--json", "--seed", "3", "--trials", "9", "--no-shutdown", "--calibrate"],
@@ -588,6 +596,7 @@ PARSE_CASES = [
     ["nosuch"], ["nosuch", "--seed", "1"],
     ["sweep", "--bogus"], ["sim", "extra"], ["sim", "--", "x"], ["sim", "--=x"],
     ["sim", "--seed", "x"], ["calibrate", "--trial", "one"], ["sim", "--out"], [],
+    ["--bogus"], ["--vers"], ["--bogus", "--vers"],
 ]
 
 
@@ -634,6 +643,29 @@ class TestCli:
         assert raised.value.code == 2
         assert capsys.readouterr().err.endswith(f"error: unrecognized arguments: {token}\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, error", [
+        (["--bogus"], "unrecognized arguments: --bogus"),
+        (["--vers"], "unrecognized arguments: --vers"),
+        (["--bogus", "--vers"], "unrecognized arguments: --bogus --vers"),
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus' (choose from 'sim', "),
+    ], ids=["--bogus", "--vers", "--bogus --vers", "empty", "bogus"])
+    def test_line_without_subcommand_names_its_fault(self, argv, error, capsys):
+        # Unknown options are named as such, not reported as a missing
+        # command; only an empty line misses it.
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1].startswith(f"dyncomp-sim: error: {error}")
+
+    @pytest.mark.parametrize("flag, out", [("-h", "usage: dyncomp-sim [-h] [--version] {sim,"),
+                                           ("--version", "dyncomp-sim ")])
+    def test_help_and_version_need_no_subcommand(self, flag, out, capsys):
+        with pytest.raises(SystemExit) as raised:
+            main([flag])
+        assert raised.value.code == 0
+        assert capsys.readouterr().out.startswith(out)
 
     def test_no_prefix_stands_for_an_option(self):
         # Every proper prefix of every long option, in the top-level parser

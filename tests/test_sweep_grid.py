@@ -208,6 +208,20 @@ ROW = st.fixed_dictionaries({
 })
 
 
+# A corner name and a temperature in kelvin, each shared by every row or
+# None (each row's own). params_at raises at some shared temperatures: NaN,
+# 1e-300 K and 400 C at TT.
+SHARED = st.tuples(st.one_of(st.none(), st.sampled_from(sorted(CORNERS))),
+                   st.one_of(st.none(), st.floats(213.15, 543.15),
+                             st.sampled_from([math.nan, 1e-300, 673.15])))
+# Defaults of ENGINE and ROW, for examples.
+SPEC = {"vdd": 1.8, "freq": 333e6, "alpha": 1.5, "tail_derating": 0.02, "tie_break": 1,
+        "early_shutdown_enabled": True, "target": None, "mu_n": 1.0, "mu_p": 1.0}
+ROW_AT = {"vid": 0.05, "vcm_share": 0.5, "vdd": None, "corner": "FF", "temp_c": 27.0,
+          "width": 1e-6, "mismatch": {name: (0.0, 0.0) for name in CYCLE_DEVICES},
+          "vb_plus": None, "vb_minus": None}
+
+
 def build_config(spec) -> ComparatorConfig:
     return ComparatorConfig(
         vdd=spec["vdd"], freq=spec["freq"], alpha=spec["alpha"],
@@ -218,17 +232,24 @@ def build_config(spec) -> ComparatorConfig:
 
 
 @settings(deadline=None, max_examples=300)
-@given(spec=ENGINE, rows=st.lists(ROW, min_size=1, max_size=6))
-def test_grid_rows_are_scalar_simulate(spec, rows):
+@given(spec=ENGINE, rows=st.lists(ROW, min_size=1, max_size=6), shared=SHARED)
+@example(spec=SPEC, rows=[ROW_AT, {**ROW_AT, "vcm_share": 2.0}], shared=("TT", math.nan))
+@example(spec=SPEC, rows=[ROW_AT, {**ROW_AT, "vb_minus": 0.1}], shared=("TT", 1e-300))
+@example(spec=SPEC, rows=[ROW_AT], shared=("TT", 673.15))
+@example(spec=SPEC, rows=[ROW_AT, ROW_AT], shared=("SS", 300.15))
+def test_grid_rows_are_scalar_simulate(spec, rows, shared):
     # Each row against the scalar simulate on an engine at the row's supply
     # and with the row's width: every ComparisonResult field by float.hex and
     # the no-shutdown energy from its fields, or the fault code of
-    # simulate's error and raise_row's class and message.
+    # simulate's error and raise_row's class and message. The grid takes
+    # the corner and the temperature as one value where ``shared`` gives it.
     config, target = build_config(spec), spec["target"]
     supply = [config.vdd if row["vdd"] is None else row["vdd"] for row in rows]
-    ops = [OperatingPoint(vid=row["vid"], vcm=row["vcm_share"] * vdd,
-                          corner=CORNERS[row["corner"]], t_kelvin=row["temp_c"] + 273.15)
-           for row, vdd in zip(rows, supply)]
+    corners = [CORNERS[shared[0] or row["corner"]] for row in rows]
+    temps = [row["temp_c"] + 273.15 if shared[1] is None else shared[1] for row in rows]
+    ops = [OperatingPoint(vid=row["vid"], vcm=row["vcm_share"] * vdd, corner=corner,
+                          t_kelvin=t_kelvin)
+           for row, vdd, corner, t_kelvin in zip(rows, supply, corners, temps)]
     bodies = [BodyBias(*(vdd if row[side] is None else row[side] * vdd
                          for side in ("vb_plus", "vb_minus"))) for row, vdd in zip(rows, supply)]
     mismatches = [MismatchSample(row["mismatch"]) for row in rows]
@@ -242,7 +263,7 @@ def test_grid_rows_are_scalar_simulate(spec, rows):
             engines.append(None)
     grid = simulate_grid(
         ComparatorEngine(config), [op.vid for op in ops], [op.vcm for op in ops], supply,
-        [op.corner for op in ops], [op.t_kelvin for op in ops],
+        corners if shared[0] is None else corners[0], temps if shared[1] is None else temps[0],
         {} if target is None else target_widths(target, np.array(widths)),
         {name: tuple(np.array([row["mismatch"][name][i] for row in rows]) for i in (0, 1))
          for name in CYCLE_DEVICES},
@@ -266,7 +287,9 @@ def test_every_fault_code_raises_the_oracles_error():
     # One row per fault code, in one grid: the code, and raise_row's class
     # and message against the scalar simulate. Rows that fault two ways take
     # the check simulate makes first. Messages quote values as given, ints
-    # included.
+    # included. Then the same rows at one corner and temperature shared by
+    # every row: a valid one moves the BAD_PARAMS row to its body fault, and
+    # where params_at raises, every row past the body check is BAD_PARAMS.
     config = ComparatorConfig()
     vdd, tt, hot = config.vdd, CORNERS["TT"], 600.0
     rows = {  # code: (vid, vcm, t_kelvin, width, vb_plus, vb_minus)
@@ -280,20 +303,28 @@ def test_every_fault_code_raises_the_oracles_error():
         NO_DECISION: (0.0, 1.36, 300.0, 1e-6, vdd, vdd),
     }
     vid, vcm, t_kelvin, width, vb_plus, vb_minus = (list(column) for column in zip(*rows.values()))
-    grid = simulate_grid(ComparatorEngine(config), vid, vcm, [vdd] * len(rows), [tt] * len(rows),
-                         t_kelvin, target_widths("inv_n", np.array(width)),
-                         vb_plus=vb_plus, vb_minus=vb_minus)
-    assert grid.fault.tolist() == list(rows)
-    for k, code in enumerate(rows):
-        if code in (OK, UNBUILT):
-            assert grid.raise_row(k) is None
-            continue
-        engine = ComparatorEngine(scaled_config(config, "inv_n", width[k]))
-        op = OperatingPoint(vid=vid[k], vcm=vcm[k], corner=tt, t_kelvin=t_kelvin[k])
-        expected = outcome(lambda: engine.simulate(op, ZERO_MISMATCH,
-                                                   BodyBias(vb_plus[k], vb_minus[k])))
-        assert fault_codes(expected) >= {code}
-        assert outcome(lambda: grid.raise_row(k)) == expected
+    valid = [BODY_MINUS if code == BAD_PARAMS else code for code in rows]
+    invalid = [min(code, BAD_PARAMS) for code in rows]
+    cases = [(None, list(rows)), (300.0, valid),
+             *((t, invalid) for t in (hot, math.nan, 1e-300, 673.15))]
+    for shared, codes in cases:
+        temps = t_kelvin if shared is None else [shared] * len(rows)
+        grid = simulate_grid(ComparatorEngine(config), vid, vcm, [vdd] * len(rows),
+                             [tt] * len(rows) if shared is None else tt,
+                             t_kelvin if shared is None else shared,
+                             target_widths("inv_n", np.array(width)),
+                             vb_plus=vb_plus, vb_minus=vb_minus)
+        assert grid.fault.tolist() == codes
+        for k, code in enumerate(codes):
+            if code in (OK, UNBUILT):
+                assert grid.raise_row(k) is None
+                continue
+            engine = ComparatorEngine(scaled_config(config, "inv_n", width[k]))
+            op = OperatingPoint(vid=vid[k], vcm=vcm[k], corner=tt, t_kelvin=temps[k])
+            expected = outcome(lambda: engine.simulate(op, ZERO_MISMATCH,
+                                                       BodyBias(vb_plus[k], vb_minus[k])))
+            assert fault_codes(expected) >= {code}
+            assert outcome(lambda: grid.raise_row(k)) == expected
 
 
 def test_empty_grid():
