@@ -19,11 +19,12 @@ from .devices import (ABETA_DEFAULT, AVT_DEFAULT, MismatchSample, ZERO_MISMATCH,
                       draw_mismatch, mismatch_scales)
 from .engine import (OK, BodyBias, ComparatorConfig, ComparatorEngine, DecisionKernel,
                      OperatingPoint, drain_current, simulate_grid, typical_op)
-from .errors import ConfigError, OffsetSpanError, SimulationError
+from .errors import (AT_LEAST_1, POSITIVE, ConfigError, OffsetSpanError, Ranged, SimulationError,
+                     checked)
 
 
 @dataclass(frozen=True)
-class CalibrationConfig:
+class CalibrationConfig(Ranged):
     """Knobs of the cancellation loop.
 
     ``t_period`` and ``v_ref_input`` default to the comparator's clock
@@ -44,18 +45,10 @@ class CalibrationConfig:
     tol_os: float = 10e-6       # offset bisection tolerance, V
     span: float = 100e-3        # offset search half-span, V
 
-    def __post_init__(self):
-        # Every check fails for NaN: "not x > 0" rather than "x <= 0".
-        if not (self.n_cycles >= 1 and self.n_phases >= 1):
-            raise ConfigError("n_cycles and n_phases must be >= 1")
-        if not all(c > 0 for c in (self.cb, self.c0, *self.dac_caps)):
-            raise ConfigError("all capacitances must be > 0")
-        if not self.cp_beta > 0:
-            raise ConfigError("cp_beta must be > 0")
-        if self.t_period is not None and not self.t_period > 0:
-            raise ConfigError("t_period must be > 0")
-        if not (self.tol_os > 0 and self.span > 0):
-            raise ConfigError("tol_os and span must be > 0")
+    # Each ranged field's rule (each dac_caps entry's); config reads its keys' ranges here.
+    RULES = {"n_cycles": AT_LEAST_1, "n_phases": AT_LEAST_1, "cb": POSITIVE, "c0": POSITIVE,
+             "dac_caps": POSITIVE, "cp_beta": POSITIVE, "t_period": POSITIVE,
+             "tol_os": POSITIVE, "span": POSITIVE}
 
 
 @dataclass(frozen=True)
@@ -100,8 +93,8 @@ def measure_offset(engine: ComparatorEngine, op: OperatingPoint | None = None,
     the midpoint rounds onto an end). Raises OffsetSpanError when no flip
     exists inside +/- span, and simulate's error where a point would raise.
     """
-    if not (tol > 0 and span > 0):
-        raise ConfigError(f"tol={tol} and span={span} must be > 0")
+    checked("tol", tol, CalibrationConfig.RULES["tol_os"])
+    checked("span", span, CalibrationConfig.RULES["span"])
     op = op or typical_op(engine.config, vid=0.0)
     return _offset(_Batch.one(engine, op, mismatch, body, tol, span).run()[0], span)
 

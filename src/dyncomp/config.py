@@ -5,11 +5,11 @@ organizational only). ``auto`` resolves context-dependent defaults: the
 common-mode voltage tracks vdd/2 and the calibration period tracks the clock.
 
 Each key is declared once. A scalar key's ``_KEYS`` entry gives its
-``RunConfig`` field (the key with dots as underscores), its default (a model
-default is read from the model class), its parser, its range check and its
+``RunConfig`` field (the key with dots as underscores), its default and its
+range rule (a model key's are read from the model class), its parser and its
 place in the emitted metadata. A ``_PREFIXED`` entry gives the ``RunConfig``
 dict that its ``<prefix>.<name>`` keys fill, the names allowed and their
-range check. ``RunConfig`` is built from the two tables, plus its
+range rule. ``RunConfig`` is built from the two tables, plus its
 ``warnings`` list.
 """
 from __future__ import annotations
@@ -22,7 +22,7 @@ from . import devices as dev
 from .calibration import CalibrationConfig
 from .devices import CORNERS, DEFAULT_NMOS, DEFAULT_PMOS, DeviceParams, default_geometry
 from .engine import EXTRA_NODES, ComparatorConfig, OperatingPoint
-from .errors import ConfigError
+from .errors import NONNEGATIVE, POSITIVE, ConfigError, checked
 
 
 @dataclass(frozen=True)
@@ -112,65 +112,62 @@ class _Unset:
         return None if value.lower() in self.words else self.parse(key, value)
 
 
-# -- range checks: (predicate, rule quoted in the error) --------------------------
+def _model(model, name: str) -> tuple:
+    """A model field's (range rule, default), as its key reads them from ``model``."""
+    return model.RULES[name], getattr(model, name)
 
-_POSITIVE = (lambda x: x > 0, "must be > 0")
-_NONNEGATIVE = (lambda x: x >= 0, "must be >= 0")
-_AT_LEAST_1 = (lambda x: x >= 1, "must be >= 1")
 
 # Every scalar key, in the order resolved_metadata emits it: key -> (parser,
-# range check or None, default). Model defaults are read from the model classes.
+# range rule (errors.checked) or None, default).
 _KEYS = {
-    "vdd": (_parse_float, _POSITIVE, ComparatorConfig.vdd),
-    "vcm": (_Unset(_parse_float), _NONNEGATIVE, None),          # auto -> vdd/2
+    "vdd": (_parse_float, *_model(ComparatorConfig, "vdd")),
+    "vcm": (_Unset(_parse_float), NONNEGATIVE, None),           # auto -> vdd/2
     "vid": (_parse_float, None, OperatingPoint.vid),
-    "freq": (_parse_float, _POSITIVE, ComparatorConfig.freq),
+    "freq": (_parse_float, *_model(ComparatorConfig, "freq")),
     "corner": (_choice(*CORNERS, upper=True), None, OperatingPoint.corner.name),
     "temp_c": (_parse_float, (lambda x: x > -273.15, "must be above absolute zero"), 27.0),
-    "alpha": (_parse_float, _AT_LEAST_1, ComparatorConfig.alpha),
+    "alpha": (_parse_float, *_model(ComparatorConfig, "alpha")),
     "shutdown": (_parse_bool, None, ComparatorConfig.early_shutdown_enabled),
-    "tie_break": (_parse_int, (lambda x: x in (1, -1), "must be +1 or -1"),
-                  ComparatorConfig.tie_break),
-    "tail_derating": (_parse_float, (lambda x: 0.0 <= x < 1.0, "must be in [0, 1)"),
-                      ComparatorConfig.tail_derating),
-    "gamma": (_parse_float, _NONNEGATIVE, DeviceParams.gamma),
-    "phi2f": (_parse_float, _POSITIVE, DeviceParams.phi2f),
-    "cox_area": (_parse_float, _POSITIVE, DeviceParams.cox_area),
-    "nmos.mu_cox": (_parse_float, _POSITIVE, DEFAULT_NMOS.mu_cox),
-    "nmos.vth0": (_parse_float, _POSITIVE, DEFAULT_NMOS.vth0),
-    "pmos.mu_cox": (_parse_float, _POSITIVE, DEFAULT_PMOS.mu_cox),
-    "pmos.vth0": (_parse_float, _POSITIVE, DEFAULT_PMOS.vth0),
-    "avt": (_parse_float, _NONNEGATIVE, dev.AVT_DEFAULT),
-    "abeta": (_parse_float, _NONNEGATIVE, dev.ABETA_DEFAULT),
+    "tie_break": (_parse_int, *_model(ComparatorConfig, "tie_break")),
+    "tail_derating": (_parse_float, *_model(ComparatorConfig, "tail_derating")),
+    "gamma": (_parse_float, *_model(DeviceParams, "gamma")),
+    "phi2f": (_parse_float, *_model(DeviceParams, "phi2f")),
+    "cox_area": (_parse_float, *_model(DeviceParams, "cox_area")),
+    "nmos.mu_cox": (_parse_float, *_model(DEFAULT_NMOS, "mu_cox")),
+    "nmos.vth0": (_parse_float, *_model(DEFAULT_NMOS, "vth0")),
+    "pmos.mu_cox": (_parse_float, *_model(DEFAULT_PMOS, "mu_cox")),
+    "pmos.vth0": (_parse_float, *_model(DEFAULT_PMOS, "vth0")),
+    "avt": (_parse_float, dev.PELGROM_RULE, dev.AVT_DEFAULT),
+    "abeta": (_parse_float, dev.PELGROM_RULE, dev.ABETA_DEFAULT),
     "sweep.variable": (_Unset(_choice(*SWEEPS), ("none", "")), None, None),
     "sweep.start": (_Unset(_parse_float), None, None),
     "sweep.stop": (_Unset(_parse_float), None, None),
     "sweep.points": (_Unset(_parse_int), (lambda x: x >= 2, "must be >= 2"), None),
     "sweep.scale": (_choice("linear", "log"), None, "linear"),
-    "seed": (_parse_int, _NONNEGATIVE, 1),
+    "seed": (_parse_int, NONNEGATIVE, 1),
     "trials": (_parse_int, (lambda x: 1 <= x <= 2**32, "must be in [1, 2**32]"), 500),
     "calibrate": (_parse_bool, None, False),
-    "cal.cycles": (_parse_int, _AT_LEAST_1, CalibrationConfig.n_cycles),
-    "cal.phases": (_parse_int, _AT_LEAST_1, CalibrationConfig.n_phases),
-    "cal.cb": (_parse_float, _POSITIVE, CalibrationConfig.cb),
-    "cal.c0": (_parse_float, _POSITIVE, CalibrationConfig.c0),
-    "cal.caps": (_parse_caps, _POSITIVE, CalibrationConfig.dac_caps),
-    "cal.cp_beta": (_parse_float, _POSITIVE, CalibrationConfig.cp_beta),
+    "cal.cycles": (_parse_int, *_model(CalibrationConfig, "n_cycles")),
+    "cal.phases": (_parse_int, *_model(CalibrationConfig, "n_phases")),
+    "cal.cb": (_parse_float, *_model(CalibrationConfig, "cb")),
+    "cal.c0": (_parse_float, *_model(CalibrationConfig, "c0")),
+    "cal.caps": (_parse_caps, *_model(CalibrationConfig, "dac_caps")),
+    "cal.cp_beta": (_parse_float, *_model(CalibrationConfig, "cp_beta")),
     "cal.cp_vthn": (_parse_float, None, CalibrationConfig.cp_vthn),
-    "cal.period": (_Unset(_parse_float), _POSITIVE, None),      # auto -> 1/freq
+    "cal.period": (_Unset(_parse_float), *_model(CalibrationConfig, "t_period")),  # auto -> 1/freq
     "cal.vref": (_Unset(_parse_float), None, None),             # auto -> vdd/2
-    "cal.tol": (_parse_float, _POSITIVE, CalibrationConfig.tol_os),
-    "cal.span": (_parse_float, _POSITIVE, CalibrationConfig.span),
+    "cal.tol": (_parse_float, *_model(CalibrationConfig, "tol_os")),
+    "cal.span": (_parse_float, *_model(CalibrationConfig, "span")),
 }
 # A key's RunConfig field is the key with its dots replaced by underscores.
 _FIELDS = {key: key.replace(".", "_") for key in _KEYS}
 
 # Keys "<prefix>.<name>" that set one entry of a RunConfig dict:
-# prefix -> (RunConfig field, allowed names, range check).
+# prefix -> (RunConfig field, allowed names, range rule).
 _PREFIXED = {
-    "w": ("widths", frozenset(default_geometry()), _POSITIVE),
-    "l": ("lengths", frozenset(default_geometry()), _POSITIVE),
-    "extra": ("extra", EXTRA_NODES, _NONNEGATIVE),
+    "w": ("widths", frozenset(default_geometry()), POSITIVE),
+    "l": ("lengths", frozenset(default_geometry()), POSITIVE),
+    "extra": ("extra", EXTRA_NODES, ComparatorConfig.EXTRA_LOAD_RULE),
 }
 
 RunConfig = make_dataclass(
@@ -187,31 +184,22 @@ def is_default(cfg: RunConfig, key: str) -> bool:
     return getattr(cfg, _FIELDS[key]) == _KEYS[key][2]
 
 
-def _checked(key: str, value, check):
-    """Apply a range check to a parsed value (to each item of a tuple)."""
-    if check is not None and value is not None:
-        ok, rule = check
-        for x in value if isinstance(value, tuple) else (value,):
-            if not ok(x):
-                raise ConfigError(f"{key}: {rule}, got {x}")
-    return value
-
-
 def set_key(cfg: RunConfig, key: str, value: str) -> None:
     """Apply one key=value pair, validating range invariants by name."""
     k = key.strip()
     v = value.strip()
     if k in _KEYS:
-        parse, check, _ = _KEYS[k]
-        setattr(cfg, _FIELDS[k], _checked(k, parse(k, v), check))
+        parse, rule, _ = _KEYS[k]
+        value = parse(k, v)
+        setattr(cfg, _FIELDS[k], value if rule is None else checked(k, value, rule))
         return
     prefix, _, name = k.partition(".")
     if prefix not in _PREFIXED:
         raise ConfigError(f"unknown config key {key!r}")
-    field_name, names, check = _PREFIXED[prefix]
+    field_name, names, rule = _PREFIXED[prefix]
     if name not in names:
         raise ConfigError(f"{k}: unknown name {name!r}")
-    getattr(cfg, field_name)[name] = _checked(k, _parse_float(k, v), check)
+    getattr(cfg, field_name)[name] = checked(k, _parse_float(k, v), rule)
 
 
 def parse_config(text: str) -> RunConfig:

@@ -13,7 +13,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import BodyBiasError, ConfigError
+from .errors import NONNEGATIVE, POSITIVE, BodyBiasError, ConfigError, Ranged, checked
 
 NMOS = "nmos"
 PMOS = "pmos"
@@ -29,14 +29,15 @@ T_REF = 300.0
 MU_TEMP_EXPONENT = -1.5
 VTH_TEMP_COEFF = 2.0e-3
 
-# Pelgrom coefficients for a generic 0.18 um process: 5 mV*um for the
-# threshold, 1 %*um for the relative transconductance factor.
+# Pelgrom coefficients for a generic 0.18 um process (5 mV*um for the threshold,
+# 1 %*um for the relative transconductance factor) and the range of both.
 AVT_DEFAULT = 5.0e-9
 ABETA_DEFAULT = 1.0e-8
+PELGROM_RULE = NONNEGATIVE
 
 
 @dataclass(frozen=True)
-class DeviceParams:
+class DeviceParams(Ranged):
     """Square-law parameters of one device polarity."""
 
     polarity: str
@@ -46,20 +47,10 @@ class DeviceParams:
     phi2f: float = 0.7          # surface potential (2*phi_F), V
     cox_area: float = 8.5e-3    # gate capacitance per area, F/m^2
 
-    def __post_init__(self):
-        # Every check fails for NaN: "not x > 0" rather than "x <= 0".
-        if self.polarity not in (NMOS, PMOS):
-            raise ConfigError(f"polarity must be '{NMOS}' or '{PMOS}', got {self.polarity!r}")
-        if not self.mu_cox > 0:
-            raise ConfigError("mu_cox must be > 0")
-        if not self.vth0 > 0:
-            raise ConfigError("vth0 must be > 0 (magnitude convention)")
-        if not self.gamma >= 0:
-            raise ConfigError("gamma must be >= 0")
-        if not self.phi2f > 0:
-            raise ConfigError("phi2f must be > 0")
-        if not self.cox_area > 0:
-            raise ConfigError("cox_area must be > 0")
+    # Each ranged field's rule; config reads its keys' ranges here.
+    RULES = {"polarity": (lambda p: p in (NMOS, PMOS), f"must be '{NMOS}' or '{PMOS}'"),
+             "mu_cox": POSITIVE, "vth0": POSITIVE, "gamma": NONNEGATIVE,
+             "phi2f": POSITIVE, "cox_area": POSITIVE}
 
 
 DEFAULT_NMOS = DeviceParams(NMOS, mu_cox=300e-6, vth0=0.45)
@@ -240,8 +231,8 @@ def mismatch_scales(geoms: Iterable[TransistorGeom], avt: float = AVT_DEFAULT,
     deviation ~ N(0, abeta/sqrt(W*L)); the scales interleave the two,
     ``[vth(names[0]), beta(names[0]), vth(names[1]), ...]``.
     """
-    if avt < 0 or abeta < 0:
-        raise ConfigError("mismatch coefficients must be >= 0")
+    checked("avt", avt, PELGROM_RULE)
+    checked("abeta", abeta, PELGROM_RULE)
     ordered = sorted(geoms, key=lambda g: g.name)
     scales = []
     for geom in ordered:

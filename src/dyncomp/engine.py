@@ -24,7 +24,7 @@ import numpy as np
 from . import devices as dev
 from .devices import (DeviceParams, MismatchSample, TransistorGeom, ZERO_MISMATCH,
                       CORNERS, CornerSpec, gate_cap, threshold)
-from .errors import ConfigError, NoDecisionError
+from .errors import AT_LEAST_1, NONNEGATIVE, POSITIVE, ConfigError, NoDecisionError, Ranged, checked
 
 # Geometry pairs that must stay symmetric for the two half-circuits.
 _SYMMETRIC_PAIRS = (
@@ -39,7 +39,7 @@ EXTRA_NODES = ("out", "pi", "p3", "latch")
 
 
 @dataclass(frozen=True)
-class ComparatorConfig:
+class ComparatorConfig(Ranged):
     """Static description of one comparator instance."""
 
     geoms: Mapping[str, TransistorGeom] = field(default_factory=dev.default_geometry)
@@ -53,23 +53,18 @@ class ComparatorConfig:
     tail_derating: float = 0.02         # series on-switch loss of tail current
     tie_break: int = +1
 
+    # Each ranged field's rule, and each extra_load entry's; config reads its keys' ranges here.
+    RULES = {"vdd": POSITIVE, "freq": POSITIVE, "alpha": AT_LEAST_1,
+             "tail_derating": (lambda x: 0.0 <= x < 1.0, "must be in [0, 1)"),
+             "tie_break": (lambda x: x in (1, -1), "must be +1 or -1")}
+    EXTRA_LOAD_RULE = NONNEGATIVE
+
     def __post_init__(self):
-        # Every check fails for NaN: "not x > 0" rather than "x <= 0".
-        if not self.vdd > 0:
-            raise ConfigError("vdd must be > 0")
-        if not self.freq > 0:
-            raise ConfigError("freq must be > 0")
-        if not self.alpha >= 1.0:
-            raise ConfigError("alpha must be >= 1")
-        if not 0.0 <= self.tail_derating < 1.0:
-            raise ConfigError("tail_derating must be in [0, 1)")
-        if self.tie_break not in (+1, -1):
-            raise ConfigError("tie_break must be +1 or -1")
+        Ranged.__post_init__(self)
         for node, c in self.extra_load.items():
             if node not in EXTRA_NODES:
                 raise ConfigError(f"unknown extra_load node {node!r}; expected one of {EXTRA_NODES}")
-            if not c >= 0:
-                raise ConfigError(f"extra_load[{node!r}] must be >= 0")
+            checked(f"extra_load[{node!r}]", c, self.EXTRA_LOAD_RULE)
 
     @property
     def window(self) -> float:

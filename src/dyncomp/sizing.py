@@ -15,22 +15,19 @@ import numpy as np
 
 from .devices import beta
 from .engine import ComparatorConfig, ComparatorEngine, NodeCaps, OperatingPoint, typical_op
-from .errors import ConfigError, SimulationError
+from .errors import AT_LEAST_1, POSITIVE, ConfigError, Ranged, SimulationError, checked
 
 
 @dataclass(frozen=True)
-class SizingVars:
+class SizingVars(Ranged):
     """Normalized buffer widths and the switch turn-off margin."""
 
     x: float
     y: float
     alpha: float
 
-    def __post_init__(self):
-        if self.x < 1.0 or self.y < 1.0:
-            raise ConfigError("x and y must be >= 1 (minimum-size reference width)")
-        if self.alpha < 1.0:
-            raise ConfigError("alpha must be >= 1")
+    # No width below the minimum-size reference; the comparator's own alpha range.
+    RULES = {"x": AT_LEAST_1, "y": AT_LEAST_1, "alpha": ComparatorConfig.RULES["alpha"]}
 
 
 @dataclass(frozen=True)
@@ -93,12 +90,12 @@ def solve_sizing(alpha: float, x_max: float = 4.0, y_max: float = 4.0,
     (``searchsorted``, left side). Ties go to the smallest x, then y (smaller
     devices cost less power): the first minimum in (x, y) order wins.
     """
-    if x_max < 1.0 or y_max < 1.0:
-        raise ConfigError("bounds must be >= 1")
-    if grid_step <= 0.0:
-        raise ConfigError("grid_step must be > 0")
-    if not alpha >= 1.0:
-        raise ConfigError("alpha must be >= 1")
+    checked("x_max", x_max, AT_LEAST_1)
+    checked("y_max", y_max, AT_LEAST_1)
+    checked("grid_step", grid_step, POSITIVE)
+    alpha_ok, alpha_rule = SizingVars.RULES["alpha"]
+    if not alpha_ok(alpha):
+        raise ConfigError(f"alpha {alpha_rule}")
     if alpha == math.inf:
         raise ConfigError("alpha must be finite")
     xs, ys = np.array(_grid(1.0, x_max, grid_step)), np.array(_grid(1.0, y_max, grid_step))

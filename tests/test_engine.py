@@ -596,7 +596,7 @@ def test_nan_rejected(instance, field, value):
 
 class TestConfigValidation:
     def test_negative_extra_load(self):
-        with pytest.raises(ConfigError, match="extra_load\\['pi'\\] must be >= 0"):
+        with pytest.raises(ConfigError, match=r"^extra_load\['pi'\]: must be >= 0, got -1e-15$"):
             ComparatorConfig(extra_load={"pi": -1e-15})
 
     def test_alpha_below_one(self):
