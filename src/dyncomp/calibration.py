@@ -51,8 +51,7 @@ class CalibrationConfig(Ranged):
              "tol_os": POSITIVE, "span": POSITIVE}
 
 
-@dataclass(frozen=True)
-class CalibrationState:
+class CalibrationState(NamedTuple):
     """Loop state after the last executed cycle."""
 
     vb_plus: float
@@ -60,8 +59,7 @@ class CalibrationState:
     history: tuple[tuple[int, float, float, int], ...]  # (cycle, daco, step, s)
 
 
-@dataclass(frozen=True)
-class CalibrationResult:
+class CalibrationResult(NamedTuple):
     state: CalibrationState
     offset_before: float
     offset_after: float
@@ -69,8 +67,7 @@ class CalibrationResult:
     saturated: bool             # a body voltage clamped at ground
 
 
-@dataclass(frozen=True)
-class OffsetStats:
+class OffsetStats(NamedTuple):
     """Aggregate offset statistics of one Monte Carlo run."""
 
     n: int

@@ -15,8 +15,8 @@ range rule. ``RunConfig`` is built from the two tables, plus its
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, make_dataclass, replace
-from typing import Any, Callable, Iterable
+from dataclasses import replace
+from typing import Callable, Iterable, NamedTuple
 
 from . import devices as dev
 from .calibration import CalibrationConfig
@@ -25,8 +25,7 @@ from .engine import EXTRA_NODES, ComparatorConfig, OperatingPoint
 from .errors import NONNEGATIVE, POSITIVE, ConfigError, checked
 
 
-@dataclass(frozen=True)
-class Sweep:
+class Sweep(NamedTuple):
     """One sweep.variable: its CSV value column, its default (start, stop,
     points) grid (None: the corner names in CORNERS order), and what an array
     of values sets, OperatingPoint fields and the supply ``vdd``, each a column
@@ -101,8 +100,7 @@ def _choice(*options: str, upper: bool = False) -> Callable[[str, str], str]:
     return parse
 
 
-@dataclass(frozen=True)
-class _Unset:
+class _Unset(NamedTuple):
     """Parser for a key that may be left unset (None); ``words[0]`` is emitted for None."""
 
     parse: Callable[[str, str], object]
@@ -170,13 +168,33 @@ _PREFIXED = {
     "extra": ("extra", EXTRA_NODES, ComparatorConfig.EXTRA_LOAD_RULE),
 }
 
-RunConfig = make_dataclass(
-    "RunConfig",
-    [(_FIELDS[key], Any, field(default=default)) for key, (_, _, default) in _KEYS.items()]
-    + [(name, dict[str, float], field(default_factory=dict)) for name, _, _ in _PREFIXED.values()]
-    + [("warnings", list[str], field(default_factory=list))],
-    namespace={"__module__": __name__,
-               "__doc__": "Flat run settings: one field per key of _KEYS and prefix of _PREFIXED."})
+# RunConfig's fields: one per scalar key with its default, then one dict per
+# prefix and the warnings list, each made anew for every RunConfig.
+_DEFAULTS = {_FIELDS[key]: default for key, (_, _, default) in _KEYS.items()}
+_CONTAINERS = {**{name: dict for name, _, _ in _PREFIXED.values()}, "warnings": list}
+
+
+class RunConfig:
+    """Flat run settings: one field per key of _KEYS and prefix of _PREFIXED,
+    plus ``warnings``. Fields are set by keyword; configs are equal where
+    every field is."""
+
+    __hash__ = None     # mutable
+
+    def __init__(self, **fields):
+        values = self.__dict__
+        values.update(_DEFAULTS)
+        for name, make in _CONTAINERS.items():
+            values[name] = make()
+        if not fields.keys() <= values.keys():
+            raise TypeError(f"RunConfig got unexpected fields {sorted(fields.keys() - values.keys())}")
+        values.update(fields)
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is RunConfig else NotImplemented
+
+    def __repr__(self):
+        return f"RunConfig({', '.join(f'{n}={v!r}' for n, v in vars(self).items())})"
 
 
 def is_default(cfg: RunConfig, key: str) -> bool:

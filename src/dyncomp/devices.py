@@ -9,7 +9,7 @@ from __future__ import annotations
 import ctypes
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,8 +101,7 @@ CORNERS: Mapping[str, CornerSpec] = {
 }
 
 
-@dataclass(frozen=True)
-class MismatchSample:
+class MismatchSample(NamedTuple):
     """Per-transistor threshold / relative-beta deviations of one trial.
 
     Transistors absent from the map carry zero deviation, so

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -82,16 +82,14 @@ class OperatingPoint:
     t_kelvin: float = 300.15
 
 
-@dataclass(frozen=True)
-class BodyBias:
+class BodyBias(NamedTuple):
     """Tuned body voltages of the input pair."""
 
     vb_plus: float
     vb_minus: float
 
 
-@dataclass(frozen=True)
-class NodeCaps:
+class NodeCaps(NamedTuple):
     """Lumped node capacitances derived from the geometry set."""
 
     c_out: float        # preamp output: latch NMOS gate + buffer NMOS gate
@@ -100,8 +98,7 @@ class NodeCaps:
     c_latch: float      # latch output: cross-coupled PMOS gate + latch NMOS gate
 
 
-@dataclass(frozen=True)
-class EnergyBreakdown:
+class EnergyBreakdown(NamedTuple):
     e_preamp: float
     e_latch: float
     e_ddvb: float       # shutdown buffer chain overhead (both sides)

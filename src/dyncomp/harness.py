@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import copy
 import functools
-import json
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -288,6 +287,8 @@ def emit_csv(table: Table, path) -> None:
 
 
 def render_json(table: Table) -> str:
+    import json     # here, not at the top: only --json calls pay for its import
+
     # The rows are parsed from their 9-digit text: no float needs rounding here.
     payload = {"metadata": table.metadata, "columns": list(table.columns), "rows": table.rows}
     return json.dumps(payload, indent=2, allow_nan=True) + "\n"
@@ -381,10 +382,7 @@ def collect_report_inputs(cfg: RunConfig) -> dict[str, Table]:
 
 
 def replace_runconfig(cfg: RunConfig, **changes) -> RunConfig:
-    out = copy.deepcopy(cfg)
-    for key, value in changes.items():
-        setattr(out, key, value)
-    return out
+    return RunConfig(**{**copy.deepcopy(vars(cfg)), **changes})
 
 
 def _column(table: Table, name: str) -> list:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +31,7 @@ class SizingVars(Ranged):
     RULES = {"x": AT_LEAST_1, "y": AT_LEAST_1, "alpha": ComparatorConfig.RULES["alpha"]}
 
 
-@dataclass(frozen=True)
-class WidthSweepPoint:
+class WidthSweepPoint(NamedTuple):
     w: float
     t_dm: float
     power: float
@@ -51,8 +51,9 @@ def general_balance_residual(caps: NodeCaps, beta_ni: float, beta_pi: float,
     Positive means the chain shuts the preamp down after the latch decision
     (late, extra power); negative means before it (early, extra delay).
     """
-    if min(beta_ni, beta_pi, beta_n3) <= 0:
-        raise ConfigError("all beta values must be > 0")
+    for name, value in (("beta_ni", beta_ni), ("beta_pi", beta_pi), ("beta_n3", beta_n3)):
+        checked(name, value, POSITIVE)
+    checked("alpha", alpha, ComparatorConfig.RULES["alpha"])
     return caps.c_pi / beta_ni + alpha * caps.c_p3 / beta_pi - caps.c_latch / beta_n3
 
 

@@ -57,6 +57,21 @@ class TestGeneralResidual:
         with pytest.raises(ConfigError):
             general_balance_residual(caps, 0.0, 1e-3, 1e-3, 1.5)
 
+    @pytest.mark.parametrize("k, name", [(0, "beta_ni"), (1, "beta_pi"), (2, "beta_n3"),
+                                         (3, "alpha")])
+    def test_rejects_nan_by_name(self, k, name):
+        caps = ComparatorEngine(ComparatorConfig()).node_caps()
+        args = [1e-3, 2e-3, 3e-3, 1.5]
+        args[k] = math.nan
+        rule = "must be >= 1" if name == "alpha" else "must be > 0"
+        with pytest.raises(ConfigError, match=rf"^{name}: {rule}, got nan$"):
+            general_balance_residual(caps, *args)
+
+    def test_rejects_alpha_below_one(self):
+        caps = ComparatorEngine(ComparatorConfig()).node_caps()
+        with pytest.raises(ConfigError, match=r"^alpha: must be >= 1, got 0.5$"):
+            general_balance_residual(caps, 1e-3, 2e-3, 3e-3, 0.5)
+
     @pytest.mark.parametrize("alpha", [1.0, 1.5, 3.0])
     def test_matches_simulate_timing(self, alpha):
         # The residual times 1.6/vdd is simulate's chain delay minus its latch

@@ -140,7 +140,7 @@ def hexed(result):
     if not isinstance(result, ComparisonResult):
         return result
     floats = (result.t0, result.t1, result.t_esd, result.t_dm, result.i_tail,
-              *vars(result.energy).values())
+              *result.energy._asdict().values())
     return (type(result.decision), result.decision, result.shutdown_occurred, result.late,
             *(x.hex() for x in floats))
 
@@ -151,7 +151,7 @@ def grid_row(grid, k):
                             float(grid.t_esd[k]), float(grid.t_dm[k]),
                             bool(grid.shutdown_occurred[k]), bool(grid.late[k]),
                             float(grid.i_tail[k]),
-                            EnergyBreakdown(*(float(x[k]) for x in vars(grid.energy).values())))
+                            EnergyBreakdown(*(float(x[k]) for x in grid.energy._asdict().values())))
 
 
 # The fault code of each error the oracle raises, by class and message prefix.
